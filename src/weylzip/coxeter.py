@@ -6,6 +6,11 @@ the count of positive roots sent negative, and cheap descent tests.
 Canonical words are ShortLex-minimal reduced words, derived on demand by
 stripping the smallest left descent.
 
+A standard parabolic subgroup W_S (the whole group when S holds every
+simple index) is enumerated once, layer by layer in ShortLex order, as
+numpy rows of root permutations.  The same rows give its integer
+multiplication tables (:class:`GroupTables`), built on first use.
+
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
 r + num_positive (mod 2 * num_positive).
@@ -13,7 +18,6 @@ r + num_positive (mod 2 * num_positive).
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -217,12 +221,91 @@ class CoxeterAutomorphism:
         return f"CoxeterAutomorphism{self.images}"
 
 
+class GroupTables:
+    """Integer tables of a standard parabolic subgroup W_S, indexed by the
+    ShortLex positions of ``parabolic_elements(S)`` (the identity is 0).
+
+    ``lmul[s - 1, k]`` and ``rmul[s - 1, k]`` are the positions of
+    ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
+    ``length[k]`` is ``l(w_k)``, and :meth:`index_of` maps elements of
+    W_S to their positions.
+    """
+
+    def __init__(self, group: "CoxeterGroup", subset: frozenset[int], perms: np.ndarray):
+        m = group.num_positive
+        self.subset = subset
+        self.length = (perms[:, :m] >= m).sum(axis=1).astype(np.int16)
+        n = len(perms)
+        # w in W_S is fixed by the images of the simple roots of S, because
+        # W_S acts faithfully on their span.
+        self._cols = [group.simple_root_index(i) for i in sorted(subset)]
+        self._base = 2 * m
+        keys = perms[:, self._cols].astype(np.int64)
+        # The key columns are folded into int64 codes, as many at a time as
+        # fit below 2**62; each fold renumbers the distinct codes densely, so
+        # the map stays exact for any rank.
+        self._levels: list[tuple[list[int], np.ndarray]] = []
+        code = np.zeros(n, dtype=np.int64)
+        todo, bound = list(range(len(self._cols))), 1
+        while todo:
+            cols = []
+            while todo and (not cols or bound * self._base < 2**62):
+                cols.append(todo.pop(0))
+                bound *= self._base
+            value = self._fold(code, keys[:, cols])
+            level = np.unique(value)
+            code = np.searchsorted(level, value)
+            self._levels.append((cols, level))
+            bound = len(level)
+        self._position = np.empty(n, dtype=np.int32)
+        self._position[code] = np.arange(n, dtype=np.int32)
+
+        refl = np.array(group._reflect_tables, dtype=np.int64)
+        self.lmul = np.full((group.rank, n), -1, dtype=np.int32)
+        self.rmul = np.full((group.rank, n), -1, dtype=np.int32)
+        for s in subset:
+            self.lmul[s - 1] = self._lookup(refl[s - 1][keys])
+            self.rmul[s - 1] = self._lookup(perms[:, refl[s - 1][self._cols]])
+
+    def _fold(self, code: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        for col in cols.T:
+            code = code * self._base + col
+        return code
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        code = np.zeros(len(keys), dtype=np.int64)
+        for cols, level in self._levels:
+            value = self._fold(code, keys[:, cols])
+            code = np.searchsorted(level, value)
+            if len(value) and not np.array_equal(
+                level[np.minimum(code, len(level) - 1)], value
+            ):
+                raise GroupMismatch(
+                    f"element outside the parabolic subgroup W_{sorted(self.subset)}"
+                )
+        return self._position[code]
+
+    def index_of(self, elements: Sequence[Element]) -> np.ndarray:
+        """ShortLex positions of the given elements of W_S (int32)."""
+        keys = np.array(
+            [[w.perm[c] for c in self._cols] for w in elements], dtype=np.int64
+        ).reshape(len(elements), len(self._cols))
+        return self._lookup(keys)
+
+
 class CoxeterGroup:
     """A finite Weyl group with its root system.
 
     Construct through :func:`build_group`; instances are immutable after
-    construction apart from internal caches, which are lock-protected, so
-    concurrent reads are safe.
+    construction apart from internal caches.  Caches (enumerations, tables,
+    the Bruhat matrix and memo) are filled without locking.
+
+    Each standard parabolic subgroup W_S is enumerated at most once, by
+    :meth:`parabolic_elements`, in ShortLex order of canonical words; the
+    whole group is the case S = all simple indices.  :meth:`tables` turns
+    the same enumeration into integer left and right multiplication tables.
+    Every enumeration is refused up front when |W_S| exceeds
+    ``enumeration_bound``.
     """
 
     def __init__(self, factors, cartan_matrix_, coxeter_matrix_, label: str,
@@ -239,12 +322,12 @@ class CoxeterGroup:
         self._build_roots()
         self._build_simple_reflections()
 
-        self._lock = threading.RLock()
-        self._elements: tuple[Element, ...] | None = None
         self._element_index: dict[tuple[int, ...], int] | None = None
         self._bruhat_rows: np.ndarray | None = None
         self._bruhat_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         self._parabolic_cache: dict[frozenset[int], tuple[Element, ...]] = {}
+        self._parabolic_perms: dict[frozenset[int], np.ndarray] = {}
+        self._tables: dict[frozenset[int], GroupTables] = {}
         self._longest: Element | None = None
 
     # -- construction of the root system --
@@ -349,51 +432,102 @@ class CoxeterGroup:
 
     # -- enumeration --
 
+    def parabolic_order(self, subset: Iterable[int]) -> int:
+        """|W_S|, read off the Coxeter type of S."""
+        idx = sorted(set(subset))
+        if not idx:
+            return 1
+        sub = [[self.coxeter_m(i, j) for j in idx] for i in idx]
+        factors, _, _ = cartan.classify_coxeter_matrix(sub)
+        return cartan.weyl_order(factors)
+
     def elements(self) -> tuple[Element, ...]:
         """All group elements in ShortLex order of their canonical words."""
-        if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    if self.order > self.enumeration_bound:
-                        raise TooLargeToEnumerate(
-                            f"|W| = {self.order} exceeds bound {self.enumeration_bound}"
-                        )
-                    self._elements = self._close_under_products(
-                        [self.identity], [self._simples[i] for i in self.simple_indices]
-                    )
-                    self._element_index = {
-                        w.perm: k for k, w in enumerate(self._elements)
-                    }
-        return self._elements
-
-    def _close_under_products(self, seeds, gens) -> tuple[Element, ...]:
-        seen = {w.perm: w for w in seeds}
-        frontier = list(seeds)
-        while frontier:
-            new = []
-            for w in frontier:
-                for s in gens:
-                    ws = w * s
-                    if ws.perm not in seen:
-                        seen[ws.perm] = ws
-                        new.append(ws)
-            frontier = new
-        return tuple(sorted(seen.values(), key=lambda w: w.sort_key))
+        return self.parabolic_elements(self.simple_indices)
 
     def element_index(self, w: Element) -> int:
-        self.elements()
-        assert self._element_index is not None
+        if self._element_index is None:
+            self._element_index = {v.perm: k for k, v in enumerate(self.elements())}
         return self._element_index[w.perm]
 
     def parabolic_elements(self, subset: Iterable[int]) -> tuple[Element, ...]:
-        """All elements of the standard parabolic subgroup W_I, ShortLex."""
+        """All elements of the standard parabolic subgroup W_S in ShortLex
+        order, each with its length and canonical word already set.
+
+        Raises TooLargeToEnumerate, before enumerating, when |W_S| exceeds
+        the group's enumeration bound."""
         key = frozenset(subset)
         got = self._parabolic_cache.get(key)
         if got is None:
-            gens = [self.simple(i) for i in sorted(key)]
-            got = self._close_under_products([self.identity], gens)
-            with self._lock:
-                self._parabolic_cache[key] = got
+            order = self.parabolic_order(key)
+            if order > self.enumeration_bound:
+                raise TooLargeToEnumerate(
+                    f"|W_S| = {order} for S = {sorted(key)} exceeds the "
+                    f"enumeration bound {self.enumeration_bound}"
+                )
+            perms, words = self._shortlex(tuple(sorted(key)))
+            elems = [self.identity]
+            for k in range(1, len(words)):
+                w = Element(self, tuple(perms[k].tolist()))
+                w._length = len(words[k])
+                w._word = words[k]
+                elems.append(w)
+            got = tuple(elems)
+            self._parabolic_perms[key] = perms
+            self._parabolic_cache[key] = got
+        return got
+
+    def _shortlex(self, gens: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """Root permutations (int16 rows) and canonical words of W_gens, in
+        ShortLex order.
+
+        The canonical word of w is (s,) + word(s w) with s the smallest left
+        descent of w.  So layer k + 1 is, in ShortLex order: for s ascending,
+        for u in layer k in order, s u whenever s is not a left descent of u
+        and no t < s is a left descent of s u.  No set and no sort is needed.
+        While the layers grow the rows hold inverse permutations, since t is
+        a left descent of u iff u^-1 sends alpha_t to a negative root, and
+        (s u)^-1 (alpha_t) = u^-1 (s alpha_t)."""
+        m = self.num_positive
+        refl = np.array(self._reflect_tables, dtype=np.intp)
+        layer = np.arange(2 * m, dtype=np.int16)[None, :]
+        layers, words, start = [layer], [()], 0
+        while True:
+            blocks, new_words = [], []
+            for s in gens:
+                keep = layer[:, s - 1] < m
+                for t in gens:
+                    if t >= s:
+                        break
+                    keep &= layer[:, refl[s - 1, t - 1]] < m
+                rows = np.flatnonzero(keep)
+                blocks.append(layer[rows][:, refl[s - 1]])
+                new_words.extend((s,) + words[start + r] for r in rows.tolist())
+            if not new_words:
+                break
+            start += len(layer)
+            layer = np.concatenate(blocks)
+            layers.append(layer)
+            words.extend(new_words)
+        inverses = np.concatenate(layers)
+        perms = np.empty_like(inverses)
+        np.put_along_axis(
+            perms,
+            inverses.astype(np.intp),
+            np.broadcast_to(np.arange(2 * m, dtype=np.int16), inverses.shape),
+            axis=1,
+        )
+        return perms, words
+
+    def tables(self, subset: Iterable[int] | None = None) -> GroupTables:
+        """Integer multiplication tables of W_S (default: the whole group),
+        built from its enumeration and cached."""
+        key = frozenset(self.simple_indices if subset is None else subset)
+        got = self._tables.get(key)
+        if got is None:
+            self.parabolic_elements(key)
+            got = GroupTables(self, key, self._parabolic_perms[key])
+            self._tables[key] = got
         return got
 
     def longest_element(self) -> Element:
@@ -412,28 +546,16 @@ class CoxeterGroup:
     def _bruhat_matrix(self) -> np.ndarray:
         """Row w: boolean downset mask, rows/columns in elements() order."""
         if self._bruhat_rows is None:
-            with self._lock:
-                if self._bruhat_rows is None:
-                    elems = self.elements()
-                    n = len(elems)
-                    idx = self._element_index
-                    assert idx is not None
-                    lmul = {
-                        s: np.array(
-                            [idx[(self._simples[s] * w).perm] for w in elems],
-                            dtype=np.int32,
-                        )
-                        for s in self.simple_indices
-                    }
-                    rows = np.zeros((n, n), dtype=bool)
-                    rows[0, 0] = True  # identity is first in ShortLex order
-                    for k in range(1, n):
-                        w = elems[k]
-                        s = min(w.left_descents())
-                        k2 = lmul[s][k]  # index of s*w, shorter than w
-                        down = rows[k2]
-                        rows[k] = down | down[lmul[s]]
-                    self._bruhat_rows = rows
+            elems = self.elements()
+            lmul = self.tables().lmul
+            n = len(elems)
+            rows = np.zeros((n, n), dtype=bool)
+            rows[0, 0] = True  # identity is first in ShortLex order
+            for k in range(1, n):
+                s_row = lmul[elems[k].canonical_word()[0] - 1]
+                down = rows[s_row[k]]  # s*w, shorter than w
+                rows[k] = down | down[s_row]
+            self._bruhat_rows = rows
         return self._bruhat_rows
 
     def bruhat_leq(self, x: Element, w: Element) -> bool:

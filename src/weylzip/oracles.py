@@ -4,7 +4,10 @@ Each oracle transcribes a definition as literally as practical and shares
 nothing with the fast implementations beyond element arithmetic:
 
 * Bruhat order via the subword property of one fixed reduced word,
+* parabolic subgroups by closure under products, sorted by canonical word
+  (the fast path enumerates ShortLex layers and never sorts),
 * minimal coset representatives by exhaustive coset minimum search,
+* cover edges of a finite order by testing every third node,
 * the largest twist-stable subgroup by filtering the full subgroup
   lattice (enumerated here by closing single-element extensions, a
   different algorithm than the cyclic-join enumeration of the fast path),
@@ -15,6 +18,8 @@ nothing with the fast implementations beyond element arithmetic:
 from __future__ import annotations
 
 from itertools import chain, combinations
+
+import numpy as np
 
 from .abstract import AbstractZipDatum, Perm, close_subgroup, identity_perm, inverse, mult
 from .coxeter import CoxeterGroup, Element
@@ -47,14 +52,32 @@ def bruhat_subword_oracle(x: Element, w: Element) -> bool:
     return search(0, x)
 
 
+def shortlex_oracle(group: CoxeterGroup, subset) -> tuple[Element, ...]:
+    """The standard parabolic subgroup W_S: close {e} under right products
+    with the simple reflections of S, then sort by canonical word."""
+    gens = [group.simple(i) for i in sorted(set(subset))]
+    seen = {group.identity.perm: group.identity}
+    frontier = [group.identity]
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in gens:
+                ws = w * s
+                if ws.perm not in seen:
+                    seen[ws.perm] = ws
+                    new.append(ws)
+        frontier = new
+    return tuple(sorted(seen.values(), key=lambda w: w.sort_key))
+
+
 def iw_oracle(group: CoxeterGroup, I) -> tuple[Element, ...]:
     """Minimal left-coset representatives by brute force: group all of W
     into cosets W_I w and pick each unique shortest element."""
     I = frozenset(I)
-    parabolic = group.parabolic_elements(I)
+    parabolic = shortlex_oracle(group, I)
     seen: set[tuple[int, ...]] = set()
     reps = []
-    for w in group.elements():
+    for w in shortlex_oracle(group, group.simple_indices):
         if w.perm in seen:
             continue
         coset = [y * w for y in parabolic]
@@ -162,3 +185,15 @@ def kw_bruteforce(z: ZipDatum, w: Element) -> frozenset[int]:
     union = set().union(*passing) if passing else set()
     assert {domain[s] for s in union} == union
     return frozenset(union)
+
+
+def cover_edges_oracle(rel: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Cover edges of the order rel[a, b] = (a <= b): the pairs a < b with
+    no third node c such that a < c < b, in row-major order."""
+    k = rel.shape[0]
+    strict = rel & ~np.eye(k, dtype=bool)
+    return tuple(
+        (int(a), int(b))
+        for a, b in zip(*np.nonzero(strict))
+        if not (strict[a] & strict[:, b]).any()
+    )

@@ -291,7 +291,7 @@ def check_closure_order(z: ZipDatum, side: str = "iw") -> list[str]:
     sym = rel & rel.T
     if (sym != np.eye(k, dtype=bool)).any():
         bad.append(f"{z!r}: closure order is not antisymmetric on side {side}")
-    closure = (rel.astype(np.uint8) @ rel.astype(np.uint8)).astype(bool)
+    closure = rel @ rel  # boolean semiring: no count to wrap
     if (closure & ~rel).any():
         bad.append(f"{z!r}: closure order is not transitive on side {side}")
     for a in range(k):

@@ -9,7 +9,8 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 * the canonical representative of any group element under the twisted
   equivalence relation (so membership of w in a piece is decidable),
 * the length-preserving bijection sigma between the two parameter sets,
-* the closure partial order, closure sets and the full Hasse poset,
+* the closure partial order, closure sets and the full Hasse poset, from
+  the integer multiplication tables of W_U,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Data may carry a `universe` subset U, in which case everything lives in
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import cosets
 from .abstract import AbstractZipDatum, FiniteGroup
-from .coxeter import BRUHAT_MATRIX_BOUND, CoxeterGroup, Element
+from .coxeter import CoxeterGroup, Element, GroupTables
 from .errors import (
     GroupMismatch,
     NotDoubleCosetRep,
@@ -48,7 +50,11 @@ class ZipDatum:
     """A validated Coxeter-type zip datum, immutable after construction.
 
     `psi` maps 1-based simple indices of I to those of J.  All caches are
-    internal and lock-protected; public methods are pure.
+    internal; public methods are pure.
+
+    Closure sets and posets come from one batched routine: the twisted
+    orbits of all parameters are walked over W_I in the integer tables of
+    W_U, and each target gets one Bruhat down-set row over W_U.
     """
 
     def __init__(self, group: CoxeterGroup, I, J, psi: dict, universe=None):
@@ -125,8 +131,18 @@ class ZipDatum:
 
     # -- parameter sets and membership --
 
+    @cached_property
+    def _roots_outside_universe(self) -> tuple[int, ...]:
+        g = self.group
+        inside = g.phi_plus(self.universe)
+        return tuple(r for r in range(g.num_positive) if r not in inside)
+
     def in_universe(self, w: Element) -> bool:
-        return all(i in self.universe for i in w.canonical_word())
+        """w lies in W_U iff every positive root it sends negative lies in
+        Phi_U^+, i.e. it keeps every positive root outside Phi_U^+ positive."""
+        m = self.group.num_positive
+        perm = w.perm
+        return all(perm[r] < m for r in self._roots_outside_universe)
 
     def contains_param(self, w: Element, side: str = "iw") -> bool:
         _check_side(side)
@@ -272,29 +288,42 @@ class ZipDatum:
     def closure_set(self, w: Element, side: str = "iw") -> tuple[Element, ...]:
         """All parameter-set elements preceding w, ShortLex ordered."""
         self._require_param(w, side)
-        return tuple(wp for wp in self.param_set(side) if self.precedes(wp, w, side))
+        hits = self._relation_matrix(side, [w])[:, 0]
+        return tuple(wp for wp, hit in zip(self.param_set(side), hits) if hit)
 
-    def _relation_matrix(self, side: str) -> np.ndarray:
-        """Boolean matrix R with R[a, b] = (params[a] precedes params[b])."""
+    def _relation_matrix(self, side: str, targets=None) -> np.ndarray:
+        """Boolean matrix R with R[a, b] = (params[a] precedes targets[b]),
+        the targets being parameters of the same side (default: all).
+
+        Works on ShortLex positions in the tables of W_U.  Column b reads
+        "some y params[a] psi(y)^{-1} lies in the Bruhat down-set of
+        targets[b]" from one boolean row over W_U per target, so the cost
+        is |targets| * |W_U|, never |W_U|^2."""
         params = self.param_set(side)
-        k = len(params)
-        g = self.group
-        if g.order <= BRUHAT_MATRIX_BOUND:
-            M = g._bruhat_matrix()
-            pidx = np.array([g.element_index(w) for w in params], dtype=np.int64)
-            rel = np.zeros((k, k), dtype=bool)
-            for y in self.w_I():
-                py_inv = self.psi_element(y).inverse()
-                tidx = np.array(
-                    [g.element_index(y * w * py_inv) for w in params], dtype=np.int64
-                )
-                rel |= M[np.ix_(pidx, tidx)].T
-            return rel
-        rel = np.zeros((k, k), dtype=bool)
-        for a, wp in enumerate(params):
-            for b, w in enumerate(params):
-                rel[a, b] = self.precedes(wp, w, side)
+        if targets is None:
+            targets = params
+        t = self.group.tables(self.universe)
+        orbit = self._twisted_orbits(t, params)
+        rel = np.zeros((len(params), len(targets)), dtype=bool)
+        words = [w.canonical_word() for w in targets]
+        for b, down in _down_rows(t, words, side == "iw"):
+            rel[:, b] = down[orbit].any(axis=0)
         return rel
+
+    def _twisted_orbits(self, t: GroupTables, params) -> np.ndarray:
+        """Positions of y p psi(y)^{-1}: one row per y in W_I (ShortLex), one
+        column per parameter p.  With y = s y', the row of y is the row of y'
+        multiplied by s on the left and by psi(s) on the right."""
+        w_I = self.w_I()
+        orbit = np.empty((len(w_I), len(params)), dtype=np.int32)
+        orbit[0] = t.index_of(params)
+        row_of = {y.canonical_word(): j for j, y in enumerate(w_I)}
+        for j in range(1, len(w_I)):
+            word = w_I[j].canonical_word()
+            s = word[0]
+            parent = orbit[row_of[word[1:]]]
+            orbit[j] = t.lmul[s - 1][t.rmul[self.psi[s] - 1][parent]]
+        return orbit
 
     def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> "ClosurePoset":
         """The full closure poset on the chosen parameter set, with cover
@@ -303,9 +332,11 @@ class ZipDatum:
         rel = self._relation_matrix(side)
         k = rel.shape[0]
         strict = rel & ~np.eye(k, dtype=bool)
-        covers = strict & ~(strict.astype(np.uint8) @ strict.astype(np.uint8)).astype(
-            bool
-        )
+        # Nodes strictly between each pair, counted by a float32 (BLAS)
+        # product: every partial sum is an integer at most k < 2**24, so the
+        # counts are exact and cannot wrap.
+        between = strict.astype(np.float32)
+        covers = strict & ((between @ between) == 0)
         edges = tuple(
             (int(a), int(b)) for a, b in np.argwhere(covers)
         )
@@ -392,6 +423,34 @@ class ZipDatum:
         delta = frozenset(w.perm for w in self.w_I())
         psi = {w.perm: self.psi_element(w).perm for w in self.w_I()}
         return AbstractZipDatum(gamma, delta, psi)
+
+
+def _down_rows(t: GroupTables, words, right: bool):
+    """Yield (b, row) with row[x] = (x <= the element of canonical word
+    words[b]) over the ShortLex positions of the tables.
+
+    A reduced word grows one letter at a time: D(v s) = D(v) | D(v) s with
+    ``right`` (prefixes, the iw parameters' closed direction), else
+    D(s v) = D(v) | s D(v) (suffixes, closed for wj).  Words sharing a
+    prefix (suffix) share its rows in a depth-first walk of their trie,
+    which holds at most rank rows per letter of the longest word."""
+    mul = t.rmul if right else t.lmul
+    children: dict[tuple[int, ...], set[int]] = {}
+    ends: dict[tuple[int, ...], list[int]] = {}
+    for b, word in enumerate(words):
+        path = tuple(word) if right else tuple(reversed(word))
+        ends.setdefault(path, []).append(b)
+        for j in range(len(path)):
+            children.setdefault(path[:j], set()).add(path[j])
+    root = np.zeros(mul.shape[1], dtype=bool)
+    root[0] = True
+    stack = [((), root)]
+    while stack:
+        path, row = stack.pop()
+        for b in ends.get(path, ()):
+            yield b, row
+        for s in children.get(path, ()):
+            stack.append((path + (s,), row | row[mul[s - 1]]))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzip import build_group
+from weylzip import ZipDatum, build_group
+from weylzip.cli import main
 from weylzip.errors import (
     GroupMismatch,
     IndexOutOfRange,
     MalformedMatrix,
     NonFiniteType,
+    TooLargeToEnumerate,
 )
+from weylzip.oracles import shortlex_oracle
 
 
 @pytest.mark.parametrize(
@@ -190,3 +195,84 @@ def test_automorphisms():
     assert len(b3.coxeter_automorphisms()) == 1
     b2 = build_group("B2")
     assert len(b2.coxeter_automorphisms()) == 2  # the graph flip, order swap
+
+
+# For each group: the whole group, S empty, a disconnected S, and the two
+# sides I and J of a datum with a non-identity psi.
+ENUMERATION_SUBSETS = {
+    "A3": [(1, 2, 3), (), (1, 3), (1,), (3,)],
+    "B3": [(1, 2, 3), (), (1, 3), (1,), (2,)],
+    "F4": [(1, 2, 3, 4), (), (1, 4), (1, 2), (3, 4)],
+    "D5": [(1, 2, 3, 4, 5), (), (1, 4, 5), (1, 2, 3, 4), (1, 2, 3, 5)],
+    "A6": [(1, 2, 3, 4, 5, 6), (), (1, 3, 5), (1, 2, 3), (4, 5, 6)],
+}
+
+
+@pytest.mark.parametrize("label", sorted(ENUMERATION_SUBSETS))
+def test_layered_enumeration_matches_sorted_closure(label):
+    g = build_group(label)
+    for S in ENUMERATION_SUBSETS[label]:
+        fast = g.parabolic_elements(S)
+        ref = shortlex_oracle(g, S)
+        assert [w.perm for w in fast] == [w.perm for w in ref], S
+        # seeded words and lengths agree with ones derived from scratch
+        assert [w.canonical_word() for w in fast] == [w.canonical_word() for w in ref]
+        assert [w.length for w in fast] == [len(w.canonical_word()) for w in ref]
+    assert g.elements() is g.parabolic_elements(g.simple_indices)
+
+
+@pytest.mark.parametrize("label,S", [("A6", None), ("F4", None), ("D5", (1, 2, 4))])
+def test_tables_match_element_products(label, S):
+    g = build_group(label)
+    t = g.tables(S)
+    S = g.simple_indices if S is None else S
+    elems = g.parabolic_elements(S)
+    rng = random.Random(7)
+    for k in rng.sample(range(len(elems)), min(200, len(elems))):
+        w = elems[k]
+        assert t.length[k] == w.length
+        for s in S:
+            assert elems[t.lmul[s - 1, k]] == g.simple(s) * w
+            assert elems[t.rmul[s - 1, k]] == w * g.simple(s)
+    sample = rng.sample(elems, min(50, len(elems)))
+    assert [elems[i] for i in t.index_of(sample)] == sample
+    with pytest.raises(GroupMismatch):
+        g.tables((1,)).index_of([g.simple(2)])
+
+
+def test_tables_keys_exceed_one_int64():
+    # A1^14: 14 key columns over 28 roots need more than 64 bits
+    g = build_group("x".join(["A1"] * 14))
+    t = g.tables()
+    elems = g.elements()
+    assert len(t._levels) > 1
+    assert list(t.index_of(elems)) == list(range(len(elems)))
+
+
+def test_enumeration_bound_is_enforced_up_front():
+    a4 = build_group("A4", enumeration_bound=50)
+    z = ZipDatum(a4, {1}, {1}, {1: 1})
+    with pytest.raises(TooLargeToEnumerate, match="120 .*bound 50"):
+        z.pieces()
+    with pytest.raises(TooLargeToEnumerate):
+        a4.elements()
+    assert len(a4.parabolic_elements({1, 2, 3})) == 24
+    assert len(a4.parabolic_elements({1, 3, 4})) == 12
+    with pytest.raises(IndexOutOfRange):
+        a4.parabolic_elements({5})
+
+
+def test_parabolic_order_from_coxeter_type():
+    e8 = build_group("E8")
+    assert e8.parabolic_order(()) == 1
+    assert e8.parabolic_order((1, 3, 4, 5)) == 120  # A4
+    assert e8.parabolic_order((1, 2, 3, 4, 5, 6, 7)) == 2903040  # E7
+    assert e8.parabolic_order((1, 2, 5, 8)) == 16  # four commuting A1
+    with pytest.raises(TooLargeToEnumerate):
+        e8.parabolic_elements((1, 2, 3, 4, 5, 6, 7))
+    e7 = build_group("E7")
+    assert len(e7.parabolic_elements((1, 3, 4, 5, 6))) == 720  # A5
+
+
+def test_large_enumeration_fails_fast_on_the_command_line():
+    assert main(["pieces", "--type", "E7", "--I", "1", "--J", "1", "--psi", "1:1"]) == 2

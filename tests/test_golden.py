@@ -1,0 +1,69 @@
+"""Golden CLI outputs: byte-identity gate for the enumeration, the tables
+and the closure relation.
+
+Each case runs `weylzip` in-process and compares its standard output with
+`tests/golden/<name>.txt`.  The files were written by the CLI before the
+layered ShortLex enumeration and the table-driven closure relation
+replaced the sorted product closure and the per-pair relation; every
+poset here has fewer than 256 parameters, so the cover-edge overflow fix
+leaves them unchanged.  Rewrite a file only for an intended output change,
+and name that change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from weylzip.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (datum options, a mid-length parameter on the datum's side,
+#          that side, an element to classify)
+DATA = {
+    "A3": (["--type", "A3", "--I", "1", "--psi", "1:1"], "2,3", "iw", "2,1,3,2"),
+    "B3": (["--type", "B3", "--I", "1,2", "--psi", "1:1,2:2"], "3,2,3", "iw",
+           "3,2,1,2,3"),
+    "F4": (["--type", "F4", "--I", "1,2", "--psi", "1:1,2:2"],
+           "3,2,3,4,3,2,1,3,2,3", "iw", "4,3,2,1,2,3,4,3"),
+    "F4tw": (["--type", "F4", "--I", "1,2", "--J", "3,4", "--psi", "1:4,2:3"],
+             "2,1,3,2,1,3,2,4,3,2", "wj", "4,3,2,1,2,3,4,3"),
+    "D5": (["--type", "D5", "--I", "1,2,3", "--psi", "1:1,2:2,3:3"],
+           "4,3,5,3,2,4,3", "iw", "5,3,4,2,3,1,2"),
+}
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    out = []
+    for name, (datum, w, side, x) in DATA.items():
+        out.append((f"{name}-pieces", ["pieces", *datum, "--format", "jsonl"]))
+        for fmt in ("json", "dot"):
+            out.append((f"{name}-poset-{fmt}",
+                        ["poset", *datum, "--side", side, "--format", fmt]))
+        out.append((f"{name}-closure", ["closure", *datum, "--side", side, "--w", w]))
+        out.append((f"{name}-classify", ["classify", *datum, "--w", x]))
+        if side == "iw":
+            out.append((f"{name}-sigma", ["sigma", *datum, "--w", w]))
+        else:
+            out.append((f"{name}-sigma-inverse", ["sigma", *datum, "--w", w, "--inverse"]))
+    return out
+
+
+def run_cli(argv: list[str]) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0
+    return buf.getvalue().encode("utf-8")
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[n for n, _ in CASES])
+def test_cli_output_matches_golden(name, argv):
+    assert run_cli(argv) == (GOLDEN / f"{name}.txt").read_bytes()

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from weylzip import ZipDatum, build_group
@@ -8,8 +11,15 @@ from weylzip.errors import (
     PsiNotCoxeter,
     SubsetMismatch,
 )
-from weylzip.oracles import kw_bruteforce
-from weylzip.verify import sweep_zip_data
+from weylzip.cosets import min_double_coset_reps
+from weylzip.oracles import (
+    bruhat_subword_oracle,
+    cover_edges_oracle,
+    iw_oracle,
+    kw_bruteforce,
+    shortlex_oracle,
+)
+from weylzip.verify import subsets, sweep_zip_data
 
 
 def words(elements):
@@ -211,3 +221,89 @@ def test_kw_consistent_with_induced(a3):
         hd = howlett_decompose(a3, z.I, z.J, w)
         sub = z.induced_at(hd.middle)
         assert sub.stable_subset(hd.right) == z.stable_subset(w)
+
+
+def relation_oracle(z: ZipDatum, side: str):
+    """Parameters and closure relation from the oracles alone: coset
+    minima, the sorted product closure of W_I, Element products for the
+    twisted orbit and the subword property for Bruhat order."""
+    g = z.group
+    if side == "iw":
+        params = iw_oracle(g, z.I)
+    else:
+        params = sorted((w.inverse() for w in iw_oracle(g, z.J)), key=lambda w: w.sort_key)
+    twists = [
+        (y, g.from_word([z.psi[i] for i in y.canonical_word()]).inverse())
+        for y in shortlex_oracle(g, z.I)
+    ]
+    rel = np.array(
+        [[any(bruhat_subword_oracle(y * a * py, b) for y, py in twists) for b in params]
+         for a in params]
+    )
+    return params, rel
+
+
+@pytest.mark.parametrize(
+    "label,I,J,psi,side",
+    [
+        ("A3", {1}, {3}, {1: 3}, "iw"),
+        ("A3", {1}, {3}, {1: 3}, "wj"),
+        ("B3", {1, 2}, {1, 2}, {1: 1, 2: 2}, "iw"),
+        ("B3", {1, 2}, {1, 2}, {1: 1, 2: 2}, "wj"),
+    ],
+)
+def test_relation_matrix_matches_oracle(label, I, J, psi, side):
+    z = ZipDatum(build_group(label), I, J, psi)
+    params, rel = relation_oracle(z, side)
+    assert [w.perm for w in z.param_set(side)] == [w.perm for w in params]
+    assert np.array_equal(z._relation_matrix(side), rel)
+    assert np.array_equal(z.hasse_poset(side).leq, rel)
+    for b, w in enumerate(params):
+        expect = [p.perm for p, hit in zip(params, rel[:, b]) if hit]
+        assert [p.perm for p in z.closure_set(w, side)] == expect
+
+
+def test_relation_matrix_in_a_smaller_universe(a3):
+    z = ZipDatum(a3, {1, 2}, {2, 3}, {1: 2, 2: 3})
+    for x in min_double_coset_reps(a3, z.I, z.J):
+        sub = z.induced_at(x)
+        for side in ("iw", "wj"):
+            params = sub.param_set(side)
+            expect = [[sub.precedes(a, b, side) for b in params] for a in params]
+            assert sub._relation_matrix(side).tolist() == expect
+
+
+@pytest.mark.parametrize("label,I", [("F4", {1}), ("D5", {1, 2})])
+def test_cover_edges_match_oracle(label, I):
+    # F4 I={1} has 576 parameters and D5 I={1,2} has 320: some pairs have a
+    # multiple of 256 parameters strictly between them.
+    z = ZipDatum(build_group(label), I, I, {i: i for i in I})
+    poset = z.hasse_poset()
+    assert poset.cover_edges == cover_edges_oracle(poset.leq)
+
+
+def test_in_universe_is_a_support_test():
+    a4 = build_group("A4")
+    for U in subsets(a4.simple_indices):
+        z = ZipDatum(a4, set(), set(), {}, universe=U)
+        for w in a4.elements():
+            assert z.in_universe(w) == (set(w.canonical_word()) <= U)
+    e8 = build_group("E8")
+    rng = random.Random(20240315)
+    for _ in range(150):
+        U = set(rng.sample(e8.simple_indices, rng.randint(1, 7)))
+        z = ZipDatum(e8, set(), set(), {}, universe=U)
+        letters = sorted(U) * 9 + list(e8.simple_indices)
+        w = e8.from_word([rng.choice(letters) for _ in range(rng.randint(0, 30))])
+        assert z.in_universe(w) == (set(w.canonical_word()) <= U)
+
+
+def test_classify_beyond_the_enumeration_bound_builds_no_tables():
+    e8 = build_group("E8")
+    z = ZipDatum(e8, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
+    w = e8.from_word([2, 4, 3, 5, 4, 2, 6, 5, 7, 8, 7, 6, 1, 3])
+    rep = z.canonical_rep(w)
+    assert z.contains_param(rep)
+    assert z.sigma(rep).length == rep.length
+    assert len(z.w_I()) == 120
+    assert not e8._tables
