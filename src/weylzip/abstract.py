@@ -9,7 +9,6 @@ bounded brute force over the subgroup lattice.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -106,7 +105,6 @@ class FiniteGroup:
         self.identity = identity_perm(self.degree)
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[Perm] | None = None
-        self._lock = threading.Lock()
 
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[Perm],
@@ -123,13 +121,9 @@ class FiniteGroup:
 
     def elements(self) -> tuple[Perm, ...]:
         if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    closed = close_subgroup(
-                        self.degree, self.generators, self.order_bound
-                    )
-                    self._element_set = closed
-                    self._elements = tuple(sorted(closed))
+            closed = close_subgroup(self.degree, self.generators, self.order_bound)
+            self._element_set = closed
+            self._elements = tuple(sorted(closed))
         return self._elements
 
     def element_set(self) -> frozenset[Perm]:
@@ -180,7 +174,6 @@ class AbstractZipDatum:
         self.lattice_bound = lattice_bound
         self._validate()
         self.psi_injective = len(set(self.psi.values())) == len(self.psi)
-        self._lock = threading.Lock()
         self._stable: dict[Perm, frozenset[Perm]] = {}
 
     @classmethod
@@ -259,8 +252,7 @@ class AbstractZipDatum:
             union_gens = [h for H in fixed for h in H]
             got = close_subgroup(self.group.degree, union_gens)
             assert {theta[h] for h in got} == got
-        with self._lock:
-            self._stable[gamma] = got
+        self._stable[gamma] = got
         return got
 
     def orbit(self, gamma: Perm) -> frozenset[Perm]:

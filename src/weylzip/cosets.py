@@ -2,13 +2,16 @@
 and the Howlett decomposition.
 
 All representative sets are returned in ShortLex order of canonical
-words.  An optional `universe` restricts every computation to the
-standard parabolic subgroup W_U; subsets must then be contained in U.
+words, filtered from the enumeration of W_U by its descent masks.  An
+optional `universe` restricts every computation to the standard parabolic
+subgroup W_U; subsets must then be contained in U.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coxeter import CoxeterGroup, Element
 from .errors import NotDoubleCosetRep, NotMinimalRep
@@ -30,31 +33,32 @@ def in_min_right(w: Element, J) -> bool:
     return not any(w.has_right_descent(j) for j in J)
 
 
+def _without_descents(group: CoxeterGroup, I, J, universe) -> tuple[Element, ...]:
+    """The elements of W_U with no left descent in I and no right descent
+    in J, read off the descent masks of the enumeration of W_U."""
+    U = _universe(group, universe)
+    left, right = group.descent_masks(U)
+    bad = left[:, [group.simple_root_index(i) for i in sorted(set(I))]].any(axis=1)
+    bad |= right[:, [group.simple_root_index(j) for j in sorted(set(J))]].any(axis=1)
+    elements = group.parabolic_elements(U)
+    return tuple(elements[k] for k in np.flatnonzero(~bad).tolist())
+
+
 def min_left_coset_reps(group: CoxeterGroup, I, universe=None) -> tuple[Element, ...]:
     """The set of minimal-length representatives of the cosets W_I w."""
-    U = _universe(group, universe)
-    I = frozenset(I)
-    return tuple(w for w in group.parabolic_elements(U) if in_min_left(w, I))
+    return _without_descents(group, I, (), universe)
 
 
 def min_right_coset_reps(group: CoxeterGroup, J, universe=None) -> tuple[Element, ...]:
     """The set of minimal-length representatives of the cosets w W_J;
     equivalently the w with w(Phi_J^+) positive."""
-    U = _universe(group, universe)
-    J = frozenset(J)
-    return tuple(w for w in group.parabolic_elements(U) if in_min_right(w, J))
+    return _without_descents(group, (), J, universe)
 
 
 def min_double_coset_reps(group: CoxeterGroup, I, J, universe=None) -> tuple[Element, ...]:
     """Minimal-length representatives of the double cosets W_I w W_J
     (the intersection of the two one-sided sets)."""
-    U = _universe(group, universe)
-    I, J = frozenset(I), frozenset(J)
-    return tuple(
-        w
-        for w in group.parabolic_elements(U)
-        if in_min_left(w, I) and in_min_right(w, J)
-    )
+    return _without_descents(group, I, J, universe)
 
 
 def kilmoyer_subset(group: CoxeterGroup, I, J, x: Element) -> frozenset[int]:

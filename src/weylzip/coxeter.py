@@ -8,8 +8,11 @@ stripping the smallest left descent.
 
 A standard parabolic subgroup W_S (the whole group when S holds every
 simple index) is enumerated once, layer by layer in ShortLex order, as
-numpy rows of root permutations.  The same rows give its integer
-multiplication tables (:class:`GroupTables`), built on first use.
+numpy rows of root permutations.  The enumeration also keeps the left and
+right descent masks of every element (read off the rows and their
+inverses), so coset representatives are mask filters.  The same rows give
+the integer multiplication tables of W_S (:class:`GroupTables`), built on
+first use.  Root subsets Phi_S and Phi_S^+ are cached per subset.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
@@ -327,6 +330,9 @@ class CoxeterGroup:
         self._bruhat_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         self._parabolic_cache: dict[frozenset[int], tuple[Element, ...]] = {}
         self._parabolic_perms: dict[frozenset[int], np.ndarray] = {}
+        self._descent_masks: dict[frozenset[int], tuple[np.ndarray, np.ndarray]] = {}
+        self._phi: dict[frozenset[int], frozenset[int]] = {}
+        self._phi_plus: dict[frozenset[int], frozenset[int]] = {}
         self._tables: dict[frozenset[int], GroupTables] = {}
         self._longest: Element | None = None
 
@@ -419,16 +425,27 @@ class CoxeterGroup:
         return out
 
     def phi(self, subset: Iterable[int]) -> frozenset[int]:
-        """Indices of all roots supported on the given simple subset."""
-        cols = {self.simple_root_index(i) for i in subset}
-        return frozenset(
-            r
-            for r, v in enumerate(self.roots)
-            if all(c == 0 or k in cols for k, c in enumerate(v))
-        )
+        """Indices of all roots supported on the given simple subset
+        (cached per subset)."""
+        key = frozenset(subset)
+        got = self._phi.get(key)
+        if got is None:
+            cols = {self.simple_root_index(i) for i in key}
+            got = frozenset(
+                r
+                for r, v in enumerate(self.roots)
+                if all(c == 0 or k in cols for k, c in enumerate(v))
+            )
+            self._phi[key] = got
+        return got
 
     def phi_plus(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(r for r in self.phi(subset) if r < self.num_positive)
+        key = frozenset(subset)
+        got = self._phi_plus.get(key)
+        if got is None:
+            got = frozenset(r for r in self.phi(key) if r < self.num_positive)
+            self._phi_plus[key] = got
+        return got
 
     # -- enumeration --
 
@@ -465,7 +482,7 @@ class CoxeterGroup:
                     f"|W_S| = {order} for S = {sorted(key)} exceeds the "
                     f"enumeration bound {self.enumeration_bound}"
                 )
-            perms, words = self._shortlex(tuple(sorted(key)))
+            perms, words, masks = self._shortlex(tuple(sorted(key)))
             elems = [self.identity]
             for k in range(1, len(words)):
                 w = Element(self, tuple(perms[k].tolist()))
@@ -473,13 +490,30 @@ class CoxeterGroup:
                 w._word = words[k]
                 elems.append(w)
             got = tuple(elems)
+            perms.flags.writeable = False
             self._parabolic_perms[key] = perms
+            self._descent_masks[key] = masks
             self._parabolic_cache[key] = got
         return got
 
-    def _shortlex(self, gens: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """Root permutations (int16 rows) and canonical words of W_gens, in
-        ShortLex order.
+    def parabolic_perms(self, subset: Iterable[int]) -> np.ndarray:
+        """Root permutations of ``parabolic_elements(S)``, one read-only
+        int16 row per element: ``row[r]`` is the index of the image of root r."""
+        key = frozenset(subset)
+        self.parabolic_elements(key)
+        return self._parabolic_perms[key]
+
+    def descent_masks(self, subset: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right descent masks of ``parabolic_elements(S)``: boolean
+        arrays with one row per element and column i - 1 True iff the simple
+        index i is a left (right) descent of that element."""
+        key = frozenset(subset)
+        self.parabolic_elements(key)
+        return self._descent_masks[key]
+
+    def _shortlex(self, gens: tuple[int, ...]):
+        """Root permutations (int16 rows), canonical words and (left, right)
+        descent masks of W_gens, in ShortLex order.
 
         The canonical word of w is (s,) + word(s w) with s the smallest left
         descent of w.  So layer k + 1 is, in ShortLex order: for s ascending,
@@ -487,7 +521,8 @@ class CoxeterGroup:
         and no t < s is a left descent of s u.  No set and no sort is needed.
         While the layers grow the rows hold inverse permutations, since t is
         a left descent of u iff u^-1 sends alpha_t to a negative root, and
-        (s u)^-1 (alpha_t) = u^-1 (s alpha_t)."""
+        (s u)^-1 (alpha_t) = u^-1 (s alpha_t).  The left descent masks are
+        read off those inverse rows, the right ones off the rows."""
         m = self.num_positive
         refl = np.array(self._reflect_tables, dtype=np.intp)
         layer = np.arange(2 * m, dtype=np.int16)[None, :]
@@ -517,7 +552,8 @@ class CoxeterGroup:
             np.broadcast_to(np.arange(2 * m, dtype=np.int16), inverses.shape),
             axis=1,
         )
-        return perms, words
+        simple = slice(0, self.rank)  # the simple roots sit at indices 0..rank-1
+        return perms, words, (inverses[:, simple] >= m, perms[:, simple] >= m)
 
     def tables(self, subset: Iterable[int] | None = None) -> GroupTables:
         """Integer multiplication tables of W_S (default: the whole group),
@@ -525,8 +561,7 @@ class CoxeterGroup:
         key = frozenset(self.simple_indices if subset is None else subset)
         got = self._tables.get(key)
         if got is None:
-            self.parabolic_elements(key)
-            got = GroupTables(self, key, self._parabolic_perms[key])
+            got = GroupTables(self, key, self.parabolic_perms(key))
             self._tables[key] = got
         return got
 

@@ -12,7 +12,6 @@ right for the omega-conjugated subset of J.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -98,7 +97,6 @@ class ExtendedZipDatum:
         )
         self.psi_hat = self._extend_psi_hat(list(omega_I_gens), list(psi_hat_images))
         self._validate()
-        self._lock = threading.Lock()
         self._conjugate_data: dict[CoxeterAutomorphism, ZipDatum] = {}
 
     def _extend_psi_hat(self, gens, images) -> dict[CoxeterAutomorphism, CoxeterAutomorphism]:
@@ -255,8 +253,7 @@ class ExtendedZipDatum:
             base = self.base
             psi = {s: omega.apply_index(base.psi[s]) for s in base.I}
             got = ZipDatum(self.group, base.I, omega.apply_subset(base.J), psi)
-            with self._lock:
-                self._conjugate_data[omega] = got
+            self._conjugate_data[omega] = got
         return got
 
     def sigma_hat(self, what: ExtendedElement) -> ExtendedElement:

@@ -12,11 +12,13 @@ nothing with the fast implementations beyond element arithmetic:
   lattice (enumerated here by closing single-element extensions, a
   different algorithm than the cyclic-join enumeration of the fast path),
 * equivalence classes by symmetric-transitive closure of one-step moves,
-* the stable subset K_w by testing all subsets.
+* the stable subset K_w by testing all subsets,
+* sigma and its inverse by a scan of Element products over W_I.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -196,4 +198,32 @@ def cover_edges_oracle(rel: np.ndarray) -> tuple[tuple[int, int], ...]:
         (int(a), int(b))
         for a, b in zip(*np.nonzero(strict))
         if not (strict[a] & strict[:, b]).any()
+    )
+
+
+def sigma_oracle(z: ZipDatum, w: Element, side: str = "iw") -> Element:
+    """sigma(w) for an "iw" parameter w, or sigma^{-1}(w) for a "wj" one:
+    the first y w psi(y)^{-1} (y^{-1} w psi(y)) over W_I, closed under
+    products and sorted, with psi(y) spelled out letter by letter, that has
+    no right descent in J (no left descent in I)."""
+    for y, py in _psi_pairs(z):
+        if side == "iw":
+            cand = y * w * py.inverse()
+            if not any(cand.has_right_descent(j) for j in z.J):
+                return cand
+        else:
+            cand = y.inverse() * w * py
+            if not any(cand.has_left_descent(i) for i in z.I):
+                return cand
+    raise AssertionError(f"no twist of {w!r} is a {side} parameter")
+
+
+@lru_cache(maxsize=16)
+def _psi_pairs(z: ZipDatum) -> tuple[tuple[Element, Element], ...]:
+    """(y, psi(y)) for y in W_I in sorted order, psi(y) spelled out letter
+    by letter."""
+    g = z.group
+    return tuple(
+        (y, g.from_word([z.psi[i] for i in y.canonical_word()]))
+        for y in shortlex_oracle(g, z.I)
     )

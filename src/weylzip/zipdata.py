@@ -4,11 +4,14 @@ A zip datum is (W, I, J, psi) with psi: I -> J a bijection of simple
 subsets preserving Coxeter matrix entries, so that it extends to an
 isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 
-* the piece parameter sets (minimal coset representatives on either side),
+* the piece parameter sets (minimal coset representatives on either side,
+  filtered from the enumeration of W_U by its descent masks),
 * the largest psi*inn(w)-stable subset K_w of each piece,
 * the canonical representative of any group element under the twisted
   equivalence relation (so membership of w in a piece is decidable),
 * the length-preserving bijection sigma between the two parameter sets,
+  found by one numpy gather over the root permutations of all y in W_I
+  and of their twists psi(y)^{-1},
 * the closure partial order, closure sets and the full Hasse poset, from
   the integer multiplication tables of W_U,
 * dimension and infinitesimal-stabilizer counts from root data.
@@ -20,7 +23,6 @@ datum is realized without rebuilding groups.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,9 +68,7 @@ class ZipDatum:
             universe = group.simple_indices
         self.universe = frozenset(int(u) for u in universe)
         self._validate()
-        self._lock = threading.Lock()
         self._psi_elements: dict[Element, Element] = {}
-        self._psi_inv_elements: dict[Element, Element] = {}
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
         self._induced: dict[Element, "ZipDatum"] = {}
@@ -113,21 +113,32 @@ class ZipDatum:
             if any(i not in self.I for i in word):
                 raise GroupMismatch("element does not lie in W_I")
             got = self.group.from_word([self.psi[i] for i in word])
-            with self._lock:
-                self._psi_elements[w] = got
+            self._psi_elements[w] = got
         return got
 
-    def psi_inverse_element(self, w: Element) -> Element:
-        got = self._psi_inv_elements.get(w)
-        if got is None:
-            inv = {b: a for a, b in self.psi.items()}
-            word = w.canonical_word()
-            if any(j not in self.J for j in word):
-                raise GroupMismatch("element does not lie in W_J")
-            got = self.group.from_word([inv[j] for j in word])
-            with self._lock:
-                self._psi_inv_elements[w] = got
-        return got
+    @cached_property
+    def _w_I_walk(self) -> tuple[tuple[int, int], ...]:
+        """(s, parent) for each y after the identity in W_I, in ShortLex
+        order: y = s y' with s the first letter of the canonical word of y
+        and y' at position parent."""
+        w_I = self.w_I()
+        row_of = {y.canonical_word(): j for j, y in enumerate(w_I)}
+        return tuple(
+            (y.canonical_word()[0], row_of[y.canonical_word()[1:]]) for y in w_I[1:]
+        )
+
+    @cached_property
+    def _psi_inverse_rows(self) -> np.ndarray:
+        """Root permutations of psi(y)^{-1}, one int16 row per y in W_I in
+        ShortLex order.  psi(s y')^{-1} = psi(y')^{-1} psi(s), so the row of
+        y is the row of y' read through the reflection table of psi(s)."""
+        g = self.group
+        refl = np.array(g._reflect_tables, dtype=np.intp)
+        rows = np.empty((len(self._w_I_walk) + 1, 2 * g.num_positive), dtype=np.int16)
+        rows[0] = np.arange(2 * g.num_positive)
+        for j, (s, parent) in enumerate(self._w_I_walk, 1):
+            rows[j] = rows[parent][refl[self.psi[s] - 1]]
+        return rows
 
     # -- parameter sets and membership --
 
@@ -167,8 +178,7 @@ class ZipDatum:
                 got = cosets.min_left_coset_reps(self.group, self.I, self.universe)
             else:
                 got = cosets.min_right_coset_reps(self.group, self.J, self.universe)
-            with self._lock:
-                self._params[side] = got
+            self._params[side] = got
         return got
 
     # -- induction step --
@@ -192,8 +202,7 @@ class ZipDatum:
         got = ZipDatum(
             g, frozenset(psi_x), frozenset(psi_x.values()), psi_x, universe=self.J
         )
-        with self._lock:
-            self._induced[x] = got
+        self._induced[x] = got
         return got
 
     # -- the stable subset K_w --
@@ -239,37 +248,53 @@ class ZipDatum:
                 v = hd.right * self.psi_element(hd.left)
                 sub = self.induced_at(hd.middle)
                 got = hd.middle * sub.canonical_rep(v)
-            with self._lock:
-                self._canonical[w] = got
+            self._canonical[w] = got
         return got
 
     # -- sigma --
 
     def sigma(self, w: Element) -> Element:
         """The image of w under the unique bijection from the "iw" to the
-        "wj" parameter set of the form y w psi(y)^{-1}, y in W_I."""
+        "wj" parameter set of the form y w psi(y)^{-1}, y in W_I.
+
+        One gather tests every y at once: the image of alpha_j under
+        y w psi(y)^{-1} is ``Y[y, w[P[y, alpha_j]]]``, with Y the root
+        permutations of W_I and P those of the psi(y)^{-1}.  The first y in
+        ShortLex order whose images of all alpha_j, j in J, are positive
+        gives sigma(w)."""
         self._require_param(w, "iw")
         got = self._sigma.get(w)
         if got is None:
-            for y in self.w_I():
-                cand = y * w * self.psi_element(y).inverse()
-                if cosets.in_min_right(cand, self.J):
-                    got = cand
-                    break
-            else:  # unreachable: existence is a theorem, re-checked in tests
-                raise AssertionError("sigma search failed")
-            with self._lock:
-                self._sigma[w] = got
+            Y = self.group.parabolic_perms(self.I)
+            perm = self._first_twist(Y, w.perm, self._psi_inverse_rows, self.J)
+            got = Element(self.group, tuple(perm.tolist()))
+            self._sigma[w] = got
         return got
 
     def sigma_inverse(self, wj: Element) -> Element:
-        """Inverse of sigma: the unique w with sigma(w) = wj."""
+        """Inverse of sigma: the unique w with sigma(w) = wj.
+
+        The mirror of :meth:`sigma`: w = y^{-1} wj psi(y) for the first y
+        whose inverse psi(y)^{-1} wj^{-1} y keeps every alpha_i, i in I,
+        positive (no left descent of w in I), tested for all y in one
+        gather."""
         self._require_param(wj, "wj")
-        for y in self.w_I():
-            cand = y.inverse() * wj * self.psi_element(y)
-            if cosets.in_min_left(cand, self.I):
-                return cand
-        raise AssertionError("sigma_inverse search failed")
+        Y = self.group.parabolic_perms(self.I)
+        perm = self._first_twist(self._psi_inverse_rows, wj.inverse().perm, Y, self.I)
+        return Element(self.group, tuple(perm.tolist())).inverse()
+
+    def _first_twist(self, outer: np.ndarray, x, inner: np.ndarray, subset) -> np.ndarray:
+        """Root permutation of outer[y] x inner[y] for the first y (row of
+        outer and inner) that sends alpha_s positive for every s in subset."""
+        g = self.group
+        x = np.array(x, dtype=np.int16)
+        cols = [g.simple_root_index(s) for s in sorted(subset)]
+        images = np.take_along_axis(outer, x[inner[:, cols]], axis=1)
+        hits = (images < g.num_positive).all(axis=1)
+        k = int(hits.argmax())
+        if not hits[k]:  # unreachable: existence is a theorem, re-checked in tests
+            raise AssertionError("twisted W_I search failed")
+        return outer[k][x[inner[k]]]
 
     # -- closure order --
 
@@ -314,15 +339,10 @@ class ZipDatum:
         """Positions of y p psi(y)^{-1}: one row per y in W_I (ShortLex), one
         column per parameter p.  With y = s y', the row of y is the row of y'
         multiplied by s on the left and by psi(s) on the right."""
-        w_I = self.w_I()
-        orbit = np.empty((len(w_I), len(params)), dtype=np.int32)
+        orbit = np.empty((len(self._w_I_walk) + 1, len(params)), dtype=np.int32)
         orbit[0] = t.index_of(params)
-        row_of = {y.canonical_word(): j for j, y in enumerate(w_I)}
-        for j in range(1, len(w_I)):
-            word = w_I[j].canonical_word()
-            s = word[0]
-            parent = orbit[row_of[word[1:]]]
-            orbit[j] = t.lmul[s - 1][t.rmul[self.psi[s] - 1][parent]]
+        for j, (s, parent) in enumerate(self._w_I_walk, 1):
+            orbit[j] = t.lmul[s - 1][t.rmul[self.psi[s] - 1][orbit[parent]]]
         return orbit
 
     def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> "ClosurePoset":

@@ -4,6 +4,7 @@ All tolerances are exact (set/value equality); the only numeric bounds are
 the stated wall-clock limits.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import random
 import time
 
 import pytest
@@ -215,4 +216,35 @@ def test_criterion_10_performance():
     if b3_elapsed >= 10.0:
         failures.append(f"B3 verify took {b3_elapsed:.1f}s (limit 10s)")
     print(f"  F4 pieces+poset: {f4_elapsed:.1f}s; B3 verify: {b3_elapsed:.1f}s")
+    crit.finish(failures)
+
+
+def test_criterion_10_performance_e6_e7():
+    crit = Criterion(10, "performance bounds on E6 and E7")
+    failures = []
+    start = time.perf_counter()
+    I = {1, 3, 4, 5, 6}
+    z = ZipDatum(build_group("E6"), I, I, {i: i for i in I})
+    pieces = z.pieces()
+    poset = z.hasse_poset()
+    e6_elapsed = time.perf_counter() - start
+    if len(pieces) != len(poset.nodes) or e6_elapsed >= 20.0:
+        failures.append(f"E6 pieces+poset took {e6_elapsed:.1f}s (limit 20s)")
+    e7 = build_group("E7")
+    z = ZipDatum(e7, I, I, {1: 6, 3: 5, 4: 4, 5: 3, 6: 1})
+    rng = random.Random(20240603)
+    queries = [
+        e7.from_word([rng.choice(e7.simple_indices) for _ in range(rng.randint(0, 63))])
+        for _ in range(100)
+    ]
+    start = time.perf_counter()
+    for w in queries:
+        rep = z.canonical_rep(w)
+        sig = z.sigma(rep)
+        if sig.length != rep.length or not z.contains_param(sig, "wj"):
+            failures.append(f"E7 sigma of {word_str(rep)} is {word_str(sig)}")
+    e7_elapsed = time.perf_counter() - start
+    if e7_elapsed >= 10.0:
+        failures.append(f"100 E7 canonical_rep+sigma took {e7_elapsed:.1f}s (limit 10s)")
+    print(f"  E6 pieces+poset: {e6_elapsed:.1f}s; 100 E7 queries: {e7_elapsed:.1f}s")
     crit.finish(failures)

@@ -18,6 +18,7 @@ from weylzip.oracles import (
     iw_oracle,
     kw_bruteforce,
     shortlex_oracle,
+    sigma_oracle,
 )
 from weylzip.verify import subsets, sweep_zip_data
 
@@ -122,6 +123,42 @@ def test_sigma_is_length_preserving_bijection():
                 w.perm for w in z.param_set("wj")
             )
             assert all(w.length == im.length for w, im in zip(params, images))
+
+
+@pytest.mark.parametrize(
+    "label,I,J,psi",
+    [
+        ("A3", {1}, {3}, {1: 3}),
+        ("B3", {1, 2}, {1, 2}, {1: 1, 2: 2}),
+        ("F4", {1, 2}, {3, 4}, {1: 4, 2: 3}),
+        ("D5", {1, 2, 3}, {1, 2, 3}, {1: 1, 2: 2, 3: 3}),
+    ],
+)
+def test_sigma_matches_oracle(label, I, J, psi):
+    z = ZipDatum(build_group(label), I, J, psi)
+    for w in z.param_set("iw"):
+        assert z.sigma(w) == sigma_oracle(z, w, "iw")
+    for wj in z.param_set("wj"):
+        assert z.sigma_inverse(wj) == sigma_oracle(z, wj, "wj")
+
+
+@pytest.mark.parametrize(
+    "label,I,psi,seed",
+    [
+        ("E8", {1, 3, 4, 5}, {1: 3, 3: 4, 4: 5, 5: 6}, 20240601),
+        ("E7", {1, 3, 4, 5, 6}, {1: 6, 3: 5, 4: 4, 5: 3, 6: 1}, 20240602),
+    ],
+)
+def test_sigma_of_canonical_reps_matches_oracle(label, I, psi, seed):
+    g = build_group(label)
+    z = ZipDatum(g, I, set(psi.values()), psi)
+    rng = random.Random(seed)
+    for _ in range(40):
+        w = g.from_word([rng.choice(g.simple_indices) for _ in range(rng.randint(0, 60))])
+        rep = z.canonical_rep(w)
+        sig = z.sigma(rep)
+        assert sig == sigma_oracle(z, rep, "iw")
+        assert z.sigma_inverse(sig) == rep == sigma_oracle(z, sig, "wj")
 
 
 def test_precedes_and_closure(z_a2, a2):
@@ -304,6 +341,11 @@ def test_classify_beyond_the_enumeration_bound_builds_no_tables():
     w = e8.from_word([2, 4, 3, 5, 4, 2, 6, 5, 7, 8, 7, 6, 1, 3])
     rep = z.canonical_rep(w)
     assert z.contains_param(rep)
-    assert z.sigma(rep).length == rep.length
+    sig = z.sigma(rep)
+    assert sig.length == rep.length
+    assert z.sigma_inverse(sig) == rep
     assert len(z.w_I()) == 120
+    assert z._psi_inverse_rows.shape == (120, 240)
+    assert z._psi_inverse_rows.dtype == e8.parabolic_perms(z.I).dtype == np.int16
     assert not e8._tables
+    assert all(len(elements) <= 120 for elements in e8._parabolic_cache.values())
