@@ -5,6 +5,11 @@ All representative sets are returned in ShortLex order of canonical
 words, filtered from the enumeration of W_U by its descent masks.  An
 optional `universe` restricts every computation to the standard parabolic
 subgroup W_U; subsets must then be contained in U.
+
+The Howlett decomposition strips descents from one numpy int16 row of
+root permutations (:func:`howlett_rows`), one gather per letter, and
+enumerates nothing, so it runs in groups of any size.  The Element-product
+stripping lives on only as :func:`weylzip.oracles.howlett_oracle`.
 """
 
 from __future__ import annotations
@@ -91,28 +96,63 @@ class HowlettDecomposition:
 
 
 def howlett_decompose(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposition:
-    """Decompose w = w_I * x * w_J by iterated descent stripping: first
-    strip left descents lying in I, then strip right descents lying in J."""
-    I, J = frozenset(I), frozenset(J)
-    left_word = []
-    x = w
-    while True:
-        s = next((i for i in sorted(I) if x.has_left_descent(i)), None)
-        if s is None:
-            break
-        left_word.append(s)
-        x = group.simple(s) * x
-    right_word = []
-    while True:
-        t = next((j for j in sorted(J) if x.has_right_descent(j)), None)
-        if t is None:
-            break
-        right_word.append(t)
-        x = x * group.simple(t)
-    right_word.reverse()
+    """Decompose w = w_I * x * w_J by :func:`howlett_rows`."""
+    left, x, right = howlett_rows(group, I, J, np.array(w.perm, dtype=np.int16))
     return HowlettDecomposition(
-        group.from_word(left_word), x, group.from_word(right_word)
+        _element(group, word_row(group, left)),
+        _element(group, x),
+        _element(group, word_row(group, right[::-1])),
     )
+
+
+def howlett_rows(group: CoxeterGroup, I, J, row: np.ndarray):
+    """The Howlett decomposition w = l * x * r on int16 root-permutation rows.
+
+    Returns (left, x, right): l = s_1 ... s_k for the letters s_i of `left`,
+    the row of x, and r = t_k ... t_1 for the letters t_i of `right`.
+    Left descents in I are stripped first, on the inverse row: s is a left
+    descent of w iff w^{-1}(alpha_s) is negative, and (s w)^{-1} = w^{-1} s
+    is one gather.  Then right descents in J are stripped on the row itself.
+    Nothing is enumerated."""
+    left, inv = _strip(_inverse(row), sorted(I), group)
+    x = _inverse(inv) if left else row
+    right, x = _strip(x, sorted(J), group)
+    return left, x, right
+
+
+def _strip(row: np.ndarray, S, group: CoxeterGroup) -> tuple[list[int], np.ndarray]:
+    """Strip right descents in S (ascending) from the element with root
+    permutation `row`, smallest first: w has right descent s iff
+    w(alpha_s) is negative, and w s is ``row[reflections[s - 1]]``."""
+    m = group.num_positive
+    letters = []
+    while True:
+        for s in S:
+            if row[s - 1] >= m:  # the simple root alpha_s sits at index s - 1
+                break
+        else:
+            return letters, row
+        letters.append(s)
+        row = row[group.reflections[s - 1]]
+
+
+def _inverse(row: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(row)
+    inv[row] = np.arange(len(row), dtype=row.dtype)
+    return inv
+
+
+def word_row(group: CoxeterGroup, word) -> np.ndarray:
+    """Int16 root-permutation row of the product of the simple reflections
+    in `word`, one gather per letter."""
+    row = np.arange(2 * group.num_positive, dtype=np.int16)
+    for s in word:
+        row = row[group.reflections[s - 1]]
+    return row
+
+
+def _element(group: CoxeterGroup, row: np.ndarray) -> Element:
+    return Element(group, tuple(row.tolist()))
 
 
 def refined_length_count(group: CoxeterGroup, I, J, w: Element) -> int:

@@ -12,7 +12,8 @@ numpy rows of root permutations.  The enumeration also keeps the left and
 right descent masks of every element (read off the rows and their
 inverses), so coset representatives are mask filters.  The same rows give
 the integer multiplication tables of W_S (:class:`GroupTables`), built on
-first use.  Root subsets Phi_S and Phi_S^+ are cached per subset.
+first use.  Root subsets Phi_S, Phi_S^+ and the positive roots outside
+Phi_S are cached per subset.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
@@ -333,6 +334,7 @@ class CoxeterGroup:
         self._descent_masks: dict[frozenset[int], tuple[np.ndarray, np.ndarray]] = {}
         self._phi: dict[frozenset[int], frozenset[int]] = {}
         self._phi_plus: dict[frozenset[int], frozenset[int]] = {}
+        self._outside: dict[frozenset[int], tuple[int, ...]] = {}
         self._tables: dict[frozenset[int], GroupTables] = {}
         self._longest: Element | None = None
 
@@ -375,6 +377,10 @@ class CoxeterGroup:
             tuple(self._root_index[reflect(v, j)] for v in self.roots)
             for j in range(n)
         ]
+        #: Root permutations of the simple reflections as a read-only intp
+        #: array: ``reflections[i - 1, r]`` is the index of s_i(root r).
+        self.reflections = np.array(self._reflect_tables, dtype=np.intp)
+        self.reflections.flags.writeable = False
         # root index -> 1-based simple index when the root is +-alpha_i
         self._simple_of_root: dict[int, int] = {}
         for i in range(n):
@@ -445,6 +451,16 @@ class CoxeterGroup:
         if got is None:
             got = frozenset(r for r in self.phi(key) if r < self.num_positive)
             self._phi_plus[key] = got
+        return got
+
+    def positive_roots_outside(self, subset: Iterable[int]) -> tuple[int, ...]:
+        """Indices of the positive roots not in Phi_S^+ (cached per subset)."""
+        key = frozenset(subset)
+        got = self._outside.get(key)
+        if got is None:
+            inside = self.phi_plus(key)
+            got = tuple(r for r in range(self.num_positive) if r not in inside)
+            self._outside[key] = got
         return got
 
     # -- enumeration --
@@ -524,7 +540,7 @@ class CoxeterGroup:
         (s u)^-1 (alpha_t) = u^-1 (s alpha_t).  The left descent masks are
         read off those inverse rows, the right ones off the rows."""
         m = self.num_positive
-        refl = np.array(self._reflect_tables, dtype=np.intp)
+        refl = self.reflections
         layer = np.arange(2 * m, dtype=np.int16)[None, :]
         layers, words, start = [layer], [()], 0
         while True:

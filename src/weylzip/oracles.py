@@ -13,7 +13,11 @@ nothing with the fast implementations beyond element arithmetic:
   different algorithm than the cyclic-join enumeration of the fast path),
 * equivalence classes by symmetric-transitive closure of one-step moves,
 * the stable subset K_w by testing all subsets,
-* sigma and its inverse by a scan of Element products over W_I.
+* sigma and its inverse by a scan of Element products over W_I,
+* the Howlett decomposition by stripping descents with Element products,
+* canonical representatives by the induction replayed in Elements, with
+  psi spelled out letter by letter and each induced datum built from its
+  definition.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .abstract import AbstractZipDatum, Perm, close_subgroup, identity_perm, inverse, mult
+from .cosets import HowlettDecomposition
 from .coxeter import CoxeterGroup, Element
 from .errors import LatticeTooLarge, NonUniqueMinimum
 from .zipdata import ZipDatum
@@ -227,3 +232,46 @@ def _psi_pairs(z: ZipDatum) -> tuple[tuple[Element, Element], ...]:
         (y, g.from_word([z.psi[i] for i in y.canonical_word()]))
         for y in shortlex_oracle(g, z.I)
     )
+
+
+def howlett_oracle(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposition:
+    """w = w_I * x * w_J by stripping, with Element products, first the
+    left descents of w lying in I, then the right descents lying in J."""
+    left_word = []
+    x = w
+    while True:
+        s = next((i for i in sorted(I) if x.has_left_descent(i)), None)
+        if s is None:
+            break
+        left_word.append(s)
+        x = group.simple(s) * x
+    right_word = []
+    while True:
+        t = next((j for j in sorted(J) if x.has_right_descent(j)), None)
+        if t is None:
+            break
+        right_word.append(t)
+        x = x * group.simple(t)
+    return HowlettDecomposition(
+        group.from_word(left_word), x, group.from_word(reversed(right_word))
+    )
+
+
+def canonical_rep_oracle(z: ZipDatum, w: Element) -> Element:
+    """The canonical representative by the induction of the source paper:
+    w = w_I x w_J (:func:`howlett_oracle`) is equivalent to x w_J psi(w_I),
+    with psi(w_I) spelled out letter by letter, and the class of w_J psi(w_I)
+    is decided in the datum induced at x, built here from its definition:
+    universe J and twist t -> psi(i) where x(alpha_t) = alpha_i, i in I."""
+    g = z.group
+    if z.I == z.universe:
+        return g.identity
+    hd = howlett_oracle(g, z.I, z.J, w)
+    v = hd.right * g.from_word([z.psi[i] for i in hd.left.canonical_word()])
+    twist = {}
+    for t in z.J:
+        i = g.simple_index_of_root(hd.middle.act_on_root(g.simple_root_index(t)))
+        if i in z.I:
+            twist[t] = z.psi[i]
+    sub = ZipDatum(g, set(twist), set(twist.values()), twist, universe=z.J)
+    return hd.middle * canonical_rep_oracle(sub, v)

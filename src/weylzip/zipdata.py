@@ -8,7 +8,8 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   filtered from the enumeration of W_U by its descent masks),
 * the largest psi*inn(w)-stable subset K_w of each piece,
 * the canonical representative of any group element under the twisted
-  equivalence relation (so membership of w in a piece is decidable),
+  equivalence relation (so membership of w in a piece is decidable), by
+  the induction on numpy root-permutation rows, enumerating nothing,
 * the length-preserving bijection sigma between the two parameter sets,
   found by one numpy gather over the root permutations of all y in W_I
   and of their twists psi(y)^{-1},
@@ -71,7 +72,7 @@ class ZipDatum:
         self._psi_elements: dict[Element, Element] = {}
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
-        self._induced: dict[Element, "ZipDatum"] = {}
+        self._induced: dict[tuple[tuple[int, int], ...], "ZipDatum"] = {}
         self._params: dict[str, tuple[Element, ...]] = {}
 
     def _validate(self) -> None:
@@ -133,7 +134,7 @@ class ZipDatum:
         ShortLex order.  psi(s y')^{-1} = psi(y')^{-1} psi(s), so the row of
         y is the row of y' read through the reflection table of psi(s)."""
         g = self.group
-        refl = np.array(g._reflect_tables, dtype=np.intp)
+        refl = g.reflections
         rows = np.empty((len(self._w_I_walk) + 1, 2 * g.num_positive), dtype=np.int16)
         rows[0] = np.arange(2 * g.num_positive)
         for j, (s, parent) in enumerate(self._w_I_walk, 1):
@@ -142,18 +143,13 @@ class ZipDatum:
 
     # -- parameter sets and membership --
 
-    @cached_property
-    def _roots_outside_universe(self) -> tuple[int, ...]:
-        g = self.group
-        inside = g.phi_plus(self.universe)
-        return tuple(r for r in range(g.num_positive) if r not in inside)
-
     def in_universe(self, w: Element) -> bool:
         """w lies in W_U iff every positive root it sends negative lies in
         Phi_U^+, i.e. it keeps every positive root outside Phi_U^+ positive."""
-        m = self.group.num_positive
+        g = self.group
+        m = g.num_positive
         perm = w.perm
-        return all(perm[r] < m for r in self._roots_outside_universe)
+        return all(perm[r] < m for r in g.positive_roots_outside(self.universe))
 
     def contains_param(self, w: Element, side: str = "iw") -> bool:
         _check_side(side)
@@ -186,23 +182,36 @@ class ZipDatum:
     def induced_at(self, x: Element) -> "ZipDatum":
         """The induced datum at a minimal double-coset representative x:
         universe J, subsets I_x and J_x = psi(I n xJx^{-1}), twist psi*inn(x)."""
-        got = self._induced.get(x)
-        if got is not None:
-            return got
         g = self.group
-        if not (cosets.in_min_left(x, self.I) and cosets.in_min_right(x, self.J)) or (
-            not self.in_universe(x)
-        ):
+        m = g.num_positive
+        # s is a left descent of x iff the root x sends to alpha_s is negative
+        left_minimal = all(x.perm.index(g.simple_root_index(i)) < m for i in self.I)
+        if not (left_minimal and cosets.in_min_right(x, self.J) and self.in_universe(x)):
             raise NotDoubleCosetRep("x is not minimal in W_I x W_J")
-        psi_x = {}
-        for t in self.J:
-            i = g.simple_index_of_root(x.act_on_root(g.simple_root_index(t)))
+        return self._induced_by_twist(self._twist_at(x.perm))
+
+    def _twist_at(self, x) -> dict[int, int]:
+        """The twist psi*inn(x) of the induced datum at x (a root
+        permutation): t -> psi(i) for the t in J with x(alpha_t) = alpha_i,
+        i in I."""
+        g = self.group
+        out = {}
+        for t in sorted(self.J):
+            i = g.simple_index_of_root(int(x[g.simple_root_index(t)]))
             if i is not None and i in self.I:
-                psi_x[t] = self.psi[i]
-        got = ZipDatum(
-            g, frozenset(psi_x), frozenset(psi_x.values()), psi_x, universe=self.J
-        )
-        self._induced[x] = got
+                out[t] = self.psi[i]
+        return out
+
+    def _induced_by_twist(self, psi_x: dict[int, int]) -> "ZipDatum":
+        """The induced datum with twist psi_x, which it depends on alone
+        (its universe is J); cached by the twist."""
+        key = tuple(sorted(psi_x.items()))
+        got = self._induced.get(key)
+        if got is None:
+            got = ZipDatum(
+                self.group, psi_x.keys(), psi_x.values(), psi_x, universe=self.J
+            )
+            self._induced[key] = got
         return got
 
     # -- the stable subset K_w --
@@ -236,18 +245,24 @@ class ZipDatum:
         Algorithm: write w = w_I * x * w_J (Howlett), replace it by the
         equivalent x * w_J * psi(w_I), and recurse in the induced datum at
         x, whose universe is strictly smaller unless I equals the whole
-        universe (then the class is everything and e is returned)."""
+        universe (then the class is everything and e is returned).
+
+        The recursion runs on int16 root-permutation rows: Howlett stripping
+        by :func:`cosets.howlett_rows`, w_J * psi(w_I) by one reflection
+        gather per letter, and the product of the x parts by one gather per
+        level.  Only the result becomes an Element; nothing is enumerated."""
         if not self.in_universe(w):
             raise GroupMismatch("element lies outside the universe")
         got = self._canonical.get(w)
         if got is None:
-            if self.I == self.universe:
-                got = self.group.identity
-            else:
-                hd = cosets.howlett_decompose(self.group, self.I, self.J, w)
-                v = hd.right * self.psi_element(hd.left)
-                sub = self.induced_at(hd.middle)
-                got = hd.middle * sub.canonical_rep(v)
+            g = self.group
+            rep, z, v = None, self, np.array(w.perm, dtype=np.int16)
+            while z.I != z.universe:
+                left, x, right = cosets.howlett_rows(g, z.I, z.J, v)
+                rep = x if rep is None else rep[x]
+                v = cosets.word_row(g, [*right[::-1], *(z.psi[s] for s in left)])
+                z = z._induced_by_twist(z._twist_at(x))
+            got = g.identity if rep is None else Element(g, tuple(rep.tolist()))
             self._canonical[w] = got
         return got
 
@@ -399,7 +414,9 @@ class ZipDatum:
         """dim V - l(x) with x the double-coset part of w: the dimension of
         the infinitesimal stabilizer in the vanishing-differential case."""
         self._require_param(w, "iw")
-        hd = cosets.howlett_decompose(self.group, self.I, self.J, w)
+        return self._inf_stab_dim(cosets.howlett_decompose(self.group, self.I, self.J, w))
+
+    def _inf_stab_dim(self, hd: cosets.HowlettDecomposition) -> int:
         out = self.dim_levi_deficit() - hd.middle.length
         assert out >= 0
         return out
@@ -421,7 +438,7 @@ class ZipDatum:
                     x_part=hd.middle,
                     right_part=hd.right,
                     dimension=self.piece_dimension(w, central_rank),
-                    inf_stab_dim=self.inf_stab_dim(w),
+                    inf_stab_dim=self._inf_stab_dim(hd),
                 )
             )
         if side == "wj":

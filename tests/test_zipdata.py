@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from weylzip import ZipDatum, build_group
+from weylzip import ZipDatum, build_group, cartan
+from weylzip.coxeter import CoxeterGroup
 from weylzip.errors import (
     NotDoubleCosetRep,
     NotMinimalRep,
@@ -11,10 +12,12 @@ from weylzip.errors import (
     PsiNotCoxeter,
     SubsetMismatch,
 )
-from weylzip.cosets import min_double_coset_reps
+from weylzip.cosets import howlett_decompose, min_double_coset_reps
 from weylzip.oracles import (
     bruhat_subword_oracle,
+    canonical_rep_oracle,
     cover_edges_oracle,
+    howlett_oracle,
     iw_oracle,
     kw_bruteforce,
     shortlex_oracle,
@@ -102,6 +105,58 @@ def test_canonical_rep_partitions(z_a2, a2):
     classes = {frozenset(f) for f in fibers.values()}
     abstract = {frozenset(c) for c in z_a2.abstract_datum().equivalence_classes()}
     assert classes == abstract
+
+
+# (label, I, psi, seed): every element when seed is None, else 100 seeded ones
+ORACLE_DATA = [
+    ("A3", {1}, {1: 3}, None),
+    ("B3", {1, 2}, {1: 1, 2: 2}, None),
+    ("F4", {1, 2}, {1: 4, 2: 3}, None),
+    ("E8", {1, 3, 4, 5}, {1: 3, 3: 4, 4: 5, 5: 6}, 20240701),
+    ("E7", {1, 3, 4, 5, 6}, {1: 6, 3: 5, 4: 4, 5: 3, 6: 1}, 20240702),
+]
+
+
+def seeded_elements(g, seed, n):
+    rng = random.Random(seed)
+    top = g.num_positive
+    return [
+        g.from_word([rng.choice(g.simple_indices) for _ in range(rng.randint(0, top))])
+        for _ in range(n)
+    ]
+
+
+def oracle_inputs(label, I, psi, seed):
+    g = build_group(label)
+    z = ZipDatum(g, I, set(psi.values()), psi)
+    return z, g.elements() if seed is None else seeded_elements(g, seed, 100)
+
+
+@pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA, ids=[d[0] for d in ORACLE_DATA])
+def test_canonical_rep_matches_oracle(label, I, psi, seed):
+    z, elements = oracle_inputs(label, I, psi, seed)
+    for w in elements:
+        assert z.canonical_rep(w) == canonical_rep_oracle(z, w)
+
+
+@pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA, ids=[d[0] for d in ORACLE_DATA])
+def test_howlett_matches_oracle(label, I, psi, seed):
+    z, elements = oracle_inputs(label, I, psi, seed)
+    for w in elements:
+        hd = howlett_decompose(z.group, z.I, z.J, w)
+        assert hd == howlett_oracle(z.group, z.I, z.J, w)
+        assert hd.element() == w
+
+
+def test_canonical_rep_beyond_the_bound_enumerates_nothing():
+    # a group of its own, so no other test has filled its caches
+    e8 = CoxeterGroup(*cartan.matrices_for_label("E8"), "E8")
+    top = frozenset(range(1, 8))
+    assert e8.parabolic_order(top) > e8.enumeration_bound
+    z = ZipDatum(e8, top, top, {i: i for i in top})
+    for w in seeded_elements(e8, 20240703, 20):
+        assert z.canonical_rep(w) == canonical_rep_oracle(z, w)
+    assert not e8._parabolic_cache
 
 
 def test_sigma_examples(z_a2, a2):
