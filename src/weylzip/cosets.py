@@ -29,8 +29,13 @@ def _universe(group: CoxeterGroup, universe) -> frozenset[int]:
 
 
 def in_min_left(w: Element, I) -> bool:
-    """True iff w has minimal length in W_I w, i.e. no left descent in I."""
-    return not any(w.has_left_descent(i) for i in I)
+    """True iff w has minimal length in W_I w, i.e. no left descent in I.
+
+    s is a left descent of w iff the root that w sends to alpha_s is
+    negative, read off the row with ``perm.index``, so no inverse is built."""
+    g = w.group
+    m = g.num_positive
+    return all(w.perm.index(g.simple_root_index(i)) < m for i in I)
 
 
 def in_min_right(w: Element, J) -> bool:
@@ -40,13 +45,13 @@ def in_min_right(w: Element, J) -> bool:
 
 def _without_descents(group: CoxeterGroup, I, J, universe) -> tuple[Element, ...]:
     """The elements of W_U with no left descent in I and no right descent
-    in J, read off the descent masks of the enumeration of W_U."""
+    in J, read off the descent masks of the enumeration of W_U; Elements
+    are built for those positions only."""
     U = _universe(group, universe)
     left, right = group.descent_masks(U)
     bad = left[:, [group.simple_root_index(i) for i in sorted(set(I))]].any(axis=1)
     bad |= right[:, [group.simple_root_index(j) for j in sorted(set(J))]].any(axis=1)
-    elements = group.parabolic_elements(U)
-    return tuple(elements[k] for k in np.flatnonzero(~bad).tolist())
+    return group.elements_at(U, np.flatnonzero(~bad))
 
 
 def min_left_coset_reps(group: CoxeterGroup, I, universe=None) -> tuple[Element, ...]:

@@ -8,9 +8,12 @@ stripping the smallest left descent.
 
 A standard parabolic subgroup W_S (the whole group when S holds every
 simple index) is enumerated once, layer by layer in ShortLex order, as
-numpy rows of root permutations.  The enumeration also keeps the left and
-right descent masks of every element (read off the rows and their
-inverses), so coset representatives are mask filters.  The same rows give
+numpy arrays only (:class:`ShortLex`): int16 rows of root permutations,
+the left and right descent masks of every element (read off the rows and
+their inverses), so coset representatives are mask filters, and the walk
+that reaches each element from its parent by one simple reflection, from
+which canonical words are read.  Elements are built only at the positions
+a caller asks for (:meth:`CoxeterGroup.elements_at`).  The same rows give
 the integer multiplication tables of W_S (:class:`GroupTables`), built on
 first use.  Root subsets Phi_S, Phi_S^+ and the positive roots outside
 Phi_S are cached per subset.
@@ -23,7 +26,7 @@ r + num_positive (mod 2 * num_positive).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,6 +176,15 @@ class CoxeterAutomorphism:
         self.group = group
         self.images = images
 
+    @classmethod
+    def _trusted(cls, group: "CoxeterGroup", images: tuple[int, ...]) -> "CoxeterAutomorphism":
+        """An automorphism known to be valid (a product or inverse of valid
+        ones, or one already checked), built without re-validation."""
+        out = cls.__new__(cls)
+        out.group = group
+        out.images = images
+        return out
+
     def apply_index(self, i: int) -> int:
         return self.images[i - 1]
 
@@ -196,9 +208,8 @@ class CoxeterAutomorphism:
     def __mul__(self, other: "CoxeterAutomorphism") -> "CoxeterAutomorphism":
         if self.group is not other.group:
             raise GroupMismatch("automorphisms of different groups")
-        n = self.group.rank
-        return CoxeterAutomorphism(
-            self.group, tuple(self.images[other.images[i] - 1] for i in range(n))
+        return CoxeterAutomorphism._trusted(
+            self.group, tuple(self.images[j - 1] for j in other.images)
         )
 
     def inverse(self) -> "CoxeterAutomorphism":
@@ -206,7 +217,7 @@ class CoxeterAutomorphism:
         inv = [0] * n
         for i, j in enumerate(self.images):
             inv[j - 1] = i + 1
-        return CoxeterAutomorphism(self.group, tuple(inv))
+        return CoxeterAutomorphism._trusted(self.group, tuple(inv))
 
     def is_identity(self) -> bool:
         return all(self.images[i] == i + 1 for i in range(self.group.rank))
@@ -225,9 +236,27 @@ class CoxeterAutomorphism:
         return f"CoxeterAutomorphism{self.images}"
 
 
+class ShortLex(NamedTuple):
+    """The enumeration of a standard parabolic subgroup W_S in ShortLex
+    order, as arrays indexed by position (the identity is 0).
+
+    All arrays are read-only.  ``perms[k]`` is the int16 root permutation
+    of the k-th element w_k, and ``left[k]`` and ``right[k]`` are its
+    descent masks (column i - 1 True iff s_i is a left, right descent of
+    w_k).  The walk reaches every w_k after the identity as s * w_parent,
+    with s = ``first[k]`` the first letter of its canonical word and
+    parent = ``parent[k]`` < k, so that word is (s,) + word(w_parent)."""
+
+    perms: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    first: np.ndarray
+    parent: np.ndarray
+
+
 class GroupTables:
     """Integer tables of a standard parabolic subgroup W_S, indexed by the
-    ShortLex positions of ``parabolic_elements(S)`` (the identity is 0).
+    ShortLex positions of its enumeration (the identity is 0).
 
     ``lmul[s - 1, k]`` and ``rmul[s - 1, k]`` are the positions of
     ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
@@ -301,14 +330,17 @@ class CoxeterGroup:
     """A finite Weyl group with its root system.
 
     Construct through :func:`build_group`; instances are immutable after
-    construction apart from internal caches.  Caches (enumerations, tables,
-    the Bruhat matrix and memo) are filled without locking.
+    construction apart from internal caches.  Caches (enumerations, Element
+    lists, tables, the Bruhat matrix and memo, induced zip data) are filled
+    without locking.
 
     Each standard parabolic subgroup W_S is enumerated at most once, by
-    :meth:`parabolic_elements`, in ShortLex order of canonical words; the
-    whole group is the case S = all simple indices.  :meth:`tables` turns
-    the same enumeration into integer left and right multiplication tables.
-    Every enumeration is refused up front when |W_S| exceeds
+    :meth:`enumeration`, in ShortLex order of canonical words, as arrays
+    only; the whole group is the case S = all simple indices.  Elements are
+    built from it only where asked for: :meth:`elements_at` at given
+    positions, :meth:`parabolic_elements` at all of them.  :meth:`tables`
+    turns the same enumeration into integer left and right multiplication
+    tables.  Every enumeration is refused up front when |W_S| exceeds
     ``enumeration_bound``.
     """
 
@@ -329,14 +361,15 @@ class CoxeterGroup:
         self._element_index: dict[tuple[int, ...], int] | None = None
         self._bruhat_rows: np.ndarray | None = None
         self._bruhat_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        self._enumerations: dict[frozenset[int], ShortLex] = {}
         self._parabolic_cache: dict[frozenset[int], tuple[Element, ...]] = {}
-        self._parabolic_perms: dict[frozenset[int], np.ndarray] = {}
-        self._descent_masks: dict[frozenset[int], tuple[np.ndarray, np.ndarray]] = {}
         self._phi: dict[frozenset[int], frozenset[int]] = {}
         self._phi_plus: dict[frozenset[int], frozenset[int]] = {}
         self._outside: dict[frozenset[int], tuple[int, ...]] = {}
         self._tables: dict[frozenset[int], GroupTables] = {}
         self._longest: Element | None = None
+        #: Induced zip data by (universe, twist), filled by weylzip.zipdata.
+        self._induced: dict[tuple, object] = {}
 
     # -- construction of the root system --
 
@@ -394,6 +427,9 @@ class CoxeterGroup:
         self._simples = {
             i + 1: Element(self, self._reflect_tables[i]) for i in range(self.rank)
         }
+        self._identity_automorphism = CoxeterAutomorphism._trusted(
+            self, self.simple_indices
+        )
 
     # -- basic queries --
 
@@ -479,18 +515,20 @@ class CoxeterGroup:
         return self.parabolic_elements(self.simple_indices)
 
     def element_index(self, w: Element) -> int:
+        """ShortLex position of w in the whole group, keyed by the images of
+        the simple roots (indices 0..rank-1), which determine w."""
         if self._element_index is None:
-            self._element_index = {v.perm: k for k, v in enumerate(self.elements())}
-        return self._element_index[w.perm]
+            keys = self.parabolic_perms(self.simple_indices)[:, : self.rank].tolist()
+            self._element_index = {tuple(key): k for k, key in enumerate(keys)}
+        return self._element_index[w.perm[: self.rank]]
 
-    def parabolic_elements(self, subset: Iterable[int]) -> tuple[Element, ...]:
-        """All elements of the standard parabolic subgroup W_S in ShortLex
-        order, each with its length and canonical word already set.
+    def enumeration(self, subset: Iterable[int]) -> ShortLex:
+        """The ShortLex enumeration of W_S as arrays (cached).
 
         Raises TooLargeToEnumerate, before enumerating, when |W_S| exceeds
         the group's enumeration bound."""
         key = frozenset(subset)
-        got = self._parabolic_cache.get(key)
+        got = self._enumerations.get(key)
         if got is None:
             order = self.parabolic_order(key)
             if order > self.enumeration_bound:
@@ -498,53 +536,82 @@ class CoxeterGroup:
                     f"|W_S| = {order} for S = {sorted(key)} exceeds the "
                     f"enumeration bound {self.enumeration_bound}"
                 )
-            perms, words, masks = self._shortlex(tuple(sorted(key)))
-            elems = [self.identity]
-            for k in range(1, len(words)):
-                w = Element(self, tuple(perms[k].tolist()))
-                w._length = len(words[k])
-                w._word = words[k]
-                elems.append(w)
-            got = tuple(elems)
-            perms.flags.writeable = False
-            self._parabolic_perms[key] = perms
-            self._descent_masks[key] = masks
+            got = self._shortlex(tuple(sorted(key)))
+            self._enumerations[key] = got
+        return got
+
+    def elements_at(self, subset: Iterable[int], positions) -> tuple[Element, ...]:
+        """The elements of W_S at the given ShortLex positions, each with
+        its length and canonical word read off the enumeration's walk."""
+        e = self.enumeration(subset)
+        positions = np.asarray(positions, dtype=np.intp)
+        # the positions and their ancestors on the walk; parents come first
+        need = np.zeros(len(e.perms), dtype=bool)
+        todo = positions
+        while len(todo):
+            need[todo] = True
+            todo = e.parent[todo]
+            todo = todo[~need[todo]]
+        first, parent = e.first.tolist(), e.parent.tolist()
+        words: dict[int, tuple[int, ...]] = {0: ()}
+        for k in (np.flatnonzero(need[1:]) + 1).tolist():
+            words[k] = (first[k],) + words[parent[k]]
+        elems = []
+        for k in positions.tolist():
+            if k == 0:
+                elems.append(self.identity)
+                continue
+            w = Element(self, tuple(e.perms[k].tolist()))
+            w._word = words[k]
+            w._length = len(w._word)
+            elems.append(w)
+        return tuple(elems)
+
+    def parabolic_elements(self, subset: Iterable[int]) -> tuple[Element, ...]:
+        """All elements of the standard parabolic subgroup W_S in ShortLex
+        order, built by :meth:`elements_at` at every position and cached.
+
+        Raises TooLargeToEnumerate, before enumerating, when |W_S| exceeds
+        the group's enumeration bound."""
+        key = frozenset(subset)
+        got = self._parabolic_cache.get(key)
+        if got is None:
+            got = self.elements_at(key, np.arange(len(self.enumeration(key).perms)))
             self._parabolic_cache[key] = got
         return got
 
     def parabolic_perms(self, subset: Iterable[int]) -> np.ndarray:
-        """Root permutations of ``parabolic_elements(S)``, one read-only
-        int16 row per element: ``row[r]`` is the index of the image of root r."""
-        key = frozenset(subset)
-        self.parabolic_elements(key)
-        return self._parabolic_perms[key]
+        """Root permutations of the elements of W_S in ShortLex order, one
+        read-only int16 row per element: ``row[r]`` is the index of the
+        image of root r."""
+        return self.enumeration(subset).perms
 
     def descent_masks(self, subset: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right descent masks of ``parabolic_elements(S)``: boolean
-        arrays with one row per element and column i - 1 True iff the simple
-        index i is a left (right) descent of that element."""
-        key = frozenset(subset)
-        self.parabolic_elements(key)
-        return self._descent_masks[key]
+        """Left and right descent masks of the elements of W_S in ShortLex
+        order: boolean arrays with one row per element and column i - 1
+        True iff the simple index i is a left (right) descent of it."""
+        e = self.enumeration(subset)
+        return e.left, e.right
 
-    def _shortlex(self, gens: tuple[int, ...]):
-        """Root permutations (int16 rows), canonical words and (left, right)
-        descent masks of W_gens, in ShortLex order.
+    def _shortlex(self, gens: tuple[int, ...]) -> ShortLex:
+        """The enumeration of W_gens in ShortLex order.
 
         The canonical word of w is (s,) + word(s w) with s the smallest left
         descent of w.  So layer k + 1 is, in ShortLex order: for s ascending,
         for u in layer k in order, s u whenever s is not a left descent of u
-        and no t < s is a left descent of s u.  No set and no sort is needed.
-        While the layers grow the rows hold inverse permutations, since t is
-        a left descent of u iff u^-1 sends alpha_t to a negative root, and
-        (s u)^-1 (alpha_t) = u^-1 (s alpha_t).  The left descent masks are
-        read off those inverse rows, the right ones off the rows."""
+        and no t < s is a left descent of s u.  No set and no sort is needed,
+        and (s, position of u) is the walk.  While the layers grow the rows
+        hold inverse permutations, since t is a left descent of u iff u^-1
+        sends alpha_t to a negative root, and (s u)^-1 (alpha_t) =
+        u^-1 (s alpha_t).  The left descent masks are read off those inverse
+        rows, the right ones off the rows."""
         m = self.num_positive
         refl = self.reflections
         layer = np.arange(2 * m, dtype=np.int16)[None, :]
-        layers, words, start = [layer], [()], 0
+        layers, start = [layer], 0
+        firsts, parents = [np.zeros(1, dtype=np.int16)], [np.zeros(1, dtype=np.int32)]
         while True:
-            blocks, new_words = [], []
+            blocks = []
             for s in gens:
                 keep = layer[:, s - 1] < m
                 for t in gens:
@@ -553,23 +620,30 @@ class CoxeterGroup:
                     keep &= layer[:, refl[s - 1, t - 1]] < m
                 rows = np.flatnonzero(keep)
                 blocks.append(layer[rows][:, refl[s - 1]])
-                new_words.extend((s,) + words[start + r] for r in rows.tolist())
-            if not new_words:
-                break
+                firsts.append(np.full(len(rows), s, dtype=np.int16))
+                parents.append((start + rows).astype(np.int32))
             start += len(layer)
-            layer = np.concatenate(blocks)
+            layer = np.concatenate(blocks) if blocks else layer[:0]
+            if not len(layer):
+                break
             layers.append(layer)
-            words.extend(new_words)
         inverses = np.concatenate(layers)
+        del layers
         perms = np.empty_like(inverses)
-        np.put_along_axis(
-            perms,
-            inverses.astype(np.intp),
-            np.broadcast_to(np.arange(2 * m, dtype=np.int16), inverses.shape),
-            axis=1,
-        )
+        every = np.arange(len(inverses))
+        for r in range(2 * m):
+            perms[every, inverses[:, r]] = r
         simple = slice(0, self.rank)  # the simple roots sit at indices 0..rank-1
-        return perms, words, (inverses[:, simple] >= m, perms[:, simple] >= m)
+        out = ShortLex(
+            perms,
+            inverses[:, simple] >= m,
+            perms[:, simple] >= m,
+            np.concatenate(firsts),
+            np.concatenate(parents),
+        )
+        for array in out:
+            array.flags.writeable = False
+        return out
 
     def tables(self, subset: Iterable[int] | None = None) -> GroupTables:
         """Integer multiplication tables of W_S (default: the whole group),
@@ -597,15 +671,16 @@ class CoxeterGroup:
     def _bruhat_matrix(self) -> np.ndarray:
         """Row w: boolean downset mask, rows/columns in elements() order."""
         if self._bruhat_rows is None:
-            elems = self.elements()
+            walk = self.enumeration(self.simple_indices)
             lmul = self.tables().lmul
-            n = len(elems)
+            n = len(walk.first)
             rows = np.zeros((n, n), dtype=bool)
             rows[0, 0] = True  # identity is first in ShortLex order
-            for k in range(1, n):
-                s_row = lmul[elems[k].canonical_word()[0] - 1]
-                down = rows[s_row[k]]  # s*w, shorter than w
-                rows[k] = down | down[s_row]
+            for k, (s, parent) in enumerate(
+                zip(walk.first[1:].tolist(), walk.parent[1:].tolist()), 1
+            ):
+                down = rows[parent]  # s*w, shorter than w
+                rows[k] = down | down[lmul[s - 1]]
             self._bruhat_rows = rows
         return self._bruhat_rows
 
@@ -654,11 +729,11 @@ class CoxeterGroup:
                 for i in self.simple_indices
                 for j in self.simple_indices
             ):
-                out.append(CoxeterAutomorphism(self, images))
+                out.append(CoxeterAutomorphism._trusted(self, images))
         return tuple(out)
 
     def identity_automorphism(self) -> CoxeterAutomorphism:
-        return CoxeterAutomorphism(self, self.simple_indices)
+        return self._identity_automorphism
 
     def __repr__(self) -> str:
         return f"CoxeterGroup({self.label}, order={self.order})"

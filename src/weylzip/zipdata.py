@@ -72,7 +72,6 @@ class ZipDatum:
         self._psi_elements: dict[Element, Element] = {}
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
-        self._induced: dict[tuple[tuple[int, int], ...], "ZipDatum"] = {}
         self._params: dict[str, tuple[Element, ...]] = {}
 
     def _validate(self) -> None:
@@ -121,12 +120,9 @@ class ZipDatum:
     def _w_I_walk(self) -> tuple[tuple[int, int], ...]:
         """(s, parent) for each y after the identity in W_I, in ShortLex
         order: y = s y' with s the first letter of the canonical word of y
-        and y' at position parent."""
-        w_I = self.w_I()
-        row_of = {y.canonical_word(): j for j, y in enumerate(w_I)}
-        return tuple(
-            (y.canonical_word()[0], row_of[y.canonical_word()[1:]]) for y in w_I[1:]
-        )
+        and y' at position parent (the walk of the enumeration of W_I)."""
+        e = self.group.enumeration(self.I)
+        return tuple(zip(e.first[1:].tolist(), e.parent[1:].tolist()))
 
     @cached_property
     def _psi_inverse_rows(self) -> np.ndarray:
@@ -182,11 +178,11 @@ class ZipDatum:
     def induced_at(self, x: Element) -> "ZipDatum":
         """The induced datum at a minimal double-coset representative x:
         universe J, subsets I_x and J_x = psi(I n xJx^{-1}), twist psi*inn(x)."""
-        g = self.group
-        m = g.num_positive
-        # s is a left descent of x iff the root x sends to alpha_s is negative
-        left_minimal = all(x.perm.index(g.simple_root_index(i)) < m for i in self.I)
-        if not (left_minimal and cosets.in_min_right(x, self.J) and self.in_universe(x)):
+        if not (
+            cosets.in_min_left(x, self.I)
+            and cosets.in_min_right(x, self.J)
+            and self.in_universe(x)
+        ):
             raise NotDoubleCosetRep("x is not minimal in W_I x W_J")
         return self._induced_by_twist(self._twist_at(x.perm))
 
@@ -203,15 +199,16 @@ class ZipDatum:
         return out
 
     def _induced_by_twist(self, psi_x: dict[int, int]) -> "ZipDatum":
-        """The induced datum with twist psi_x, which it depends on alone
-        (its universe is J); cached by the twist."""
-        key = tuple(sorted(psi_x.items()))
-        got = self._induced.get(key)
+        """The induced datum with twist psi_x.  Its universe is J, so it
+        depends on (J, psi_x) alone and is cached on the group by that key,
+        shared by every datum that reaches it."""
+        key = (self.J, tuple(sorted(psi_x.items())))
+        got = self.group._induced.get(key)
         if got is None:
             got = ZipDatum(
                 self.group, psi_x.keys(), psi_x.values(), psi_x, universe=self.J
             )
-            self._induced[key] = got
+            self.group._induced[key] = got
         return got
 
     # -- the stable subset K_w --

@@ -1,19 +1,23 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylzip import ZipDatum, build_group
 from weylzip.cli import main
+from weylzip.coxeter import CoxeterAutomorphism
 from weylzip.errors import (
     GroupMismatch,
     IndexOutOfRange,
+    InvalidAutomorphism,
     MalformedMatrix,
     NonFiniteType,
     TooLargeToEnumerate,
 )
 from weylzip.oracles import shortlex_oracle
+from weylzip.serialize import parse_automorphism
 
 
 @pytest.mark.parametrize(
@@ -219,6 +223,59 @@ def test_layered_enumeration_matches_sorted_closure(label):
         assert [w.canonical_word() for w in fast] == [w.canonical_word() for w in ref]
         assert [w.length for w in fast] == [len(w.canonical_word()) for w in ref]
     assert g.elements() is g.parabolic_elements(g.simple_indices)
+
+
+@pytest.mark.parametrize("label", sorted(ENUMERATION_SUBSETS))
+def test_walk_spells_the_canonical_words(label):
+    g = build_group(label)
+    refl = g.reflections
+    for S in ENUMERATION_SUBSETS[label][:3]:  # all, empty, disconnected
+        e = g.enumeration(S)
+        words = [()]
+        for s, parent in zip(e.first[1:].tolist(), e.parent[1:].tolist()):
+            assert parent < len(words)
+            words.append((s,) + words[parent])
+        assert words == [w.canonical_word() for w in shortlex_oracle(g, S)], S
+        # each step of the walk is one left multiplication: w_k = s * w_parent
+        steps = refl[e.first[1:, None] - 1, e.perms[e.parent[1:]]]
+        assert np.array_equal(e.perms[1:], steps)
+
+
+def test_elements_at_equals_slices_of_parabolic_elements():
+    g = build_group("D5")
+    rng = random.Random(11)
+    for S in [(1, 2, 3, 4, 5), (1, 4, 5), ()]:
+        every = g.parabolic_elements(S)
+        picks = [rng.randrange(len(every)) for _ in range(40)]
+        for positions in [[], [0], sorted(set(picks)), picks, picks[::-1]]:
+            got = g.elements_at(S, positions)
+            want = tuple(every[k] for k in positions)
+            assert got == want
+            assert [w.canonical_word() for w in got] == [w.canonical_word() for w in want]
+            assert [w.length for w in got] == [w.length for w in want]
+
+
+@pytest.mark.parametrize("label", ["D4", "A5"])
+def test_automorphism_products_equal_validated_ones(label):
+    g = build_group(label)
+    auts = g.coxeter_automorphisms()
+    assert auts == tuple(CoxeterAutomorphism(g, a.images) for a in auts)
+    for a in auts:
+        assert a.inverse() == CoxeterAutomorphism(g, a.inverse().images)
+        assert (a * a.inverse()).is_identity()
+        for b in auts:
+            ab = a * b
+            assert ab == CoxeterAutomorphism(g, ab.images)
+            assert ab.images == tuple(a(b(i)) for i in g.simple_indices)
+    assert g.identity_automorphism() is g.identity_automorphism()
+    assert g.identity_automorphism() == CoxeterAutomorphism(g, g.simple_indices)
+    # a transposition of the first two nodes preserves neither Coxeter matrix
+    swap = (2, 1) + g.simple_indices[2:]
+    for bad in [swap, (1,) * g.rank]:
+        with pytest.raises(InvalidAutomorphism):
+            CoxeterAutomorphism(g, bad)
+        with pytest.raises(InvalidAutomorphism):
+            parse_automorphism(g, list(bad))
 
 
 @pytest.mark.parametrize("label,S", [("A6", None), ("F4", None), ("D5", (1, 2, 4))])

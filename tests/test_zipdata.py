@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,74 @@ def test_canonical_rep_beyond_the_bound_enumerates_nothing():
     for w in seeded_elements(e8, 20240703, 20):
         assert z.canonical_rep(w) == canonical_rep_oracle(z, w)
     assert not e8._parabolic_cache
+
+
+def test_contains_param_builds_no_inverse():
+    e8 = build_group("E8")
+    z = ZipDatum(e8, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
+    elements = seeded_elements(e8, 20240705, 60)
+    elements += [z.canonical_rep(w) for w in elements[:20]]
+    for w in elements:
+        # the word test: s is a left descent of w iff s w is shorter
+        minimal = all((e8.simple(i) * w).length > w.length for i in z.I)
+        assert z.contains_param(w) == minimal
+        assert w._inverse is None
+    assert any(z.contains_param(w) for w in elements[:60])
+    assert not all(z.contains_param(w) for w in elements)
+
+
+@pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA[3:], ids=["E8", "E7"])
+def test_induced_data_are_built_once_per_group(monkeypatch, label, I, psi, seed):
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+    z = ZipDatum(g, I, set(psi.values()), psi)
+    built = []
+    init = ZipDatum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.universe, tuple(sorted(self.psi.items()))))
+
+    monkeypatch.setattr(ZipDatum, "__init__", counting_init)
+    elements = seeded_elements(g, seed + 10, 150)
+    reps = [z.canonical_rep(w) for w in elements]
+    sigmas = [z.sigma(rep) for rep in reps]
+    monkeypatch.undo()
+    assert built and len(built) == len(set(built))
+    assert len(g._induced) == len(built)
+    assert reps == [canonical_rep_oracle(z, w) for w in elements]
+    assert sigmas == [sigma_oracle(z, rep, "iw") for rep in reps]
+
+
+def test_poset_on_d6_builds_elements_for_the_parameters_only(monkeypatch):
+    g = CoxeterGroup(*cartan.matrices_for_label("D6"), "D6")
+    I = {1, 2, 3, 4, 5}
+    z = ZipDatum(g, I, I, {i: i for i in I})
+    calls = []
+    elements_at = g.elements_at
+
+    def recording(subset, positions):
+        calls.append((frozenset(subset), len(positions)))
+        return elements_at(subset, positions)
+
+    monkeypatch.setattr(g, "elements_at", recording)
+    pieces = z.pieces()
+    poset = z.hasse_poset()
+    assert len(pieces) == len(poset.nodes) == 32
+    assert calls == [(frozenset(g.simple_indices), 32)]
+    assert not g._parabolic_cache
+
+
+def test_param_set_memory_on_d6():
+    g = CoxeterGroup(*cartan.matrices_for_label("D6"), "D6")
+    I = {1, 2, 3, 4, 5}
+    z = ZipDatum(g, I, I, {i: i for i in I})
+    tracemalloc.start()
+    try:
+        assert len(z.param_set()) == 32
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000  # 23.5 MB while every element became an Element
 
 
 def test_sigma_examples(z_a2, a2):
