@@ -9,7 +9,8 @@ abstract zip data on finite permutation groups, the non-connected
 extension, and zip data built from isogeny-style input.
 """
 
-from .abstract import AbstractZipDatum, FiniteGroup
+from importlib import import_module
+
 from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element, build_group
 from .cosets import (
     HowlettDecomposition,
@@ -20,9 +21,30 @@ from .cosets import (
     min_right_coset_reps,
     refined_length_count,
 )
-from .extended import ExtendedElement, ExtendedZipDatum
-from .isogeny import FrobeniusReport, IsogenyDatum, frobenius_report, zip_datum_from_isogeny
 from .zipdata import ClosurePoset, Piece, ZipDatum
+
+# The abstract, non-connected and isogeny layers are imported on first
+# access (PEP 562), so a process that never uses them does not load them.
+_LAZY = {
+    "AbstractZipDatum": "abstract",
+    "FiniteGroup": "abstract",
+    "ExtendedElement": "extended",
+    "ExtendedZipDatum": "extended",
+    "FrobeniusReport": "isogeny",
+    "IsogenyDatum": "isogeny",
+    "frobenius_report": "isogeny",
+    "zip_datum_from_isogeny": "isogeny",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -15,10 +15,9 @@ import argparse
 import json
 import sys
 
-from . import serialize, verify
+from . import serialize
 from .coxeter import build_group
 from .errors import MalformedInput, WeylZipError
-from .isogeny import frobenius_report
 from .serialize import (
     cycles_str,
     extended_str,
@@ -175,6 +174,8 @@ def cmd_isogeny(args) -> int:
         f"x={word_str(iso.x)}"
     )
     if iso.frobenius_mode:
+        from .isogeny import frobenius_report
+
         sys.stdout.write(frobenius_report(iso, central_rank).render_text())
         return 0
     for line in _pieces_lines(z, central_rank, args.format):
@@ -183,6 +184,8 @@ def cmd_isogeny(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_verify(args.level)
     ok = True
     for r in results:

@@ -25,6 +25,7 @@ r + num_positive (mod 2 * num_positive).
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,14 +109,23 @@ class Element:
         return self.length == 0
 
     def canonical_word(self) -> tuple[int, ...]:
-        """ShortLex-minimal reduced word, as a tuple of 1-based indices."""
+        """ShortLex-minimal reduced word, as a tuple of 1-based indices.
+
+        Strips the smallest left descent s one letter at a time on the
+        inverse row: s is a left descent of w iff w^-1 sends alpha_s to a
+        negative root, and (s w)^-1 = w^-1 s is one gather through the
+        reflection table of s."""
         if self._word is None:
+            g = self.group
+            m, rank, refl = g.num_positive, g.rank, g._reflect_tables
+            inv = self.inverse().perm
             word = []
-            w = self
-            while w.length > 0:
-                s = min(w.left_descents())
-                word.append(s)
-                w = self.group.simple(s) * w
+            while True:
+                s = next((i for i in range(rank) if inv[i] >= m), None)
+                if s is None:
+                    break
+                word.append(s + 1)
+                inv = [inv[r] for r in refl[s]]
             self._word = tuple(word)
         return self._word
 
@@ -191,11 +201,43 @@ class CoxeterAutomorphism:
     def apply_subset(self, subset: Iterable[int]) -> frozenset[int]:
         return frozenset(self.images[i - 1] for i in subset)
 
-    def apply_element(self, w: Element) -> Element:
+    def _root_permutation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The permutation sigma of the root list by which this automorphism
+        acts, and its inverse, cached on the group by the images:
+        sigma(alpha_i) = alpha_pi(i) and sigma(s_j beta) = s_pi(j) sigma(beta),
+        so sigma s_j sigma^-1 = s_pi(j).  It is built from the action on
+        reflections, not from the Cartan matrix, which the flips of B2, G2
+        and F4 do not preserve: they swap long and short roots."""
         g = self.group
-        out = g.identity
-        for i in w.canonical_word():
-            out = out * g.simple(self.images[i - 1])
+        got = g._automorphism_roots.get(self.images)
+        if got is None:
+            m, refl = g.num_positive, g._reflect_tables
+            sigma = [0] * (2 * m)
+            for r in range(m):
+                if r < g.rank:  # the simple roots
+                    sigma[r] = self.images[r] - 1
+                    continue
+                # Positive roots are listed by height, so some s_j sends the
+                # non-simple root r to a positive root of smaller index.
+                j = next(j for j in range(g.rank) if refl[j][r] < r)
+                sigma[r] = refl[self.images[j] - 1][sigma[refl[j][r]]]
+            for r in range(m):
+                sigma[r + m] = g.negate_root(sigma[r])
+            inv = [0] * (2 * m)
+            for r, t in enumerate(sigma):
+                inv[t] = r
+            got = (tuple(sigma), tuple(inv))
+            g._automorphism_roots[self.images] = got
+        return got
+
+    def apply_element(self, w: Element) -> Element:
+        """The image of w, whose root permutation is sigma w sigma^-1."""
+        if w.group is not self.group:
+            raise GroupMismatch("element of a different group")
+        sigma, inv = self._root_permutation()
+        p = w.perm
+        out = Element(self.group, tuple(sigma[p[r]] for r in inv))
+        out._length = w._length
         return out
 
     def __call__(self, arg):
@@ -286,7 +328,12 @@ class GroupTables:
                 cols.append(todo.pop(0))
                 bound *= self._base
             value = self._fold(code, keys[:, cols])
-            level = np.unique(value)
+            # the distinct values in order, without np.unique, which loads
+            # numpy.ma
+            level = np.sort(value)
+            keep = np.ones(len(level), dtype=bool)
+            keep[1:] = level[1:] != level[:-1]
+            level = level[keep]
             code = np.searchsorted(level, value)
             self._levels.append((cols, level))
             bound = len(level)
@@ -331,8 +378,8 @@ class CoxeterGroup:
 
     Construct through :func:`build_group`; instances are immutable after
     construction apart from internal caches.  Caches (enumerations, Element
-    lists, tables, the Bruhat matrix and memo, induced zip data) are filled
-    without locking.
+    lists, tables, the Bruhat matrix and memo, the root permutations of
+    automorphisms, induced zip data) are filled without locking.
 
     Each standard parabolic subgroup W_S is enumerated at most once, by
     :meth:`enumeration`, in ShortLex order of canonical words, as arrays
@@ -367,6 +414,8 @@ class CoxeterGroup:
         self._phi_plus: dict[frozenset[int], frozenset[int]] = {}
         self._outside: dict[frozenset[int], tuple[int, ...]] = {}
         self._tables: dict[frozenset[int], GroupTables] = {}
+        #: Root permutations of the automorphisms by their images.
+        self._automorphism_roots: dict[tuple[int, ...], tuple] = {}
         self._longest: Element | None = None
         #: Induced zip data by (universe, twist), filled by weylzip.zipdata.
         self._induced: dict[tuple, object] = {}
@@ -557,11 +606,16 @@ class CoxeterGroup:
         for k in (np.flatnonzero(need[1:]) + 1).tolist():
             words[k] = (first[k],) + words[parent[k]]
         elems = []
-        for k in positions.tolist():
+        # The selected int16 rows are unpacked to tuples in one C-level pass.
+        # A single tolist() is slower here: its temporary lists make every
+        # garbage collection during the Element constructions longer.
+        selected = e.perms[positions]
+        rows = struct.iter_unpack(f"{selected.shape[1]}h", selected)
+        for k, row in zip(positions.tolist(), rows):
             if k == 0:
                 elems.append(self.identity)
                 continue
-            w = Element(self, tuple(e.perms[k].tolist()))
+            w = Element(self, row)
             w._word = words[k]
             w._length = len(w._word)
             elems.append(w)

@@ -17,7 +17,10 @@ nothing with the fast implementations beyond element arithmetic:
 * the Howlett decomposition by stripping descents with Element products,
 * canonical representatives by the induction replayed in Elements, with
   psi spelled out letter by letter and each induced datum built from its
-  definition.
+  definition,
+* a Coxeter automorphism applied to an element letter by letter, as a
+  product of simple reflections (the fast path conjugates the root
+  permutation).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .abstract import AbstractZipDatum, Perm, close_subgroup, identity_perm, inverse, mult
 from .cosets import HowlettDecomposition
-from .coxeter import CoxeterGroup, Element
+from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element
 from .errors import LatticeTooLarge, NonUniqueMinimum
 from .zipdata import ZipDatum
 
@@ -57,6 +60,16 @@ def bruhat_subword_oracle(x: Element, w: Element) -> bool:
         return got
 
     return search(0, x)
+
+
+def apply_element_oracle(a: CoxeterAutomorphism, w: Element) -> Element:
+    """a(w) as the product of the simple reflections s_a(i) over a reduced
+    word of w."""
+    g = a.group
+    out = g.identity
+    for i in w.canonical_word():
+        out = out * g.simple(a.apply_index(i))
+    return out
 
 
 def shortlex_oracle(group: CoxeterGroup, subset) -> tuple[Element, ...]:

@@ -9,13 +9,16 @@ is "e".  Cartan types are strings like "A2", "B3" or "A1xA1".
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .abstract import AbstractZipDatum, FiniteGroup, Perm, identity_perm
 from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element, build_group
 from .errors import MalformedInput
-from .extended import ExtendedElement, ExtendedZipDatum
-from .isogeny import IsogenyDatum, zip_datum_from_isogeny
 from .zipdata import ZipDatum
+
+if TYPE_CHECKING:
+    from .abstract import AbstractZipDatum, Perm
+    from .extended import ExtendedElement, ExtendedZipDatum
+    from .isogeny import IsogenyDatum
 
 
 # -- words and subsets --------------------------------------------------------
@@ -175,6 +178,8 @@ def zip_datum_from_json(doc: dict) -> tuple[ZipDatum, int]:
 def abstract_datum_from_json(doc: dict) -> AbstractZipDatum:
     """Build an abstract datum from {"domain", "gamma_gens", "delta_gens",
     "psi"} with permutations in cycle notation."""
+    from .abstract import AbstractZipDatum, FiniteGroup, identity_perm
+
     try:
         degree = int(doc["domain"])
         gamma_gens = [parse_cycles(t, degree) for t in doc["gamma_gens"]]
@@ -199,6 +204,8 @@ def extended_datum_from_json(doc: dict) -> ExtendedZipDatum:
     """Build an extended datum from the zip-datum fields plus
     {"omega_gens", "omega_I_gens", "psi_hat"} (automorphisms as image
     lists; psi_hat keys are the JSON texts of the generator lists)."""
+    from .extended import ExtendedZipDatum
+
     base, _ = zip_datum_from_json(doc)
     group = base.group
     omega_gens = [parse_automorphism(group, g) for g in doc.get("omega_gens", [])]
@@ -221,6 +228,8 @@ def extended_datum_from_json(doc: dict) -> ExtendedZipDatum:
 def isogeny_datum_from_json(doc: dict) -> tuple[IsogenyDatum, int]:
     """Build an isogeny datum from {"type", "phi_bar", "delta", "I", "x",
     "frobenius"?, "central_rank"?}."""
+    from .isogeny import zip_datum_from_isogeny
+
     try:
         group = build_group(doc["type"])
         I = frozenset(int(i) for i in doc["I"])

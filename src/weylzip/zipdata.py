@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import cosets
-from .abstract import AbstractZipDatum, FiniteGroup
 from .coxeter import CoxeterGroup, Element, GroupTables
 from .errors import (
     GroupMismatch,
@@ -40,6 +40,9 @@ from .errors import (
     PsiNotCoxeter,
     SubsetMismatch,
 )
+
+if TYPE_CHECKING:
+    from .abstract import AbstractZipDatum
 
 SIDES = ("iw", "wj")
 
@@ -447,6 +450,8 @@ class ZipDatum:
     def abstract_datum(self) -> AbstractZipDatum:
         """This datum as an abstract zip datum on the permutation group
         generated by the universe's simple reflections."""
+        from .abstract import AbstractZipDatum, FiniteGroup
+
         g = self.group
         universe_elements = g.parabolic_elements(self.universe)
         gamma = FiniteGroup.from_elements(

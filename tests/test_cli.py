@@ -1,9 +1,15 @@
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import weylzip
 from weylzip.cli import main
 
 
@@ -161,3 +167,52 @@ def test_deterministic_output():
     _, first = run_cli(["pieces", "--type", "B2", "--I", "1,2", "--psi", "1:2,2:1"])
     _, second = run_cli(["pieces", "--type", "B2", "--I", "1,2", "--psi", "1:2,2:1"])
     assert first == second
+
+
+# Modules that pieces, poset, closure, classify and sigma never execute.
+NOT_LOADED = ("weylzip.verify", "weylzip.oracles", "weylzip.abstract",
+              "weylzip.extended", "weylzip.isogeny", "numpy.ma")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pieces", "--format", "jsonl"],
+        ["poset", "--format", "json"],
+        ["closure", "--w", "3"],
+        ["classify", "--w", "3,2,1"],
+        ["sigma", "--w", "3"],
+    ],
+)
+def test_core_subcommands_load_only_the_core(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    # -X importtime lists every module the process imports, one per line of
+    # stderr, ending in "| <module name>".
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "weylzip.cli", *argv,
+         "--type", "A3", "--I", "1,2", "--psi", "1:1,2:2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "weylzip.zipdata" in loaded
+    assert not loaded & set(NOT_LOADED)
+
+
+def test_every_public_name_resolves():
+    for name in weylzip.__all__:
+        value = getattr(weylzip, name)
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value
+    namespace = {}
+    exec("from weylzip import *", namespace)
+    assert set(weylzip.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        weylzip.no_such_name

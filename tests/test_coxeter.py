@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from weylzip import ZipDatum, build_group
 from weylzip.cli import main
-from weylzip.coxeter import CoxeterAutomorphism
+from weylzip.coxeter import CoxeterAutomorphism, Element
 from weylzip.errors import (
     GroupMismatch,
     IndexOutOfRange,
@@ -16,7 +16,7 @@ from weylzip.errors import (
     NonFiniteType,
     TooLargeToEnumerate,
 )
-from weylzip.oracles import shortlex_oracle
+from weylzip.oracles import apply_element_oracle, shortlex_oracle
 from weylzip.serialize import parse_automorphism
 
 
@@ -241,6 +241,59 @@ def test_walk_spells_the_canonical_words(label):
         assert np.array_equal(e.perms[1:], steps)
 
 
+def _word_by_products(w):
+    """The canonical word by stripping min(left_descents) with Element
+    products."""
+    word = []
+    while w.length:
+        s = min(w.left_descents())
+        word.append(s)
+        w = w.group.simple(s) * w
+    return tuple(word)
+
+
+def test_canonical_words_on_e8_are_reduced_and_round_trip():
+    g = build_group("E8")
+    rng = random.Random(8)
+    for _ in range(100):
+        w = g.from_word(rng.choice(g.simple_indices) for _ in range(rng.randrange(1, 90)))
+        word = Element(g, w.perm).canonical_word()
+        assert len(word) == w.length
+        assert g.from_word(word) == w
+        assert word == _word_by_products(w)
+
+
+def _automorphism_cases():
+    f4 = build_group("F4")
+    yield "A5 flip", parse_automorphism(build_group("A5"), "flip"), None
+    yield "F4 flip", CoxeterAutomorphism(f4, (4, 3, 2, 1)), None
+    d4 = build_group("D4")
+    for a in d4.coxeter_automorphisms():  # both triality generators among them
+        yield f"D4 {a.images}", a, None
+    yield "E6 flip", parse_automorphism(build_group("E6"), "flip"), 300
+    yield "B2 flip", parse_automorphism(build_group("B2"), "flip"), None
+    yield "G2 flip", parse_automorphism(build_group("G2"), "flip"), None
+
+
+@pytest.mark.parametrize("name,a,sample", list(_automorphism_cases()))
+def test_apply_element_equals_letter_by_letter(name, a, sample):
+    g = a.group
+    if sample is None:
+        elems = g.elements()
+    else:
+        rng = random.Random(6)
+        elems = [
+            g.from_word(rng.choice(g.simple_indices) for _ in range(rng.randrange(40)))
+            for _ in range(sample)
+        ]
+    for w in elems:
+        got = a.apply_element(w)
+        assert got == apply_element_oracle(a, w), (name, w)
+        assert got.length == w.length
+    with pytest.raises(GroupMismatch):
+        a.apply_element(build_group("A1").identity)
+
+
 def test_elements_at_equals_slices_of_parabolic_elements():
     g = build_group("D5")
     rng = random.Random(11)
@@ -304,6 +357,8 @@ def test_tables_keys_exceed_one_int64():
     elems = g.elements()
     assert len(t._levels) > 1
     assert list(t.index_of(elems)) == list(range(len(elems)))
+    for _, level in t._levels:  # each fold renumbers its distinct codes densely
+        assert (np.diff(level) > 0).all()
 
 
 def test_enumeration_bound_is_enforced_up_front():
