@@ -43,15 +43,21 @@ def in_min_right(w: Element, J) -> bool:
     return not any(w.has_right_descent(j) for j in J)
 
 
-def _without_descents(group: CoxeterGroup, I, J, universe) -> tuple[Element, ...]:
-    """The elements of W_U with no left descent in I and no right descent
-    in J, read off the descent masks of the enumeration of W_U; Elements
-    are built for those positions only."""
-    U = _universe(group, universe)
-    left, right = group.descent_masks(U)
+def descent_free_positions(group: CoxeterGroup, I, J, universe=None) -> np.ndarray:
+    """ShortLex positions, in the enumeration of W_U, of the elements with
+    no left descent in I and no right descent in J, read off its descent
+    masks."""
+    left, right = group.descent_masks(_universe(group, universe))
     bad = left[:, [group.simple_root_index(i) for i in sorted(set(I))]].any(axis=1)
     bad |= right[:, [group.simple_root_index(j) for j in sorted(set(J))]].any(axis=1)
-    return group.elements_at(U, np.flatnonzero(~bad))
+    return np.flatnonzero(~bad)
+
+
+def _without_descents(group: CoxeterGroup, I, J, universe) -> tuple[Element, ...]:
+    """The elements at :func:`descent_free_positions`; Elements are built
+    for those positions only."""
+    positions = descent_free_positions(group, I, J, universe)
+    return group.elements_at(_universe(group, universe), positions)
 
 
 def min_left_coset_reps(group: CoxeterGroup, I, universe=None) -> tuple[Element, ...]:

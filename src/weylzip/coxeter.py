@@ -16,7 +16,9 @@ which canonical words are read.  Elements are built only at the positions
 a caller asks for (:meth:`CoxeterGroup.elements_at`).  The same rows give
 the integer multiplication tables of W_S (:class:`GroupTables`), built on
 first use.  Root subsets Phi_S, Phi_S^+ and the positive roots outside
-Phi_S are cached per subset.
+Phi_S are cached per subset.  Bruhat order is one lifting loop on root
+permutations (:meth:`CoxeterGroup.bruhat_below`), which enumerates
+nothing.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
@@ -42,10 +44,6 @@ from .errors import (
 #: Largest group order for which full element enumeration is allowed.
 ENUMERATION_BOUND = 100_000
 
-#: Largest group order for which the dense Bruhat-order matrix is built;
-#: larger groups fall back to a memoized descent recursion.
-BRUHAT_MATRIX_BOUND = 10_000
-
 
 class Element:
     """One group element, as a permutation of the full root list."""
@@ -66,7 +64,8 @@ class Element:
         if self.group is not other.group:
             raise GroupMismatch("cannot multiply elements of different groups")
         p, q = self.perm, other.perm
-        return Element(self.group, tuple(p[i] for i in q))
+        # a list comprehension: half the time of a generator in tuple()
+        return Element(self.group, tuple([p[i] for i in q]))
 
     def inverse(self) -> "Element":
         if self._inverse is None:
@@ -378,8 +377,8 @@ class CoxeterGroup:
 
     Construct through :func:`build_group`; instances are immutable after
     construction apart from internal caches.  Caches (enumerations, Element
-    lists, tables, the Bruhat matrix and memo, the root permutations of
-    automorphisms, induced zip data) are filled without locking.
+    lists, tables, the root permutations of automorphisms, induced zip
+    data) are filled without locking.
 
     Each standard parabolic subgroup W_S is enumerated at most once, by
     :meth:`enumeration`, in ShortLex order of canonical words, as arrays
@@ -405,9 +404,6 @@ class CoxeterGroup:
         self._build_roots()
         self._build_simple_reflections()
 
-        self._element_index: dict[tuple[int, ...], int] | None = None
-        self._bruhat_rows: np.ndarray | None = None
-        self._bruhat_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         self._enumerations: dict[frozenset[int], ShortLex] = {}
         self._parabolic_cache: dict[frozenset[int], tuple[Element, ...]] = {}
         self._phi: dict[frozenset[int], frozenset[int]] = {}
@@ -563,14 +559,6 @@ class CoxeterGroup:
         """All group elements in ShortLex order of their canonical words."""
         return self.parabolic_elements(self.simple_indices)
 
-    def element_index(self, w: Element) -> int:
-        """ShortLex position of w in the whole group, keyed by the images of
-        the simple roots (indices 0..rank-1), which determine w."""
-        if self._element_index is None:
-            keys = self.parabolic_perms(self.simple_indices)[:, : self.rank].tolist()
-            self._element_index = {tuple(key): k for k, key in enumerate(keys)}
-        return self._element_index[w.perm[: self.rank]]
-
     def enumeration(self, subset: Iterable[int]) -> ShortLex:
         """The ShortLex enumeration of W_S as arrays (cached).
 
@@ -722,55 +710,28 @@ class CoxeterGroup:
 
     # -- Bruhat order --
 
-    def _bruhat_matrix(self) -> np.ndarray:
-        """Row w: boolean downset mask, rows/columns in elements() order."""
-        if self._bruhat_rows is None:
-            walk = self.enumeration(self.simple_indices)
-            lmul = self.tables().lmul
-            n = len(walk.first)
-            rows = np.zeros((n, n), dtype=bool)
-            rows[0, 0] = True  # identity is first in ShortLex order
-            for k, (s, parent) in enumerate(
-                zip(walk.first[1:].tolist(), walk.parent[1:].tolist()), 1
-            ):
-                down = rows[parent]  # s*w, shorter than w
-                rows[k] = down | down[lmul[s - 1]]
-            self._bruhat_rows = rows
-        return self._bruhat_rows
+    def bruhat_below(self, rows, word: Sequence[int]) -> np.ndarray:
+        """For each root-permutation row x (one row or a stack), whether
+        x <= w in Bruhat order, w given by a reduced word.
+
+        The word is stripped from the right.  Its last letter s is a right
+        descent of w, and by the lifting property x <= w iff x s <= w s
+        when s is a right descent of x, and iff x <= w s otherwise; x s is
+        one gather through the reflection table of s.  Once the word is
+        used up, x <= e iff x has no descent.  Nothing is enumerated."""
+        m = self.num_positive
+        x = np.atleast_2d(np.asarray(rows))
+        for s in reversed(word):
+            down = x[:, s - 1] >= m
+            x = np.where(down[:, None], x[:, self.reflections[s - 1]], x)
+        return (x[:, : self.rank] < m).all(axis=1)
 
     def bruhat_leq(self, x: Element, w: Element) -> bool:
-        """Bruhat order test x <= w (memoized descent recursion; a dense
-        matrix is used for groups up to BRUHAT_MATRIX_BOUND elements)."""
+        """Bruhat order test x <= w, by :meth:`bruhat_below` on one row."""
         if x.group is not self or w.group is not self:
             raise GroupMismatch("elements of a different group")
-        if x.length > w.length:
-            return False
-        if x.length == w.length:
-            return x == w
-        if self.order <= BRUHAT_MATRIX_BOUND:
-            M = self._bruhat_matrix()
-            return bool(M[self.element_index(w), self.element_index(x)])
-        return self._bruhat_recursive(x, w)
-
-    def _bruhat_recursive(self, x: Element, w: Element) -> bool:
-        if x.length > w.length:
-            return False
-        if x.length == 0 or x == w:
-            return True
-        if w.length == 0:
-            return False
-        key = (x.perm, w.perm)
-        got = self._bruhat_memo.get(key)
-        if got is None:
-            s = self.simple(min(w.left_descents()))
-            sw = s * w
-            sx = s * x
-            if sx.length < x.length:
-                got = self._bruhat_recursive(sx, sw)
-            else:
-                got = self._bruhat_recursive(x, sw)
-            self._bruhat_memo[key] = got
-        return got
+        row = np.array(x.perm, dtype=np.int16)
+        return bool(self.bruhat_below(row, w.canonical_word())[0])
 
     def coxeter_automorphisms(self) -> tuple[CoxeterAutomorphism, ...]:
         """All Coxeter-matrix preserving permutations of the simple set."""

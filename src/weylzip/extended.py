@@ -148,15 +148,6 @@ class ExtendedZipDatum:
     def extended(self, w: Element, omega: CoxeterAutomorphism | None = None) -> ExtendedElement:
         return ExtendedElement(w, omega if omega is not None else self.group.identity_automorphism())
 
-    def psi_hat_element(self, y: ExtendedElement) -> ExtendedElement:
-        """psi_hat on the extended subgroup W_I x Omega_I."""
-        return ExtendedElement(self.base.psi_element(y.w), self.psi_hat[y.omega])
-
-    def extended_w_I(self) -> tuple[ExtendedElement, ...]:
-        return tuple(
-            ExtendedElement(y, u) for u in self.omega_I for y in self.base.w_I()
-        )
-
     def contains_param(self, what: ExtendedElement, side: str = "iw") -> bool:
         _check_side(side)
         if what.omega not in set(self.omega):
@@ -229,25 +220,41 @@ class ExtendedZipDatum:
 
     def precedes(self, ap: ExtendedElement, a: ExtendedElement, side: str = "iw") -> bool:
         """ap precedes a iff some y in W_I x Omega_I has
-        y * ap * psi_hat(y)^{-1} below a in the extended Bruhat order."""
+        y * ap * psi_hat(y)^{-1} below a in the extended Bruhat order.
+
+        For y = (v, u) and ap = (w', omega') that product is
+        (v u(w') (omega psi)(v)^{-1}, omega) with omega = u omega'
+        psi_hat(u)^{-1}, so ap precedes a = (w, omega) iff some u in
+        Omega_I gives that omega and u(w') precedes w in the datum
+        (W, I, omega(J), omega * psi)."""
         _check_side(side)
         self._require_param(ap, side)
         self._require_param(a, side)
-        for y in self.extended_w_I():
-            cand = y * ap * self.psi_hat_element(y).inverse()
-            if self.ext_bruhat_leq(cand, a):
-                return True
-        return False
+        conj = self._conjugate_datum(a.omega)
+        return any(
+            u * ap.omega * self.psi_hat[u].inverse() == a.omega
+            and conj.precedes(u(ap.w), a.w, side)
+            for u in self.omega_I
+        )
 
     def closure_set(self, a: ExtendedElement, side: str = "iw") -> tuple[ExtendedElement, ...]:
+        """All parameters preceding a, ordered by sort key: the closure of
+        a.w in the datum (W, I, omega(J), omega * psi), carried back by
+        each u in Omega_I to (u^{-1}(w'), u^{-1} omega psi_hat(u))."""
         self._require_param(a, side)
-        return tuple(ap for ap in self.param_set(side) if self.precedes(ap, a, side))
+        closure = self._conjugate_datum(a.omega).closure_set(a.w, side)
+        out = set()
+        for u in self.omega_I:
+            ui = u.inverse()
+            omega = ui * a.omega * self.psi_hat[u]
+            out.update(ExtendedElement(ui(w), omega) for w in closure)
+        return tuple(sorted(out, key=lambda e: e.sort_key))
 
     # -- the extended sigma --
 
     def _conjugate_datum(self, omega: CoxeterAutomorphism) -> ZipDatum:
-        """The datum (W, I, omega(J), omega * psi) used to compute sigma on
-        the omega-component."""
+        """The datum (W, I, omega(J), omega * psi) that carries sigma and
+        the closure order on the omega-component."""
         got = self._conjugate_data.get(omega)
         if got is None:
             base = self.base

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import cosets
 from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element
 from .errors import (
@@ -72,18 +74,21 @@ class IsogenyDatum:
 
     def lusztig_closure(self, w: Element) -> tuple[Element, ...]:
         """Closure of the piece labeled w in the W^{delta(I)} parametrization
-        (identity phi_bar only): all w' with w' x^{-1} preceding w x^{-1}."""
+        (identity phi_bar only): all w' with w' x^{-1} preceding w x^{-1},
+        i.e. the "wj" closure set of w x^{-1} right-multiplied by x, in
+        ShortLex order like :meth:`target_set`."""
         if not self.phi_bar.is_identity():
             raise WrongMode("the Lusztig parametrization requires phi_bar = id")
         if not self.in_target_set(w):
             raise NotMinimalRep("w lies outside the reparametrized set")
-        xi = self.x.inverse()
-        base = w * xi
-        return tuple(
-            wp
-            for wp in self.target_set()
-            if self.zip.precedes(wp * xi, base, side="wj")
-        )
+        closure = self.zip.closure_set(w * self.x.inverse(), side="wj")
+        # the ShortLex positions of the v x, read along a word of x in the
+        # right multiplication tables of W
+        t = self.group.tables()
+        positions = t.index_of(closure)
+        for s in self.x.canonical_word():
+            positions = t.rmul[s - 1][positions]
+        return tuple(closure[k] * self.x for k in np.argsort(positions))
 
 
 def zip_datum_from_isogeny(group: CoxeterGroup,

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+import numpy as np
+
 from . import oracles
 from .abstract import AbstractZipDatum, FiniteGroup, Perm, inverse, mult
 from .coxeter import CoxeterGroup, build_group
@@ -269,19 +271,21 @@ def check_sigma_duality(z: ZipDatum) -> list[str]:
             bad.append(f"{z!r}: sigma changes length at {word_str(w)}")
         if z.sigma_inverse(im) != w:
             bad.append(f"{z!r}: sigma_inverse fails at {word_str(w)}")
-    for a, wa in enumerate(params):
-        for b, wb in enumerate(params):
-            if z.precedes(wa, wb, "iw") != z.precedes(images[a], images[b], "wj"):
-                bad.append(
-                    f"{z!r}: sigma is not an order isomorphism at "
-                    f"({word_str(wa)}, {word_str(wb)})"
-                )
+    position = {w.perm: k for k, w in enumerate(dual)}
+    if any(im.perm not in position for im in images):
+        return bad  # reported above: sigma is not onto the dual set
+    # the "wj" relation read at the sigma images of the "iw" parameters
+    at = [position[im.perm] for im in images]
+    moved = z._relation_matrix("wj")[np.ix_(at, at)]
+    for a, b in np.argwhere(z._relation_matrix("iw") != moved).tolist():
+        bad.append(
+            f"{z!r}: sigma is not an order isomorphism at "
+            f"({word_str(params[a])}, {word_str(params[b])})"
+        )
     return bad
 
 
 def check_closure_order(z: ZipDatum, side: str = "iw") -> list[str]:
-    import numpy as np
-
     bad = []
     params = z.param_set(side)
     rel = z._relation_matrix(side)

@@ -13,8 +13,9 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 * the length-preserving bijection sigma between the two parameter sets,
   found by one numpy gather over the root permutations of all y in W_I
   and of their twists psi(y)^{-1},
-* the closure partial order, closure sets and the full Hasse poset, from
-  the integer multiplication tables of W_U,
+* the closure partial order: point queries by one gather over W_I and
+  the Bruhat lifting loop on root permutations, closure sets and the full
+  Hasse poset from the integer multiplication tables of W_U,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Data may carry a `universe` subset U, in which case everything lives in
@@ -72,7 +73,6 @@ class ZipDatum:
             universe = group.simple_indices
         self.universe = frozenset(int(u) for u in universe)
         self._validate()
-        self._psi_elements: dict[Element, Element] = {}
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
         self._params: dict[str, tuple[Element, ...]] = {}
@@ -107,17 +107,6 @@ class ZipDatum:
 
     def w_I(self) -> tuple[Element, ...]:
         return self.group.parabolic_elements(self.I)
-
-    def psi_element(self, w: Element) -> Element:
-        """Image of w in W_I under the Coxeter isomorphism W_I -> W_J."""
-        got = self._psi_elements.get(w)
-        if got is None:
-            word = w.canonical_word()
-            if any(i not in self.I for i in word):
-                raise GroupMismatch("element does not lie in W_I")
-            got = self.group.from_word([self.psi[i] for i in word])
-            self._psi_elements[w] = got
-        return got
 
     @cached_property
     def _w_I_walk(self) -> tuple[tuple[int, int], ...]:
@@ -315,15 +304,18 @@ class ZipDatum:
 
     def precedes(self, wp: Element, w: Element, side: str = "iw") -> bool:
         """The closure partial order: wp precedes w iff some y in W_I has
-        y wp psi(y)^{-1} below w in Bruhat order."""
+        y wp psi(y)^{-1} below w in Bruhat order.
+
+        The candidates for all y come from one gather, as in :meth:`sigma`,
+        and go through the Bruhat kernel as one stack; no tables of W_U are
+        built."""
         _check_side(side)
         self._require_param(wp, side)
         self._require_param(w, side)
-        for y in self.w_I():
-            cand = y * wp * self.psi_element(y).inverse()
-            if self.group.bruhat_leq(cand, w):
-                return True
-        return False
+        Y = self.group.parabolic_perms(self.I)
+        x = np.array(wp.perm, dtype=np.int16)
+        cands = np.take_along_axis(Y, x[self._psi_inverse_rows], axis=1)
+        return bool(self.group.bruhat_below(cands, w.canonical_word()).any())
 
     def closure_set(self, w: Element, side: str = "iw") -> tuple[Element, ...]:
         """All parameter-set elements preceding w, ShortLex ordered."""
@@ -343,19 +335,24 @@ class ZipDatum:
         if targets is None:
             targets = params
         t = self.group.tables(self.universe)
-        orbit = self._twisted_orbits(t, params)
+        # the positions of the parameters, read off the descent masks
+        I, J = (self.I, ()) if side == "iw" else ((), self.J)
+        orbit = self._twisted_orbits(
+            t, cosets.descent_free_positions(self.group, I, J, self.universe)
+        )
         rel = np.zeros((len(params), len(targets)), dtype=bool)
         words = [w.canonical_word() for w in targets]
         for b, down in _down_rows(t, words, side == "iw"):
             rel[:, b] = down[orbit].any(axis=0)
         return rel
 
-    def _twisted_orbits(self, t: GroupTables, params) -> np.ndarray:
+    def _twisted_orbits(self, t: GroupTables, positions) -> np.ndarray:
         """Positions of y p psi(y)^{-1}: one row per y in W_I (ShortLex), one
-        column per parameter p.  With y = s y', the row of y is the row of y'
-        multiplied by s on the left and by psi(s) on the right."""
-        orbit = np.empty((len(self._w_I_walk) + 1, len(params)), dtype=np.int32)
-        orbit[0] = t.index_of(params)
+        column per parameter p, given by its position.  With y = s y', the
+        row of y is the row of y' multiplied by s on the left and by psi(s)
+        on the right."""
+        orbit = np.empty((len(self._w_I_walk) + 1, len(positions)), dtype=np.int32)
+        orbit[0] = positions
         for j, (s, parent) in enumerate(self._w_I_walk, 1):
             orbit[j] = t.lmul[s - 1][t.rmul[self.psi[s] - 1][orbit[parent]]]
         return orbit
@@ -459,8 +456,10 @@ class ZipDatum:
             [w.perm for w in universe_elements],
             generators=[g.simple(i).perm for i in sorted(self.universe)],
         )
+        # psi(y) is the inverse of the row of psi(y)^{-1}
+        psi_rows = np.argsort(self._psi_inverse_rows, axis=1).tolist()
         delta = frozenset(w.perm for w in self.w_I())
-        psi = {w.perm: self.psi_element(w).perm for w in self.w_I()}
+        psi = {w.perm: tuple(row) for w, row in zip(self.w_I(), psi_rows)}
         return AbstractZipDatum(gamma, delta, psi)
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzip import ZipDatum, build_group
+from weylzip import ZipDatum, build_group, cartan
 from weylzip.cli import main
-from weylzip.coxeter import CoxeterAutomorphism, Element
+from weylzip.coxeter import CoxeterAutomorphism, CoxeterGroup, Element
 from weylzip.errors import (
     GroupMismatch,
     IndexOutOfRange,
@@ -16,7 +16,7 @@ from weylzip.errors import (
     NonFiniteType,
     TooLargeToEnumerate,
 )
-from weylzip.oracles import apply_element_oracle, shortlex_oracle
+from weylzip.oracles import apply_element_oracle, bruhat_subword_oracle, shortlex_oracle
 from weylzip.serialize import parse_automorphism
 
 
@@ -140,11 +140,25 @@ def test_bruhat_partial_order(b2):
     assert all(b2.bruhat_leq(x, w0) for x in elems)
 
 
-def test_bruhat_recursive_agrees_with_matrix(a3):
-    elems = a3.elements()
-    for x in elems:
-        for w in elems:
-            assert a3.bruhat_leq(x, w) == a3._bruhat_recursive(x, w)
+@pytest.mark.parametrize("label,pairs", [("F4", 300), ("D6", 300), ("E8", 60)])
+def test_bruhat_leq_matches_subword_oracle(label, pairs):
+    # a group of its own, so its enumeration cache starts empty
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+    rng = random.Random(20240818)
+    seen = set()
+    for _ in range(pairs):
+        w = g.from_word(rng.choice(g.simple_indices) for _ in range(rng.randint(0, 30)))
+        # a subword of w's word gives an element below w; a further random
+        # letter gives a near miss that may or may not be below it
+        word = [s for s in w.canonical_word() if rng.random() < 0.6]
+        if rng.random() < 0.5:
+            word.append(rng.choice(g.simple_indices))
+        x = g.from_word(word)
+        got = g.bruhat_leq(x, w)
+        assert got == bruhat_subword_oracle(x, w)
+        seen.add(got)
+    assert seen == {True, False}
+    assert not g._enumerations
 
 
 @given(st.lists(st.integers(min_value=1, max_value=3), max_size=12))

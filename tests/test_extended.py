@@ -2,6 +2,8 @@ import pytest
 
 from weylzip import CoxeterAutomorphism, ExtendedZipDatum, ZipDatum, build_group
 from weylzip.errors import NotAHomomorphism, NotInParamSet, SubsetMismatch
+from weylzip.extended import ExtendedElement
+from weylzip.oracles import apply_element_oracle, bruhat_subword_oracle, shortlex_oracle
 from weylzip.serialize import extended_str
 
 
@@ -142,3 +144,58 @@ def test_trivial_omega_degenerates(a3):
 
     z = ZipDatum(a3, {1}, {3}, {1: 3})
     assert check_extended_trivial_omega(z) == []
+
+
+def _mul(a, b):
+    """(w1, o1)(w2, o2) = (w1 o1(w2), o1 o2), with o1 applied letter by
+    letter."""
+    return ExtendedElement(a.w * apply_element_oracle(a.omega, b.w), a.omega * b.omega)
+
+
+def _inverse(a):
+    oi = a.omega.inverse()
+    return ExtendedElement(apply_element_oracle(oi, a.w.inverse()), oi)
+
+
+def precedes_reference(ext, ap, a):
+    """The definition: some y in W_I x Omega_I has y ap psi_hat(y)^{-1}
+    below a in the extended Bruhat order, with Element products, psi
+    spelled out letter by letter and Bruhat order by the subword
+    property."""
+    g, z = ext.group, ext.base
+    for u in ext.omega_I:
+        for v in shortlex_oracle(g, z.I):
+            y = ExtendedElement(v, u)
+            psi_v = g.from_word([z.psi[i] for i in v.canonical_word()])
+            cand = _mul(_mul(y, ap), _inverse(ExtendedElement(psi_v, ext.psi_hat[u])))
+            if cand.omega == a.omega and bruhat_subword_oracle(cand.w, a.w):
+                return True
+    return False
+
+
+def _a3_flip_datum(I, psi, psi_hat_is_flip):
+    g = build_group("A3")
+    flip = CoxeterAutomorphism(g, (3, 2, 1))
+    z = ZipDatum(g, I, set(psi.values()), psi)
+    image = flip if psi_hat_is_flip else g.identity_automorphism()
+    return ExtendedZipDatum(z, [flip], [flip], [image])
+
+
+CLOSURE_CASES = {
+    "A3 flip": lambda: _a3_flip_datum({1, 3}, {1: 3, 3: 1}, True),
+    # psi_hat(flip) = id, so the Omega_I action moves the Omega-part
+    "A3 flip, psi_hat trivial": lambda: _a3_flip_datum({2}, {2: 2}, False),
+}
+
+
+@pytest.mark.parametrize("side", ["iw", "wj"])
+@pytest.mark.parametrize("case", ["A1xA1 swap", *CLOSURE_CASES])
+def test_closure_matches_the_definition(swap_datum, case, side):
+    ext = swap_datum[0] if case == "A1xA1 swap" else CLOSURE_CASES[case]()
+    params = ext.param_set(side)
+    for a in params:
+        expect = [precedes_reference(ext, ap, a) for ap in params]
+        assert [ext.precedes(ap, a, side) for ap in params] == expect
+        assert ext.closure_set(a, side) == tuple(
+            ap for ap, hit in zip(params, expect) if hit
+        )

@@ -5,6 +5,8 @@ from weylzip.errors import NonSimpleConjugate, NotDoubleCosetRep, NotMinimalRep,
 from weylzip.serialize import parse_automorphism, word_str
 from weylzip.verify import check_lusztig_consistency, iter_isogeny_data
 
+from test_zipdata import relation_oracle
+
 
 def test_build_a2_flip(a2):
     flip = parse_automorphism(a2, "flip")
@@ -81,6 +83,20 @@ def test_lusztig_closure_wrong_mode(a2):
 def test_lusztig_closure_matches_reparametrized_closure():
     for label in ("A2", "B2", "A1xA1"):
         assert check_lusztig_consistency(build_group(label)) == []
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A1xA1", "A3"])
+def test_lusztig_closure_matches_the_oracle(label):
+    for iso in iter_isogeny_data(build_group(label)):
+        params, rel = relation_oracle(iso.zip, "wj")
+        position = {w.perm: b for b, w in enumerate(params)}
+        for w in iso.target_set():
+            b = position[(w * iso.x.inverse()).perm]
+            expect = sorted(
+                (p * iso.x for p, hit in zip(params, rel[:, b]) if hit),
+                key=lambda v: v.sort_key,
+            )
+            assert iso.lusztig_closure(w) == tuple(expect)
 
 
 def test_frobenius_report(z_a2, a2):

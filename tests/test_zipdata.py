@@ -422,6 +422,7 @@ def test_relation_matrix_matches_oracle(label, I, J, psi, side):
     for b, w in enumerate(params):
         expect = [p.perm for p, hit in zip(params, rel[:, b]) if hit]
         assert [p.perm for p in z.closure_set(w, side)] == expect
+        assert [z.precedes(p, w, side) for p in params] == rel[:, b].tolist()
 
 
 def test_relation_matrix_in_a_smaller_universe(a3):
@@ -473,3 +474,25 @@ def test_classify_beyond_the_enumeration_bound_builds_no_tables():
     assert z._psi_inverse_rows.dtype == e8.parabolic_perms(z.I).dtype == np.int16
     assert not e8._tables
     assert all(len(elements) <= 120 for elements in e8._parabolic_cache.values())
+
+
+def test_precedes_beyond_the_enumeration_bound_builds_no_tables():
+    # a group of its own, so no other test has filled its caches
+    e8 = CoxeterGroup(*cartan.matrices_for_label("E8"), "E8")
+    z = ZipDatum(e8, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
+    rng = random.Random(20240819)
+    reps = [
+        z.canonical_rep(e8.from_word(rng.choice(e8.simple_indices) for _ in range(8)))
+        for _ in range(6)
+    ]
+    twists = [
+        (y, e8.from_word([z.psi[i] for i in y.canonical_word()]).inverse())
+        for y in shortlex_oracle(e8, z.I)
+    ]
+    for side, params in (("iw", reps), ("wj", [z.sigma(rep) for rep in reps])):
+        for a in params:
+            for b in params:
+                expect = any(bruhat_subword_oracle(y * a * py, b) for y, py in twists)
+                assert z.precedes(a, b, side) == expect
+    assert not e8._tables
+    assert set(e8._enumerations) == {z.I}
