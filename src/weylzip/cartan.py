@@ -172,7 +172,10 @@ def matrices_for_label(label: str):
 # -- classification of explicit Coxeter matrices ------------------------------
 
 def validate_coxeter_matrix(M) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in M)
+    try:
+        rows = tuple(tuple(int(x) for x in row) for row in M)
+    except (TypeError, ValueError) as exc:
+        raise MalformedMatrix("Coxeter matrix must be a square array of integers") from exc
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise MalformedMatrix("Coxeter matrix must be square and non-empty")

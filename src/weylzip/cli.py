@@ -44,7 +44,8 @@ def _zip_datum_from_args(args) -> tuple[ZipDatum, int]:
     psi = parse_psi(args.psi or "")
     I = parse_subset(args.I) if args.I is not None else frozenset(psi)
     J = parse_subset(args.J) if args.J is not None else frozenset(psi.values())
-    return ZipDatum(group, I, J, psi), args.central_rank
+    central_rank = serialize.parse_nonnegative(args.central_rank, "--central-rank")
+    return ZipDatum(group, I, J, psi), central_rank
 
 
 def _add_datum_options(sub: argparse.ArgumentParser) -> None:

@@ -81,15 +81,9 @@ def kilmoyer_subset(group: CoxeterGroup, I, J, x: Element) -> frozenset[int]:
     """The subset I_x = J n x^{-1} I x of simple indices, i.e. all t in J
     with x s_t x^{-1} a simple reflection in I.  By Kilmoyer's theorem
     W_{I_x} = W_J n x^{-1} W_I x (asserted by tests, not here)."""
-    I, J = frozenset(I), frozenset(J)
     if not (in_min_left(x, I) and in_min_right(x, J)):
         raise NotDoubleCosetRep("x is not a minimal double-coset representative")
-    out = set()
-    for t in J:
-        i = group.simple_index_of_root(x.act_on_root(group.simple_root_index(t)))
-        if i is not None and i in I:
-            out.add(t)
-    return frozenset(out)
+    return frozenset(group.partial_map(x.perm, J, {i: i for i in I}))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -301,8 +301,8 @@ class GroupTables:
 
     ``lmul[s - 1, k]`` and ``rmul[s - 1, k]`` are the positions of
     ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
-    ``length[k]`` is ``l(w_k)``, and :meth:`index_of` maps elements of
-    W_S to their positions.
+    ``length[k]`` is ``l(w_k)``, and :meth:`index_of` and :meth:`lookup` map
+    elements of W_S to their positions.
     """
 
     def __init__(self, group: "CoxeterGroup", subset: frozenset[int], perms: np.ndarray):
@@ -343,15 +343,18 @@ class GroupTables:
         self.lmul = np.full((group.rank, n), -1, dtype=np.int32)
         self.rmul = np.full((group.rank, n), -1, dtype=np.int32)
         for s in subset:
-            self.lmul[s - 1] = self._lookup(refl[s - 1][keys])
-            self.rmul[s - 1] = self._lookup(perms[:, refl[s - 1][self._cols]])
+            self.lmul[s - 1] = self.lookup(refl[s - 1][keys])
+            self.rmul[s - 1] = self.lookup(perms[:, refl[s - 1][self._cols]])
 
     def _fold(self, code: np.ndarray, cols: np.ndarray) -> np.ndarray:
         for col in cols.T:
             code = code * self._base + col
         return code
 
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """ShortLex positions (int32) of the elements of W_S whose images of
+        the simple roots of S, in ascending order of index, are the rows of
+        `keys`; GroupMismatch if some row belongs to no element of W_S."""
         code = np.zeros(len(keys), dtype=np.int64)
         for cols, level in self._levels:
             value = self._fold(code, keys[:, cols])
@@ -369,7 +372,7 @@ class GroupTables:
         keys = np.array(
             [[w.perm[c] for c in self._cols] for w in elements], dtype=np.int64
         ).reshape(len(elements), len(self._cols))
-        return self._lookup(keys)
+        return self.lookup(keys)
 
 
 class CoxeterGroup:
@@ -504,6 +507,13 @@ class CoxeterGroup:
     def simple_index_of_root(self, r: int) -> int | None:
         """1-based simple index i when root r is +-alpha_i, else None."""
         return self._simple_of_root.get(r)
+
+    def partial_map(self, row, S: Iterable[int], psi: Mapping[int, int]) -> dict[int, int]:
+        """The partial map s -> psi(w s w^{-1}) for w with root permutation
+        `row` and psi defined on I: {s: psi(i)} for the s in S with
+        w(alpha_s) = +-alpha_i, i in I."""
+        images = ((s, self._simple_of_root.get(int(row[s - 1]))) for s in S)
+        return {s: psi[i] for s, i in images if i in psi}
 
     def from_word(self, word: Iterable[int]) -> Element:
         out = self.identity

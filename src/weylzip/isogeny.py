@@ -11,6 +11,7 @@ psi = inn(x) * delta * phi_bar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class IsogenyDatum:
     def group(self) -> CoxeterGroup:
         return self.zip.group
 
-    @property
+    @cached_property
     def source_subset(self) -> frozenset[int]:
         """delta(phi_bar(I)), the subset parametrizing the reparametrized
         side W^{delta(phi_bar(I))}."""

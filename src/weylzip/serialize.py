@@ -29,6 +29,8 @@ def word_str(w: Element) -> str:
 
 
 def parse_word(group: CoxeterGroup, text: str) -> Element:
+    if not isinstance(text, str):
+        raise MalformedInput(f"a word must be a string, got {text!r}")
     text = text.strip()
     if text in ("e", ""):
         return group.identity
@@ -139,7 +141,7 @@ def parse_automorphism(group: CoxeterGroup, spec) -> CoxeterAutomorphism:
                 )
             return nontrivial[0]
         raise MalformedInput(f"cannot parse automorphism {spec!r}")
-    return CoxeterAutomorphism(group, [int(i) for i in spec])
+    return CoxeterAutomorphism(group, _nonnegatives(spec, "automorphism"))
 
 
 def extended_str(what: ExtendedElement) -> str:
@@ -161,6 +163,24 @@ def load_json(text: str) -> dict:
     return doc
 
 
+def parse_nonnegative(value, field: str) -> int:
+    """A non-negative integer of a datum document (an index or the central
+    rank): a JSON integer, or a string holding one, as object keys are
+    strings.  Anything else is MalformedInput."""
+    try:
+        if (type(value) is int or isinstance(value, str)) and int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise MalformedInput(f"{field}: expected a non-negative integer, got {value!r}")
+
+
+def _nonnegatives(values, field: str) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise MalformedInput(f"{field}: expected a list of integers, got {values!r}")
+    return [parse_nonnegative(v, field) for v in values]
+
+
 def zip_datum_from_json(doc: dict) -> tuple[ZipDatum, int]:
     """Build a zip datum from {"type", "I", "J"?, "psi", "central_rank"?};
     J defaults to the psi image."""
@@ -168,10 +188,14 @@ def zip_datum_from_json(doc: dict) -> tuple[ZipDatum, int]:
         group = build_group(doc["type"])
     except KeyError as exc:
         raise MalformedInput("datum document needs a 'type'") from exc
-    psi = {int(a): int(b) for a, b in dict(doc.get("psi", {})).items()}
-    I = frozenset(int(i) for i in doc.get("I", sorted(psi)))
-    J = frozenset(int(j) for j in doc.get("J", sorted(psi.values())))
-    central_rank = int(doc.get("central_rank", 0))
+    try:
+        psi_doc = dict(doc.get("psi", {}))
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"psi: expected an object, got {doc['psi']!r}") from exc
+    psi = {parse_nonnegative(a, "psi"): parse_nonnegative(b, "psi") for a, b in psi_doc.items()}
+    I = frozenset(_nonnegatives(doc.get("I", sorted(psi)), "I"))
+    J = frozenset(_nonnegatives(doc.get("J", sorted(psi.values())), "J"))
+    central_rank = parse_nonnegative(doc.get("central_rank", 0), "central_rank")
     return ZipDatum(group, I, J, psi), central_rank
 
 
@@ -232,14 +256,14 @@ def isogeny_datum_from_json(doc: dict) -> tuple[IsogenyDatum, int]:
 
     try:
         group = build_group(doc["type"])
-        I = frozenset(int(i) for i in doc["I"])
+        I = frozenset(_nonnegatives(doc["I"], "I"))
         x = parse_word(group, doc["x"])
     except KeyError as exc:
         raise MalformedInput(f"isogeny document missing {exc}") from exc
     phi_bar = parse_automorphism(group, doc.get("phi_bar", "id"))
     delta = parse_automorphism(group, doc.get("delta", "id"))
     frobenius = bool(doc.get("frobenius", False))
-    central_rank = int(doc.get("central_rank", 0))
+    central_rank = parse_nonnegative(doc.get("central_rank", 0), "central_rank")
     return (
         zip_datum_from_isogeny(group, phi_bar, delta, I, x, frobenius),
         central_rank,

@@ -176,14 +176,7 @@ def check_coset_identities(group: CoxeterGroup) -> list[str]:
                 sub_right = cosets.min_left_coset_reps(group, I_x, universe=J)
                 built_iw.update(x * wj_part for wj_part in sub_right)
                 count += len(group.parabolic_elements(I)) * len(sub_right)
-                I_cap_xJ = frozenset(
-                    i
-                    for i in I
-                    if group.simple_index_of_root(
-                        xi.act_on_root(group.simple_root_index(i))
-                    )
-                    in J
-                )
+                I_cap_xJ = frozenset(group.partial_map(xi.perm, I, {j: j for j in J}))
                 sub_left = cosets.min_right_coset_reps(group, I_cap_xJ, universe=I)
                 built_wj.update(w_i * x for w_i in sub_left)
             if built_iw != iw:
@@ -338,10 +331,9 @@ def check_kw(z: ZipDatum) -> list[str]:
         K = z.stable_subset(w)
         if K != oracles.kw_bruteforce(z, w):
             bad.append(f"{z!r}: stable subset != brute force at {word_str(w)}")
-        for s in K:
-            i = g.simple_index_of_root(w.act_on_root(g.simple_root_index(s)))
-            if i is None or i not in z.I or z.psi[i] not in K:
-                bad.append(f"{z!r}: stable subset not actually stable at {word_str(w)}")
+        f = g.partial_map(w.perm, K, z.psi)
+        if any(f.get(s) not in K for s in K):
+            bad.append(f"{z!r}: stable subset not actually stable at {word_str(w)}")
         hd = cosets.howlett_decompose(g, z.I, z.J, w)
         sub = z.induced_at(hd.middle)
         if sub.stable_subset(hd.right) != K:

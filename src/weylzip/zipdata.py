@@ -10,12 +10,12 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 * the canonical representative of any group element under the twisted
   equivalence relation (so membership of w in a piece is decidable), by
   the induction on numpy root-permutation rows, enumerating nothing,
-* the length-preserving bijection sigma between the two parameter sets,
-  found by one numpy gather over the root permutations of all y in W_I
-  and of their twists psi(y)^{-1},
-* the closure partial order: point queries by one gather over W_I and
-  the Bruhat lifting loop on root permutations, closure sets and the full
-  Hasse poset from the integer multiplication tables of W_U,
+* the W_I-twisted orbits y w psi(y)^{-1} by one numpy gather over the root
+  permutations of all y in W_I and of the psi(y)^{-1}: sigma picks the
+  member with no right descent in J, and the closure order tests orbits
+  against Bruhat order, point queries by the lifting loop on root
+  permutations, closure sets and the Hasse poset by down-set rows in the
+  integer multiplication tables of W_U,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Data may carry a `universe` subset U, in which case everything lives in
@@ -59,9 +59,9 @@ class ZipDatum:
     `psi` maps 1-based simple indices of I to those of J.  All caches are
     internal; public methods are pure.
 
-    Closure sets and posets come from one batched routine: the twisted
-    orbits of all parameters are walked over W_I in the integer tables of
-    W_U, and each target gets one Bruhat down-set row over W_U.
+    Every use of the W_I-twisted orbit y w psi(y)^{-1} (sigma, precedes,
+    closure sets, posets) goes through one gather, :meth:`_orbit_images`;
+    closure sets and posets cache its ShortLex positions in W_U per side.
     """
 
     def __init__(self, group: CoxeterGroup, I, J, psi: dict, universe=None):
@@ -76,6 +76,7 @@ class ZipDatum:
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
         self._params: dict[str, tuple[Element, ...]] = {}
+        self._orbits: dict[str, np.ndarray] = {}
 
     def _validate(self) -> None:
         allowed = self.universe
@@ -109,25 +110,27 @@ class ZipDatum:
         return self.group.parabolic_elements(self.I)
 
     @cached_property
-    def _w_I_walk(self) -> tuple[tuple[int, int], ...]:
-        """(s, parent) for each y after the identity in W_I, in ShortLex
-        order: y = s y' with s the first letter of the canonical word of y
-        and y' at position parent (the walk of the enumeration of W_I)."""
-        e = self.group.enumeration(self.I)
-        return tuple(zip(e.first[1:].tolist(), e.parent[1:].tolist()))
-
-    @cached_property
     def _psi_inverse_rows(self) -> np.ndarray:
         """Root permutations of psi(y)^{-1}, one int16 row per y in W_I in
-        ShortLex order.  psi(s y')^{-1} = psi(y')^{-1} psi(s), so the row of
-        y is the row of y' read through the reflection table of psi(s)."""
+        ShortLex order: the enumeration reaches y as s y', and psi(y)^{-1} =
+        psi(y')^{-1} psi(s) reads the row of y' through that of psi(s)."""
         g = self.group
-        refl = g.reflections
-        rows = np.empty((len(self._w_I_walk) + 1, 2 * g.num_positive), dtype=np.int16)
+        e = g.enumeration(self.I)
+        rows = np.empty_like(e.perms)
         rows[0] = np.arange(2 * g.num_positive)
-        for j, (s, parent) in enumerate(self._w_I_walk, 1):
-            rows[j] = rows[parent][refl[self.psi[s] - 1]]
+        for j, (s, parent) in enumerate(zip(e.first[1:].tolist(), e.parent[1:].tolist()), 1):
+            rows[j] = rows[parent][g.reflections[self.psi[s] - 1]]
         return rows
+
+    def _orbit_images(self, outer: np.ndarray, X, inner: np.ndarray, cols) -> np.ndarray:
+        """The twisted orbits of a stack X of int16 root-permutation rows (or
+        one row) in one gather: ``images[y, p, c]`` is the image of root
+        ``cols[c]`` under ``outer[y] X[p] inner[y]``, which is
+        y X[p] psi(y)^{-1} for outer the rows of W_I, inner the psi(y)^{-1}."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.int16))
+        # X[p][inner[y][cols[c]]], moved to [y, p, c]
+        middle = X[:, inner[:, cols]].swapaxes(0, 1)
+        return outer[np.arange(len(outer))[:, None, None], middle]
 
     # -- parameter sets and membership --
 
@@ -176,24 +179,13 @@ class ZipDatum:
             and self.in_universe(x)
         ):
             raise NotDoubleCosetRep("x is not minimal in W_I x W_J")
-        return self._induced_by_twist(self._twist_at(x.perm))
+        return self._induced_at_row(x.perm)
 
-    def _twist_at(self, x) -> dict[int, int]:
-        """The twist psi*inn(x) of the induced datum at x (a root
-        permutation): t -> psi(i) for the t in J with x(alpha_t) = alpha_i,
-        i in I."""
-        g = self.group
-        out = {}
-        for t in sorted(self.J):
-            i = g.simple_index_of_root(int(x[g.simple_root_index(t)]))
-            if i is not None and i in self.I:
-                out[t] = self.psi[i]
-        return out
-
-    def _induced_by_twist(self, psi_x: dict[int, int]) -> "ZipDatum":
-        """The induced datum with twist psi_x.  Its universe is J, so it
-        depends on (J, psi_x) alone and is cached on the group by that key,
-        shared by every datum that reaches it."""
+    def _induced_at_row(self, x) -> "ZipDatum":
+        """The induced datum at x (a root permutation), with universe J and
+        twist psi*inn(x).  It depends on (J, twist) alone and is cached on
+        the group by that key, shared by every datum that reaches it."""
+        psi_x = self.group.partial_map(x, self.J, self.psi)
         key = (self.J, tuple(sorted(psi_x.items())))
         got = self.group._induced.get(key)
         if got is None:
@@ -213,12 +205,7 @@ class ZipDatum:
         stable subset is the union of its cycles, found by a decreasing
         fixpoint."""
         self._require_param(w, "iw")
-        g = self.group
-        f = {}
-        for s in self.universe:
-            i = g.simple_index_of_root(w.act_on_root(g.simple_root_index(s)))
-            if i is not None and i in self.I:
-                f[s] = self.psi[i]
+        f = self.group.partial_map(w.perm, self.universe, self.psi)
         K = set(f)
         while True:
             K2 = {s for s in K if f[s] in K}
@@ -250,7 +237,7 @@ class ZipDatum:
                 left, x, right = cosets.howlett_rows(g, z.I, z.J, v)
                 rep = x if rep is None else rep[x]
                 v = cosets.word_row(g, [*right[::-1], *(z.psi[s] for s in left)])
-                z = z._induced_by_twist(z._twist_at(x))
+                z = z._induced_at_row(x)
             got = g.identity if rep is None else Element(g, tuple(rep.tolist()))
             self._canonical[w] = got
         return got
@@ -259,19 +246,17 @@ class ZipDatum:
 
     def sigma(self, w: Element) -> Element:
         """The image of w under the unique bijection from the "iw" to the
-        "wj" parameter set of the form y w psi(y)^{-1}, y in W_I.
-
-        One gather tests every y at once: the image of alpha_j under
-        y w psi(y)^{-1} is ``Y[y, w[P[y, alpha_j]]]``, with Y the root
-        permutations of W_I and P those of the psi(y)^{-1}.  The first y in
-        ShortLex order whose images of all alpha_j, j in J, are positive
-        gives sigma(w)."""
+        "wj" parameter set of the form y w psi(y)^{-1}, y in W_I: the first
+        member of the twisted orbit of w with no right descent in J."""
         self._require_param(w, "iw")
         got = self._sigma.get(w)
         if got is None:
-            Y = self.group.parabolic_perms(self.I)
-            perm = self._first_twist(Y, w.perm, self._psi_inverse_rows, self.J)
-            got = Element(self.group, tuple(perm.tolist()))
+            g, x = self.group, np.array(w.perm, dtype=np.int16)
+            Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
+            images = self._orbit_images(Y, x, P, [j - 1 for j in self.J])
+            k = np.flatnonzero((images < g.num_positive).all(axis=(1, 2)))[0]
+            perm = self._orbit_images(Y[k : k + 1], x, P[k : k + 1], slice(None))[0, 0]
+            got = Element(g, tuple(perm.tolist()))
             self._sigma[w] = got
         return got
 
@@ -279,26 +264,15 @@ class ZipDatum:
         """Inverse of sigma: the unique w with sigma(w) = wj.
 
         The mirror of :meth:`sigma`: w = y^{-1} wj psi(y) for the first y
-        whose inverse psi(y)^{-1} wj^{-1} y keeps every alpha_i, i in I,
-        positive (no left descent of w in I), tested for all y in one
-        gather."""
+        whose inverse psi(y)^{-1} wj^{-1} y has no right descent in I (so w
+        has no left descent in I)."""
         self._require_param(wj, "wj")
-        Y = self.group.parabolic_perms(self.I)
-        perm = self._first_twist(self._psi_inverse_rows, wj.inverse().perm, Y, self.I)
-        return Element(self.group, tuple(perm.tolist())).inverse()
-
-    def _first_twist(self, outer: np.ndarray, x, inner: np.ndarray, subset) -> np.ndarray:
-        """Root permutation of outer[y] x inner[y] for the first y (row of
-        outer and inner) that sends alpha_s positive for every s in subset."""
-        g = self.group
-        x = np.array(x, dtype=np.int16)
-        cols = [g.simple_root_index(s) for s in sorted(subset)]
-        images = np.take_along_axis(outer, x[inner[:, cols]], axis=1)
-        hits = (images < g.num_positive).all(axis=1)
-        k = int(hits.argmax())
-        if not hits[k]:  # unreachable: existence is a theorem, re-checked in tests
-            raise AssertionError("twisted W_I search failed")
-        return outer[k][x[inner[k]]]
+        g, x = self.group, np.array(wj.inverse().perm, dtype=np.int16)
+        Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
+        images = self._orbit_images(P, x, Y, [i - 1 for i in self.I])
+        k = np.flatnonzero((images < g.num_positive).all(axis=(1, 2)))[0]
+        perm = self._orbit_images(P[k : k + 1], x, Y[k : k + 1], slice(None))[0, 0]
+        return Element(g, tuple(perm.tolist())).inverse()
 
     # -- closure order --
 
@@ -306,16 +280,15 @@ class ZipDatum:
         """The closure partial order: wp precedes w iff some y in W_I has
         y wp psi(y)^{-1} below w in Bruhat order.
 
-        The candidates for all y come from one gather, as in :meth:`sigma`,
-        and go through the Bruhat kernel as one stack; no tables of W_U are
-        built."""
+        The twisted orbit of wp comes from one gather, as in :meth:`sigma`,
+        and goes through the Bruhat kernel as one stack; no tables of W_U
+        are built."""
         _check_side(side)
         self._require_param(wp, side)
         self._require_param(w, side)
         Y = self.group.parabolic_perms(self.I)
-        x = np.array(wp.perm, dtype=np.int16)
-        cands = np.take_along_axis(Y, x[self._psi_inverse_rows], axis=1)
-        return bool(self.group.bruhat_below(cands, w.canonical_word()).any())
+        orbit = self._orbit_images(Y, wp.perm, self._psi_inverse_rows, slice(None))
+        return bool(self.group.bruhat_below(orbit[:, 0], w.canonical_word()).any())
 
     def closure_set(self, w: Element, side: str = "iw") -> tuple[Element, ...]:
         """All parameter-set elements preceding w, ShortLex ordered."""
@@ -334,28 +307,28 @@ class ZipDatum:
         params = self.param_set(side)
         if targets is None:
             targets = params
-        t = self.group.tables(self.universe)
-        # the positions of the parameters, read off the descent masks
-        I, J = (self.I, ()) if side == "iw" else ((), self.J)
-        orbit = self._twisted_orbits(
-            t, cosets.descent_free_positions(self.group, I, J, self.universe)
-        )
+        orbit = self._orbit_positions(side)
         rel = np.zeros((len(params), len(targets)), dtype=bool)
         words = [w.canonical_word() for w in targets]
-        for b, down in _down_rows(t, words, side == "iw"):
+        for b, down in _down_rows(self.group.tables(self.universe), words, side == "iw"):
             rel[:, b] = down[orbit].any(axis=0)
         return rel
 
-    def _twisted_orbits(self, t: GroupTables, positions) -> np.ndarray:
-        """Positions of y p psi(y)^{-1}: one row per y in W_I (ShortLex), one
-        column per parameter p, given by its position.  With y = s y', the
-        row of y is the row of y' multiplied by s on the left and by psi(s)
-        on the right."""
-        orbit = np.empty((len(self._w_I_walk) + 1, len(positions)), dtype=np.int32)
-        orbit[0] = positions
-        for j, (s, parent) in enumerate(self._w_I_walk, 1):
-            orbit[j] = t.lmul[s - 1][t.rmul[self.psi[s] - 1][orbit[parent]]]
-        return orbit
+    def _orbit_positions(self, side: str) -> np.ndarray:
+        """ShortLex positions in W_U of y p psi(y)^{-1}, one row per y in W_I
+        and one column per parameter p of the side, cached per side; the
+        images of the simple roots of U are the tables' lookup keys."""
+        got = self._orbits.get(side)
+        if got is None:
+            g, U = self.group, sorted(self.universe)
+            I, J = (self.I, ()) if side == "iw" else ((), self.J)
+            params = g.parabolic_perms(U)[cosets.descent_free_positions(g, I, J, U)]
+            Y, P, cols = g.parabolic_perms(self.I), self._psi_inverse_rows, [u - 1 for u in U]
+            images = self._orbit_images(Y, params, P, cols)
+            n_y, n_p, c = images.shape
+            got = g.tables(U).lookup(images.reshape(n_y * n_p, c)).reshape(n_y, n_p)
+            self._orbits[side] = got
+        return got
 
     def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> "ClosurePoset":
         """The full closure poset on the chosen parameter set, with cover

@@ -152,6 +152,41 @@ def test_malformed_inputs_exit_2(tmp_path):
     assert code == 2
     code, _ = run_cli(["closure", *A2_ARGS, "--w", "1"])  # not a minimal rep
     assert code == 2
+    code, _ = run_cli(["pieces", *A2_ARGS, "--central-rank", "-3"])
+    assert code == 2
+    # malformed fields of datum documents
+    a2 = {"type": "A2", "I": [1], "psi": {"1": 2}}
+    isogeny = {"type": "A3", "phi_bar": "id", "delta": "id", "I": [1], "x": "1,2"}
+    for command, doc in [
+        ("pieces", {**a2, "I": "x"}),
+        ("pieces", {**a2, "I": [1.5]}),
+        ("pieces", {**a2, "I": [True]}),
+        ("pieces", {**a2, "psi": {"a": 2}}),
+        ("pieces", {**a2, "psi": 5}),
+        ("pieces", {**a2, "type": 5}),
+        ("pieces", {**a2, "central_rank": None}),
+        ("pieces", {**a2, "central_rank": "x"}),
+        ("pieces", {**a2, "central_rank": -1}),
+        ("isogeny", {**isogeny, "I": "x"}),
+        ("isogeny", {**isogeny, "I": [1.5]}),
+        ("isogeny", {**isogeny, "type": 5}),
+        ("isogeny", {**isogeny, "x": 5}),
+        ("isogeny", {**isogeny, "phi_bar": 5}),
+        ("isogeny", {**isogeny, "central_rank": None}),
+        ("isogeny", {**isogeny, "central_rank": -3}),
+    ]:
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli([command, "--datum", str(path)])
+        assert code == 2, doc
+
+
+def test_datum_documents_read_integer_strings(tmp_path):
+    path = tmp_path / "datum.json"
+    doc = {"type": "A2", "I": ["1"], "psi": {"1": 2}, "central_rank": "2"}
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["pieces", "--datum", str(path)])
+    assert code == 0
+    assert out.splitlines()[1].split() == ["e", "0", "8", "2", "{}"]
 
 
 def test_verify_quick_exits_zero():

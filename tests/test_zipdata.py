@@ -432,7 +432,36 @@ def test_relation_matrix_in_a_smaller_universe(a3):
         for side in ("iw", "wj"):
             params = sub.param_set(side)
             expect = [[sub.precedes(a, b, side) for b in params] for a in params]
-            assert sub._relation_matrix(side).tolist() == expect
+            rel = sub._relation_matrix(side)
+            assert rel.tolist() == expect
+            for b, w in enumerate(params):
+                hits = [p for p, hit in zip(params, rel[:, b]) if hit]
+                assert sub.closure_set(w, side) == tuple(hits)
+
+
+def twisted_data():
+    """The data induced from A3 I={1,2} -> {2,3} (universes {2,3}, twists
+    among them non-identity) and a D5 datum twisted by 4 <-> 5."""
+    a3 = build_group("A3")
+    z = ZipDatum(a3, {1, 2}, {2, 3}, {1: 2, 2: 3})
+    induced = [z.induced_at(x) for x in min_double_coset_reps(a3, z.I, z.J)]
+    assert any(sub.universe != z.universe and any(a != b for a, b in sub.psi.items())
+               for sub in induced)
+    return induced + [ZipDatum(build_group("D5"), {2, 3, 4}, {2, 3, 5}, {2: 2, 3: 3, 4: 5})]
+
+
+@pytest.mark.parametrize("z", twisted_data(), ids=repr)
+def test_orbit_gather_matches_element_products(z):
+    g = z.group
+    t = g.tables(z.universe)
+    twists = [
+        (y, g.from_word([z.psi[i] for i in y.canonical_word()]).inverse())
+        for y in shortlex_oracle(g, z.I)
+    ]
+    for side in ("iw", "wj"):
+        params = z.param_set(side)
+        expect = [t.index_of([y * p * py for p in params]).tolist() for y, py in twists]
+        assert z._orbit_positions(side).tolist() == expect
 
 
 @pytest.mark.parametrize("label,I", [("F4", {1}), ("D5", {1, 2})])
