@@ -13,11 +13,11 @@ the left and right descent masks of every element (read off the rows and
 their inverses), so coset representatives are mask filters, and the walk
 that reaches each element from its parent by one simple reflection, from
 which canonical words are read.  Elements are built only at the positions
-a caller asks for (:meth:`CoxeterGroup.elements_at`).  The same rows give
-the integer multiplication tables of W_S (:class:`GroupTables`), built on
-first use.  Root subsets Phi_S, Phi_S^+ and the positive roots outside
-Phi_S are cached per subset.  Bruhat order is one lifting loop on root
-permutations (:meth:`CoxeterGroup.bruhat_below`), which enumerates
+a caller asks for (:meth:`CoxeterGroup.elements_at`).  The same walk
+gives the integer multiplication tables of W_S (:class:`GroupTables`),
+built on first use.  Root subsets Phi_S, Phi_S^+ and the positive roots
+outside Phi_S are cached per subset.  Bruhat order is one lifting loop on
+root permutations (:meth:`CoxeterGroup.bruhat_below`), which enumerates
 nothing.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
@@ -303,10 +303,18 @@ class GroupTables:
     ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
     ``length[k]`` is ``l(w_k)``, and :meth:`index_of` and :meth:`lookup` map
     elements of W_S to their positions.
+
+    Both tables are read off the ShortLex walk.  ``lmul[s - 1]`` is an
+    involution pairing w with s w; the walk already pairs w_k with its parent
+    when s = ``first[k]``, so only the w_k with some other left descent s
+    are looked up, and each pair fills both of its ends.  Then
+    ``w_k s = first[k] (w_parent s)`` gives ``rmul`` with no lookup, one
+    gather through ``lmul`` per length layer, parents before children.
     """
 
-    def __init__(self, group: "CoxeterGroup", subset: frozenset[int], perms: np.ndarray):
+    def __init__(self, group: "CoxeterGroup", subset: frozenset[int], e: ShortLex):
         m = group.num_positive
+        perms = e.perms
         self.subset = subset
         self.length = (perms[:, :m] >= m).sum(axis=1).astype(np.int16)
         n = len(perms)
@@ -339,12 +347,21 @@ class GroupTables:
         self._position = np.empty(n, dtype=np.int32)
         self._position[code] = np.arange(n, dtype=np.int32)
 
-        refl = np.array(group._reflect_tables, dtype=np.int64)
         self.lmul = np.full((group.rank, n), -1, dtype=np.int32)
         self.rmul = np.full((group.rank, n), -1, dtype=np.int32)
         for s in subset:
-            self.lmul[s - 1] = self.lookup(refl[s - 1][keys])
-            self.rmul[s - 1] = self.lookup(perms[:, refl[s - 1][self._cols]])
+            upper = np.flatnonzero(e.left[:, s - 1])  # the longer end of each pair
+            lower = e.parent[upper]
+            other = e.first[upper] != s
+            lower[other] = self.lookup(group.reflections[s - 1][keys[upper[other]]])
+            self.lmul[s - 1, upper] = lower
+            self.lmul[s - 1, lower] = upper
+        gens = np.array(sorted(subset), dtype=np.intp) - 1
+        self.rmul[gens, 0] = self.lmul[gens, 0]
+        starts = np.flatnonzero(np.diff(self.length)) + 1
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            below = self.rmul[gens[:, None], e.parent[lo:hi]]
+            self.rmul[gens, lo:hi] = self.lmul[e.first[lo:hi] - 1, below]
 
     def _fold(self, code: np.ndarray, cols: np.ndarray) -> np.ndarray:
         for col in cols.T:
@@ -583,7 +600,7 @@ class CoxeterGroup:
                     f"|W_S| = {order} for S = {sorted(key)} exceeds the "
                     f"enumeration bound {self.enumeration_bound}"
                 )
-            got = self._shortlex(tuple(sorted(key)))
+            got = self._shortlex(tuple(sorted(key)), order)
             self._enumerations[key] = got
         return got
 
@@ -645,54 +662,48 @@ class CoxeterGroup:
         e = self.enumeration(subset)
         return e.left, e.right
 
-    def _shortlex(self, gens: tuple[int, ...]) -> ShortLex:
-        """The enumeration of W_gens in ShortLex order.
+    def _shortlex(self, gens: tuple[int, ...], order: int) -> ShortLex:
+        """The enumeration of W_gens, of the given order, in ShortLex order.
 
         The canonical word of w is (s,) + word(s w) with s the smallest left
         descent of w.  So layer k + 1 is, in ShortLex order: for s ascending,
         for u in layer k in order, s u whenever s is not a left descent of u
         and no t < s is a left descent of s u.  No set and no sort is needed,
-        and (s, position of u) is the walk.  While the layers grow the rows
-        hold inverse permutations, since t is a left descent of u iff u^-1
-        sends alpha_t to a negative root, and (s u)^-1 (alpha_t) =
-        u^-1 (s alpha_t).  The left descent masks are read off those inverse
-        rows, the right ones off the rows."""
+        and (s, position of u) is the walk.  Each step writes two rows into
+        arrays of ``order`` rows: the row of s u, the value gather
+        ``reflections[s - 1][u]``, and its inverse u^-1 s, the column gather
+        ``u^-1[reflections[s - 1]]``.  The inverse rows decide the descents,
+        since t is a left descent of u iff u^-1 sends alpha_t to a negative
+        root, and (s u)^-1 (alpha_t) = u^-1 (s alpha_t).  The left descent
+        masks are read off the inverse rows, the right ones off the rows."""
         m = self.num_positive
         refl = self.reflections
-        layer = np.arange(2 * m, dtype=np.int16)[None, :]
-        layers, start = [layer], 0
-        firsts, parents = [np.zeros(1, dtype=np.int16)], [np.zeros(1, dtype=np.int32)]
-        while True:
-            blocks = []
+        refl16 = refl.astype(np.int16)
+        perms = np.empty((order, 2 * m), dtype=np.int16)
+        inverses = np.empty_like(perms)
+        first = np.zeros(order, dtype=np.int16)
+        parent = np.zeros(order, dtype=np.int32)
+        perms[0] = inverses[0] = np.arange(2 * m)
+        start, end = 0, 1  # the current layer
+        while start < end:
+            layer, top = inverses[start:end], end
             for s in gens:
                 keep = layer[:, s - 1] < m
                 for t in gens:
                     if t >= s:
                         break
                     keep &= layer[:, refl[s - 1, t - 1]] < m
-                rows = np.flatnonzero(keep)
-                blocks.append(layer[rows][:, refl[s - 1]])
-                firsts.append(np.full(len(rows), s, dtype=np.int16))
-                parents.append((start + rows).astype(np.int32))
-            start += len(layer)
-            layer = np.concatenate(blocks) if blocks else layer[:0]
-            if not len(layer):
-                break
-            layers.append(layer)
-        inverses = np.concatenate(layers)
-        del layers
-        perms = np.empty_like(inverses)
-        every = np.arange(len(inverses))
-        for r in range(2 * m):
-            perms[every, inverses[:, r]] = r
+                rows = start + np.flatnonzero(keep)
+                new = slice(top, top + len(rows))
+                np.take(refl16[s - 1], perms[rows], out=perms[new])
+                inverses[new] = inverses[rows][:, refl[s - 1]]
+                first[new] = s
+                parent[new] = rows
+                top += len(rows)
+            start, end = end, top
+        assert end == order, f"the walk reached {end} of {order} elements"
         simple = slice(0, self.rank)  # the simple roots sit at indices 0..rank-1
-        out = ShortLex(
-            perms,
-            inverses[:, simple] >= m,
-            perms[:, simple] >= m,
-            np.concatenate(firsts),
-            np.concatenate(parents),
-        )
+        out = ShortLex(perms, inverses[:, simple] >= m, perms[:, simple] >= m, first, parent)
         for array in out:
             array.flags.writeable = False
         return out
@@ -703,7 +714,7 @@ class CoxeterGroup:
         key = frozenset(self.simple_indices if subset is None else subset)
         got = self._tables.get(key)
         if got is None:
-            got = GroupTables(self, key, self.parabolic_perms(key))
+            got = GroupTables(self, key, self.enumeration(key))
             self._tables[key] = got
         return got
 

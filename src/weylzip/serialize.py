@@ -82,6 +82,8 @@ def parse_psi(text: str) -> dict[int, int]:
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse 1-based cycle notation like "(1 2)(3 4)"; "e" and "()" denote
     the identity."""
+    if not isinstance(text, str):
+        raise MalformedInput(f"a permutation must be a string, got {text!r}")
     text = text.strip()
     perm = list(range(degree))
     if text in ("e", "()", ""):
@@ -175,6 +177,22 @@ def parse_nonnegative(value, field: str) -> int:
     raise MalformedInput(f"{field}: expected a non-negative integer, got {value!r}")
 
 
+def _list(values, field: str):
+    """A list field of a datum document; anything else is MalformedInput."""
+    if not isinstance(values, (list, tuple)):
+        raise MalformedInput(f"{field}: expected a list, got {values!r}")
+    return values
+
+
+def _object(value, field: str) -> dict:
+    """An object field of a datum document as a dict; anything dict() cannot
+    read is MalformedInput."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{field}: expected an object, got {value!r}") from exc
+
+
 def _nonnegatives(values, field: str) -> list[int]:
     if not isinstance(values, (list, tuple)):
         raise MalformedInput(f"{field}: expected a list of integers, got {values!r}")
@@ -188,10 +206,7 @@ def zip_datum_from_json(doc: dict) -> tuple[ZipDatum, int]:
         group = build_group(doc["type"])
     except KeyError as exc:
         raise MalformedInput("datum document needs a 'type'") from exc
-    try:
-        psi_doc = dict(doc.get("psi", {}))
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"psi: expected an object, got {doc['psi']!r}") from exc
+    psi_doc = _object(doc.get("psi", {}), "psi")
     psi = {parse_nonnegative(a, "psi"): parse_nonnegative(b, "psi") for a, b in psi_doc.items()}
     I = frozenset(_nonnegatives(doc.get("I", sorted(psi)), "I"))
     J = frozenset(_nonnegatives(doc.get("J", sorted(psi.values())), "J"))
@@ -205,10 +220,10 @@ def abstract_datum_from_json(doc: dict) -> AbstractZipDatum:
     from .abstract import AbstractZipDatum, FiniteGroup, identity_perm
 
     try:
-        degree = int(doc["domain"])
-        gamma_gens = [parse_cycles(t, degree) for t in doc["gamma_gens"]]
-        delta_gens = [parse_cycles(t, degree) for t in doc["delta_gens"]]
-        psi_doc = dict(doc["psi"])
+        degree = parse_nonnegative(doc["domain"], "domain")
+        gamma_gens = [parse_cycles(t, degree) for t in _list(doc["gamma_gens"], "gamma_gens")]
+        delta_gens = [parse_cycles(t, degree) for t in _list(doc["delta_gens"], "delta_gens")]
+        psi_doc = _object(doc["psi"], "psi")
     except KeyError as exc:
         raise MalformedInput(f"abstract datum document missing {exc}") from exc
     group = FiniteGroup(degree, gamma_gens or [identity_perm(degree)])
@@ -232,10 +247,12 @@ def extended_datum_from_json(doc: dict) -> ExtendedZipDatum:
 
     base, _ = zip_datum_from_json(doc)
     group = base.group
-    omega_gens = [parse_automorphism(group, g) for g in doc.get("omega_gens", [])]
-    omega_I_gens = [parse_automorphism(group, g) for g in doc.get("omega_I_gens", [])]
+    omega_gens, omega_I_gens = (
+        [parse_automorphism(group, g) for g in _list(doc.get(field, []), field)]
+        for field in ("omega_gens", "omega_I_gens")
+    )
     psi_hat_doc = {}
-    for key, value in dict(doc.get("psi_hat", {})).items():
+    for key, value in _object(doc.get("psi_hat", {}), "psi_hat").items():
         try:
             parsed_key = parse_automorphism(group, json.loads(key))
         except (json.JSONDecodeError, TypeError) as exc:

@@ -47,6 +47,10 @@ if TYPE_CHECKING:
 
 SIDES = ("iw", "wj")
 
+#: About how many orbit members :meth:`ZipDatum._orbit_positions` gathers and
+#: looks up at once; its int64 lookup temporaries hold a few times this many.
+_ORBIT_CHUNK = 4096
+
 
 def _check_side(side: str) -> None:
     if side not in SIDES:
@@ -255,8 +259,8 @@ class ZipDatum:
             Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
             images = self._orbit_images(Y, x, P, [j - 1 for j in self.J])
             k = np.flatnonzero((images < g.num_positive).all(axis=(1, 2)))[0]
-            perm = self._orbit_images(Y[k : k + 1], x, P[k : k + 1], slice(None))[0, 0]
-            got = Element(g, tuple(perm.tolist()))
+            # the row of y w psi(y)^{-1} for that y, composed directly
+            got = Element(g, tuple(Y[k][x[P[k]]].tolist()))
             self._sigma[w] = got
         return got
 
@@ -271,8 +275,7 @@ class ZipDatum:
         Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
         images = self._orbit_images(P, x, Y, [i - 1 for i in self.I])
         k = np.flatnonzero((images < g.num_positive).all(axis=(1, 2)))[0]
-        perm = self._orbit_images(P[k : k + 1], x, Y[k : k + 1], slice(None))[0, 0]
-        return Element(g, tuple(perm.tolist())).inverse()
+        return Element(g, tuple(P[k][x[Y[k]]].tolist())).inverse()
 
     # -- closure order --
 
@@ -317,16 +320,21 @@ class ZipDatum:
     def _orbit_positions(self, side: str) -> np.ndarray:
         """ShortLex positions in W_U of y p psi(y)^{-1}, one row per y in W_I
         and one column per parameter p of the side, cached per side; the
-        images of the simple roots of U are the tables' lookup keys."""
+        images of the simple roots of U are the tables' lookup keys, gathered
+        and looked up for a few parameters at a time, so that the temporaries
+        stay near ``_ORBIT_CHUNK`` keys whatever the size of W_U."""
         got = self._orbits.get(side)
         if got is None:
             g, U = self.group, sorted(self.universe)
             I, J = (self.I, ()) if side == "iw" else ((), self.J)
             params = g.parabolic_perms(U)[cosets.descent_free_positions(g, I, J, U)]
             Y, P, cols = g.parabolic_perms(self.I), self._psi_inverse_rows, [u - 1 for u in U]
-            images = self._orbit_images(Y, params, P, cols)
-            n_y, n_p, c = images.shape
-            got = g.tables(U).lookup(images.reshape(n_y * n_p, c)).reshape(n_y, n_p)
+            t = g.tables(U)
+            got = np.empty((len(Y), len(params)), dtype=np.int32)
+            step = max(1, _ORBIT_CHUNK // len(Y))
+            for a in range(0, len(params), step):
+                images = self._orbit_images(Y, params[a : a + step], P, cols)
+                got[:, a : a + step] = t.lookup(images.reshape(-1, len(cols))).reshape(len(Y), -1)
             self._orbits[side] = got
         return got
 

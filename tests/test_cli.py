@@ -157,6 +157,10 @@ def test_malformed_inputs_exit_2(tmp_path):
     # malformed fields of datum documents
     a2 = {"type": "A2", "I": [1], "psi": {"1": 2}}
     isogeny = {"type": "A3", "phi_bar": "id", "delta": "id", "I": [1], "x": "1,2"}
+    abstract = {"domain": 3, "gamma_gens": ["(1 2)"], "delta_gens": ["(1 2)"],
+                "psi": {"(1 2)": "(1 2)"}}
+    nonconnected = {"type": "A1xA1", "I": [], "psi": {}, "omega_gens": [[2, 1]],
+                    "omega_I_gens": [[2, 1]], "psi_hat": {"[2, 1]": [2, 1]}}
     for command, doc in [
         ("pieces", {**a2, "I": "x"}),
         ("pieces", {**a2, "I": [1.5]}),
@@ -174,6 +178,14 @@ def test_malformed_inputs_exit_2(tmp_path):
         ("isogeny", {**isogeny, "phi_bar": 5}),
         ("isogeny", {**isogeny, "central_rank": None}),
         ("isogeny", {**isogeny, "central_rank": -3}),
+        ("abstract", {**abstract, "domain": "x"}),
+        ("abstract", {**abstract, "domain": 4.5}),
+        ("abstract", {**abstract, "psi": 5}),
+        ("abstract", {**abstract, "gamma_gens": 5}),
+        ("abstract", {**abstract, "delta_gens": [5]}),
+        ("nonconnected", {**nonconnected, "omega_gens": 5}),
+        ("nonconnected", {**nonconnected, "omega_I_gens": 5}),
+        ("nonconnected", {**nonconnected, "psi_hat": 5}),
     ]:
         path.write_text(json.dumps(doc))
         code, _ = run_cli([command, "--datum", str(path)])

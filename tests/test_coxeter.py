@@ -239,11 +239,18 @@ def test_layered_enumeration_matches_sorted_closure(label):
     assert g.elements() is g.parabolic_elements(g.simple_indices)
 
 
-@pytest.mark.parametrize("label", sorted(ENUMERATION_SUBSETS))
+# the whole group, S empty and a disconnected S; and the whole of D6
+WALK_SUBSETS = {
+    **{label: subsets[:3] for label, subsets in ENUMERATION_SUBSETS.items()},
+    "D6": [(1, 2, 3, 4, 5, 6)],
+}
+
+
+@pytest.mark.parametrize("label", sorted(WALK_SUBSETS))
 def test_walk_spells_the_canonical_words(label):
     g = build_group(label)
     refl = g.reflections
-    for S in ENUMERATION_SUBSETS[label][:3]:  # all, empty, disconnected
+    for S in WALK_SUBSETS[label]:
         e = g.enumeration(S)
         words = [()]
         for s, parent in zip(e.first[1:].tolist(), e.parent[1:].tolist()):
@@ -345,23 +352,48 @@ def test_automorphism_products_equal_validated_ones(label):
             parse_automorphism(g, list(bad))
 
 
-@pytest.mark.parametrize("label,S", [("A6", None), ("F4", None), ("D5", (1, 2, 4))])
+@pytest.mark.parametrize(
+    "label,S",
+    [("A6", None), ("F4", None), ("D5", (1, 2, 4)), ("A3", None), ("B3", None),
+     ("G2", None), ("A6", (1, 3, 5)), ("D5", (2, 3, 5)), ("x".join(["A1"] * 14), None)],
+)
 def test_tables_match_element_products(label, S):
     g = build_group(label)
     t = g.tables(S)
     S = g.simple_indices if S is None else S
     elems = g.parabolic_elements(S)
+    position = {w.perm: k for k, w in enumerate(elems)}
+    assert t.length.tolist() == [w.length for w in elems]
+    # every entry of both tables, by Element products
+    for s in g.simple_indices:
+        if s not in S:
+            assert (t.lmul[s - 1] == -1).all() and (t.rmul[s - 1] == -1).all()
+            continue
+        x = g.simple(s)
+        assert t.lmul[s - 1].tolist() == [position[(x * w).perm] for w in elems]
+        assert t.rmul[s - 1].tolist() == [position[(w * x).perm] for w in elems]
     rng = random.Random(7)
-    for k in rng.sample(range(len(elems)), min(200, len(elems))):
-        w = elems[k]
-        assert t.length[k] == w.length
-        for s in S:
-            assert elems[t.lmul[s - 1, k]] == g.simple(s) * w
-            assert elems[t.rmul[s - 1, k]] == w * g.simple(s)
     sample = rng.sample(elems, min(50, len(elems)))
     assert [elems[i] for i in t.index_of(sample)] == sample
-    with pytest.raises(GroupMismatch):
-        g.tables((1,)).index_of([g.simple(2)])
+    if g.coxeter_m(1, 2) > 2:  # else s_2 fixes alpha_1, the key of W_{1}
+        with pytest.raises(GroupMismatch):
+            g.tables((1,)).index_of([g.simple(2)])
+
+
+@pytest.mark.parametrize("label", ["D6", "E6"])
+def test_whole_group_tables_on_a_seeded_sample(label):
+    g = build_group(label)
+    t, perms = g.tables(), g.enumeration(g.simple_indices).perms
+
+    def row(k):
+        return tuple(perms[k].tolist())
+
+    for k in random.Random(10).sample(range(len(perms)), 200):
+        w = Element(g, row(k))
+        assert t.length[k] == w.length
+        for s in g.simple_indices:
+            assert row(t.lmul[s - 1, k]) == (g.simple(s) * w).perm
+            assert row(t.rmul[s - 1, k]) == (w * g.simple(s)).perm
 
 
 def test_tables_keys_exceed_one_int64():
