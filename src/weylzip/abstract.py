@@ -2,29 +2,20 @@
 
 Permutations are tuples of 0-based images ("one-line" form); composition
 is (a*b)(i) = a[b[i]].  The key object is the largest subgroup E of
-gamma^{-1} Delta gamma carried onto itself by psi * inn(gamma): for
-injective psi it is found by a decreasing fixpoint, otherwise by a
-bounded brute force over the subgroup lattice.
+gamma^{-1} Delta gamma carried onto itself by psi * inn(gamma), found for
+every psi by a decreasing fixpoint followed by iterated images.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import (
-    ElementNotInGroup,
-    LatticeTooLarge,
-    NotAHomomorphism,
-    TooLargeToEnumerate,
-)
+from .errors import ElementNotInGroup, NotAHomomorphism, TooLargeToEnumerate
 
 Perm = tuple[int, ...]
 
 #: Default cap on full element enumeration of a FiniteGroup.
 ORDER_BOUND = 100_000
-
-#: Default cap on |gamma^{-1} Delta gamma| for subgroup-lattice brute force.
-LATTICE_BOUND = 48
 
 
 def identity_perm(degree: int) -> Perm:
@@ -42,16 +33,19 @@ def inverse(a: Perm) -> Perm:
     return tuple(out)
 
 
-def close_subgroup(degree: int, generators: Iterable[Perm], bound: int | None = None) -> frozenset[Perm]:
-    """Subgroup generated by the given permutations (BFS closure)."""
-    gens = [tuple(g) for g in generators]
-    seen = {identity_perm(degree)}
-    frontier = list(seen)
+def closure(identity: Hashable, gens: Iterable, mul: Callable,
+            bound: int | None = None) -> frozenset:
+    """The monoid generated by `gens` under `mul` (a group, when it is
+    finite), by breadth-first search from `identity`; TooLargeToEnumerate
+    once it passes `bound` elements."""
+    gens = list(gens)
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         new = []
         for a in frontier:
             for g in gens:
-                ag = mult(a, g)
+                ag = mul(a, g)
                 if ag not in seen:
                     seen.add(ag)
                     new.append(ag)
@@ -61,34 +55,6 @@ def close_subgroup(degree: int, generators: Iterable[Perm], bound: int | None = 
                         )
         frontier = new
     return frozenset(seen)
-
-
-def subgroup_lattice(elements: frozenset[Perm]) -> tuple[frozenset[Perm], ...]:
-    """All subgroups of a small group, by closing joins of cyclic subgroups."""
-    degree = len(next(iter(elements)))
-    e = identity_perm(degree)
-    cyclics = set()
-    for g in elements:
-        sub = [e]
-        x = g
-        while x != e:
-            sub.append(x)
-            x = mult(x, g)
-        cyclics.add(frozenset(sub))
-    lattice = {frozenset([e])} | cyclics
-    frontier = list(lattice)
-    while frontier:
-        new = []
-        for H in frontier:
-            for C in cyclics:
-                if C <= H:
-                    continue
-                join = close_subgroup(degree, tuple(H | C))
-                if join not in lattice:
-                    lattice.add(join)
-                    new.append(join)
-        frontier = new
-    return tuple(sorted(lattice, key=lambda H: (len(H), sorted(H))))
 
 
 class FiniteGroup:
@@ -121,7 +87,7 @@ class FiniteGroup:
 
     def elements(self) -> tuple[Perm, ...]:
         if self._elements is None:
-            closed = close_subgroup(self.degree, self.generators, self.order_bound)
+            closed = closure(self.identity, self.generators, mult, self.order_bound)
             self._element_set = closed
             self._elements = tuple(sorted(closed))
         return self._elements
@@ -138,18 +104,20 @@ class FiniteGroup:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
 
 
-def extend_homomorphism(degree: int, gens: Sequence[Perm], images: Sequence[Perm]) -> dict[Perm, Perm]:
-    """Extend generator images to the whole generated subgroup, failing if
-    the assignment is inconsistent on any product."""
-    table: dict[Perm, Perm] = {identity_perm(degree): identity_perm(degree)}
-    frontier = [identity_perm(degree)]
+def extend_homomorphism(identity: Hashable, image_identity: Hashable, gens: Sequence,
+                        images: Sequence, mul: Callable) -> dict:
+    """Extend generator images to the whole generated group, by
+    breadth-first search over products; NotAHomomorphism if two words for
+    the same element get different images."""
+    table = {identity: image_identity}
+    frontier = [identity]
     while frontier:
         new = []
         for a in frontier:
             fa = table[a]
             for g, fg in zip(gens, images):
-                ag = mult(a, g)
-                fag = mult(fa, fg)
+                ag = mul(a, g)
+                fag = mul(fa, fg)
                 known = table.get(ag)
                 if known is None:
                     table[ag] = fag
@@ -166,29 +134,25 @@ class AbstractZipDatum:
     """(Gamma, Delta, psi) with Delta a subgroup of Gamma and psi a
     homomorphism Delta -> Gamma, given as explicit element data."""
 
-    def __init__(self, group: FiniteGroup, delta: Iterable[Perm],
-                 psi: dict[Perm, Perm], lattice_bound: int = LATTICE_BOUND):
+    def __init__(self, group: FiniteGroup, delta: Iterable[Perm], psi: dict[Perm, Perm]):
         self.group = group
         self.delta = frozenset(tuple(d) for d in delta)
         self.psi = {tuple(a): tuple(b) for a, b in psi.items()}
-        self.lattice_bound = lattice_bound
         self._validate()
         self.psi_injective = len(set(self.psi.values())) == len(self.psi)
         self._stable: dict[Perm, frozenset[Perm]] = {}
 
     @classmethod
     def from_generators(cls, group: FiniteGroup, delta_gens: Sequence[Perm],
-                        psi_images: Sequence[Perm],
-                        lattice_bound: int = LATTICE_BOUND) -> "AbstractZipDatum":
+                        psi_images: Sequence[Perm]) -> "AbstractZipDatum":
         """Build from generators of Delta and their images under psi."""
-        degree = group.degree
         gens = [tuple(g) for g in delta_gens]
         images = [tuple(h) for h in psi_images]
         for g in gens:
             if g not in group:
                 raise ElementNotInGroup(f"Delta generator {g} lies outside Gamma")
-        psi = extend_homomorphism(degree, gens, images)
-        return cls(group, frozenset(psi), psi, lattice_bound)
+        psi = extend_homomorphism(group.identity, group.identity, gens, images, mult)
+        return cls(group, frozenset(psi), psi)
 
     def _validate(self) -> None:
         gamma_set = self.group.element_set()
@@ -219,8 +183,16 @@ class AbstractZipDatum:
         return theta
 
     def stable_subgroup(self, gamma: Perm) -> frozenset[Perm]:
-        """The largest subgroup E of gamma^{-1} Delta gamma with
-        psi(gamma E gamma^{-1}) = E."""
+        """The largest subgroup E of H = gamma^{-1} Delta gamma with
+        theta(E) = E, where theta(c) = psi(gamma c gamma^{-1}).
+
+        theta is a homomorphism H -> Gamma.  The decreasing fixpoint
+        E_0 = H, E_{n+1} = E_n n theta^{-1}(E_n) ends at the largest
+        subgroup E_oo with theta(E_oo) <= E_oo.  Its images theta^n(E_oo)
+        are then a decreasing chain of subgroups, which stops at some E*
+        with theta(E*) = E*.  Any E with theta(E) = E lies in every E_n,
+        hence in E_oo, so E = theta^N(E) <= theta^N(E_oo) = E*: E* is the
+        largest.  When psi is injective, theta(E_oo) = E_oo already."""
         gamma = tuple(gamma)
         if gamma not in self.group:
             raise ElementNotInGroup("gamma lies outside Gamma")
@@ -228,32 +200,19 @@ class AbstractZipDatum:
         if got is not None:
             return got
         theta = self._conjugate_with_twist(gamma)
-        if self.psi_injective:
-            # decreasing fixpoint; injectivity turns theta(E) <= E into equality
-            E = set(theta)
-            while True:
-                E2 = {c for c in E if theta[c] in E}
-                if E2 == E:
-                    break
-                E = E2
-            got = frozenset(E)
-        else:
-            conj = frozenset(theta)
-            if len(conj) > self.lattice_bound:
-                raise LatticeTooLarge(
-                    f"|conjugate| = {len(conj)} exceeds lattice bound "
-                    f"{self.lattice_bound} and psi is not injective"
-                )
-            fixed = [
-                H
-                for H in subgroup_lattice(conj)
-                if {theta[h] for h in H} == H
-            ]
-            union_gens = [h for H in fixed for h in H]
-            got = close_subgroup(self.group.degree, union_gens)
-            assert {theta[h] for h in got} == got
-        self._stable[gamma] = got
-        return got
+        E = frozenset(theta)
+        while True:
+            smaller = frozenset(c for c in E if theta[c] in E)
+            if smaller == E:
+                break
+            E = smaller
+        while True:
+            image = frozenset(theta[c] for c in E)
+            if image == E:
+                break
+            E = image
+        self._stable[gamma] = E
+        return E
 
     def orbit(self, gamma: Perm) -> frozenset[Perm]:
         """The equivalence class of gamma: all d gamma e psi(d)^{-1} for
@@ -293,4 +252,4 @@ class AbstractZipDatum:
         conj = frozenset(mult(mult(xii, d), xi) for d in self.delta)
         delta_xi = image & conj
         psi_xi = {d: self.psi[mult(mult(xi, d), xii)] for d in delta_xi}
-        return AbstractZipDatum(gamma_xi, delta_xi, psi_xi, self.lattice_bound)
+        return AbstractZipDatum(gamma_xi, delta_xi, psi_xi)

@@ -239,7 +239,7 @@ def _find_isomorphism(M, verts, target) -> tuple[int, ...] | None:
     return tuple(assign) if rec(0) else None
 
 
-def _candidate_types(k: int, labels: list[int]) -> list[tuple[str, int]]:
+def _candidate_types(k: int) -> list[tuple[str, int]]:
     cands: list[tuple[str, int]] = [("A", k)]
     if k >= 2:
         cands.append(("B", k))
@@ -272,9 +272,8 @@ def classify_coxeter_matrix(M):
     factors = []
     cart = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for comp in _components(rows):
-        labels = sorted(rows[i][j] for i, j in combinations(comp, 2) if rows[i][j] > 2)
         hit = None
-        for letter, rank in _candidate_types(len(comp), labels):
+        for letter, rank in _candidate_types(len(comp)):
             target = coxeter_matrix(letter, rank)
             iso = _find_isomorphism(rows, comp, target)
             if iso is not None:

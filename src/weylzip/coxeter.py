@@ -176,12 +176,8 @@ class CoxeterAutomorphism:
         n = group.rank
         if sorted(images) != list(range(1, n + 1)):
             raise InvalidAutomorphism(f"{images} is not a permutation of 1..{n}")
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if group.coxeter_m(i, j) != group.coxeter_m(images[i - 1], images[j - 1]):
-                    raise InvalidAutomorphism(
-                        f"{images} does not preserve the Coxeter matrix"
-                    )
+        if group.coxeter_mismatch(dict(enumerate(images, 1)), group.simple_indices) is not None:
+            raise InvalidAutomorphism(f"{images} does not preserve the Coxeter matrix")
         self.group = group
         self.images = images
 
@@ -316,6 +312,7 @@ class GroupTables:
         m = group.num_positive
         perms = e.perms
         self.subset = subset
+        self._perms = perms
         self.length = (perms[:, :m] >= m).sum(axis=1).astype(np.int16)
         n = len(perms)
         # w in W_S is fixed by the images of the simple roots of S, because
@@ -371,7 +368,9 @@ class GroupTables:
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """ShortLex positions (int32) of the elements of W_S whose images of
         the simple roots of S, in ascending order of index, are the rows of
-        `keys`; GroupMismatch if some row belongs to no element of W_S."""
+        `keys`; GroupMismatch if some row is no such image.  Only the key
+        columns are read, so an element outside W_S that agrees with one of
+        W_S there is not detected: callers pass elements of W_S."""
         code = np.zeros(len(keys), dtype=np.int64)
         for cols, level in self._levels:
             value = self._fold(code, keys[:, cols])
@@ -385,11 +384,17 @@ class GroupTables:
         return self._position[code]
 
     def index_of(self, elements: Sequence[Element]) -> np.ndarray:
-        """ShortLex positions of the given elements of W_S (int32)."""
-        keys = np.array(
-            [[w.perm[c] for c in self._cols] for w in elements], dtype=np.int64
-        ).reshape(len(elements), len(self._cols))
-        return self.lookup(keys)
+        """ShortLex positions of the given elements of W_S (int32);
+        GroupMismatch if some element lies outside W_S."""
+        rows = np.array([w.perm for w in elements], dtype=np.int16).reshape(
+            len(elements), self._perms.shape[1]
+        )
+        positions = self.lookup(rows[:, self._cols].astype(np.int64))
+        if not np.array_equal(self._perms[positions], rows):
+            raise GroupMismatch(
+                f"element outside the parabolic subgroup W_{sorted(self.subset)}"
+            )
+        return positions
 
 
 class CoxeterGroup:
@@ -513,6 +518,18 @@ class CoxeterGroup:
         if not 1 <= i <= self.rank:
             raise IndexOutOfRange(f"simple index {i} not in 1..{self.rank}")
         return i - 1
+
+    def coxeter_mismatch(self, f: Mapping[int, int],
+                         domain: Iterable[int]) -> tuple[int, int] | None:
+        """The first pair (s, t) of domain x domain, in the domain's own
+        order, with m(s, t) != m(f(s), f(t)); None if f preserves the
+        Coxeter matrix on the domain."""
+        domain = tuple(domain)
+        for s in domain:
+            for t in domain:
+                if self.coxeter_m(s, t) != self.coxeter_m(f[s], f[t]):
+                    return s, t
+        return None
 
     def is_positive_root(self, r: int) -> bool:
         return r < self.num_positive
@@ -758,15 +775,12 @@ class CoxeterGroup:
         """All Coxeter-matrix preserving permutations of the simple set."""
         from itertools import permutations
 
-        out = []
-        for images in permutations(self.simple_indices):
-            if all(
-                self.coxeter_m(i, j) == self.coxeter_m(images[i - 1], images[j - 1])
-                for i in self.simple_indices
-                for j in self.simple_indices
-            ):
-                out.append(CoxeterAutomorphism._trusted(self, images))
-        return tuple(out)
+        S = self.simple_indices
+        return tuple(
+            CoxeterAutomorphism._trusted(self, images)
+            for images in permutations(S)
+            if self.coxeter_mismatch(dict(zip(S, images)), S) is None
+        )
 
     def identity_automorphism(self) -> CoxeterAutomorphism:
         return self._identity_automorphism

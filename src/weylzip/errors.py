@@ -62,7 +62,7 @@ class ElementNotInGroup(WeylZipError):
 
 
 class LatticeTooLarge(WeylZipError):
-    """Subgroup-lattice brute force requested beyond the configured bound."""
+    """The subgroup-lattice oracle was asked for a subgroup beyond its bound."""
 
 
 class NotAHomomorphism(WeylZipError):

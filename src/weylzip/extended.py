@@ -12,10 +12,12 @@ right for the omega-conjugated subset of J.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cosets
+from .abstract import closure, extend_homomorphism
 from .coxeter import CoxeterAutomorphism, Element
 from .errors import NotAHomomorphism, NotInParamSet, SubsetMismatch
 from .zipdata import ZipDatum, _check_side
@@ -54,18 +56,7 @@ def close_automorphisms(gens: Iterable[CoxeterAutomorphism]) -> tuple[CoxeterAut
     gens = list(gens)
     if not gens:
         return ()
-    group = gens[0].group
-    seen = {group.identity_automorphism()}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                ag = a * g
-                if ag not in seen:
-                    seen.add(ag)
-                    new.append(ag)
-        frontier = new
+    seen = closure(gens[0].group.identity_automorphism(), gens, operator.mul)
     return tuple(sorted(seen, key=lambda a: a.images))
 
 
@@ -103,22 +94,10 @@ class ExtendedZipDatum:
         if len(gens) != len(images):
             raise NotAHomomorphism("psi_hat needs one image per Omega_I generator")
         ident = self.group.identity_automorphism()
-        table = {ident: ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                fa = table[a]
-                for g, fg in zip(gens, images):
-                    ag = a * g
-                    fag = fa * fg
-                    known = table.get(ag)
-                    if known is None:
-                        table[ag] = fag
-                        new.append(ag)
-                    elif known != fag:
-                        raise NotAHomomorphism("psi_hat images are inconsistent")
-            frontier = new
+        try:
+            table = extend_homomorphism(ident, ident, gens, images, operator.mul)
+        except NotAHomomorphism:
+            raise NotAHomomorphism("psi_hat images are inconsistent") from None
         if set(table) != set(self.omega_I):
             raise NotAHomomorphism("psi_hat generators do not generate Omega_I")
         return table

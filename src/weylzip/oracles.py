@@ -9,8 +9,8 @@ nothing with the fast implementations beyond element arithmetic:
 * minimal coset representatives by exhaustive coset minimum search,
 * cover edges of a finite order by testing every third node,
 * the largest twist-stable subgroup by filtering the full subgroup
-  lattice (enumerated here by closing single-element extensions, a
-  different algorithm than the cyclic-join enumeration of the fast path),
+  lattice (enumerated by closing single-element extensions; the fast path
+  enumerates no subgroups, it takes a fixpoint and iterated images),
 * equivalence classes by symmetric-transitive closure of one-step moves,
 * the stable subset K_w by testing all subsets,
 * sigma and its inverse by a scan of Element products over W_I,
@@ -30,7 +30,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .abstract import AbstractZipDatum, Perm, close_subgroup, identity_perm, inverse, mult
+from .abstract import AbstractZipDatum, Perm, closure, identity_perm, inverse, mult
 from .cosets import HowlettDecomposition
 from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element
 from .errors import LatticeTooLarge, NonUniqueMinimum
@@ -121,7 +121,7 @@ def _all_subgroups_by_extension(elements: frozenset[Perm]) -> list[frozenset[Per
             for g in elements:
                 if g in H:
                     continue
-                ext = close_subgroup(degree, tuple(H) + (g,))
+                ext = closure(identity_perm(degree), tuple(H) + (g,), mult)
                 if ext not in found:
                     found.add(ext)
                     new.append(ext)
@@ -145,7 +145,7 @@ def e_gamma_bruteforce(a: AbstractZipDatum, gamma: Perm, bound: int = 48) -> fro
     fixed = [
         H for H in _all_subgroups_by_extension(conj) if {twist(h) for h in H} == H
     ]
-    generated = close_subgroup(a.group.degree, list(chain.from_iterable(fixed)))
+    generated = closure(a.group.identity, chain.from_iterable(fixed), mult)
     assert {twist(h) for h in generated} == generated
     return generated
 

@@ -55,11 +55,6 @@ def parse_subset(text: str) -> frozenset[int]:
         raise MalformedInput(f"cannot parse subset {text!r}") from exc
 
 
-def words_json(elements) -> str:
-    """A representative set as a JSON array of word strings."""
-    return json.dumps([word_str(w) for w in elements])
-
-
 # -- psi mappings -------------------------------------------------------------
 
 def parse_psi(text: str) -> dict[int, int]:

@@ -51,11 +51,7 @@ def sweep_zip_data(group: CoxeterGroup) -> tuple[ZipDatum, ...]:
                 continue
             for image in permutations(sorted(J)):
                 psi = dict(zip(src, image))
-                if all(
-                    group.coxeter_m(a, b) == group.coxeter_m(psi[a], psi[b])
-                    for a in src
-                    for b in src
-                ):
+                if group.coxeter_mismatch(psi, src) is None:
                     out.append(ZipDatum(group, I, J, psi))
     return tuple(out)
 

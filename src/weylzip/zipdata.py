@@ -94,13 +94,13 @@ class ZipDatum:
         ) != len(self.psi):
             raise PsiNotBijective("psi must be a bijection I -> J")
         g = self.group
-        for s in self.I:
-            for t in self.I:
-                if g.coxeter_m(s, t) != g.coxeter_m(self.psi[s], self.psi[t]):
-                    raise PsiNotCoxeter(
-                        f"m({s},{t}) = {g.coxeter_m(s, t)} != "
-                        f"m(psi {s},psi {t}) = {g.coxeter_m(self.psi[s], self.psi[t])}"
-                    )
+        bad = g.coxeter_mismatch(self.psi, self.I)
+        if bad is not None:
+            s, t = bad
+            raise PsiNotCoxeter(
+                f"m({s},{t}) = {g.coxeter_m(s, t)} != "
+                f"m(psi {s},psi {t}) = {g.coxeter_m(self.psi[s], self.psi[t])}"
+            )
 
     def __repr__(self) -> str:
         return (

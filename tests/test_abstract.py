@@ -1,11 +1,15 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylzip import AbstractZipDatum, FiniteGroup
 from weylzip.abstract import inverse, mult
-from weylzip.errors import ElementNotInGroup, LatticeTooLarge, NotAHomomorphism
-from weylzip.serialize import parse_cycles
+from weylzip.cli import main
+from weylzip.errors import ElementNotInGroup, NotAHomomorphism
+from weylzip.oracles import e_gamma_bruteforce
+from weylzip.serialize import cycles_str, parse_cycles
 
 
 def s3_datum():
@@ -83,9 +87,29 @@ def test_noninjective_psi_uses_lattice():
     assert not a.psi_injective
     classes = a.equivalence_classes()
     assert all(len(c) == 4 for c in classes) and len(classes) == 6
-    tight = AbstractZipDatum(a.group, a.delta, a.psi, lattice_bound=2)
-    with pytest.raises(LatticeTooLarge):
-        tight.stable_subgroup(a.group.identity)
+    for gamma in group.elements():
+        assert a.stable_subgroup(gamma) == e_gamma_bruteforce(a, gamma)
+
+
+def test_noninjective_psi_beyond_48_elements(tmp_path):
+    # Gamma = Delta = C50 with psi(g) = g^2, whose kernel is {e, g^25}:
+    # E_gamma = theta^2(C50) = C25
+    g = parse_cycles("(" + " ".join(map(str, range(1, 51))) + ")", 50)
+    a = AbstractZipDatum.from_generators(FiniteGroup(50, [g]), [g], [mult(g, g)])
+    assert not a.psi_injective
+    squares = frozenset(mult(x, x) for x in a.group.elements())
+    assert len(squares) == 25
+    for gamma in a.group.elements():
+        assert a.stable_subgroup(gamma) == squares
+    # Gamma is abelian, so E_gamma does not depend on gamma
+    assert e_gamma_bruteforce(a, g, bound=50) == squares
+    assert a.equivalence_classes() == (a.group.element_set(),)
+    path = tmp_path / "c50.json"
+    path.write_text(json.dumps({
+        "domain": 50, "gamma_gens": [cycles_str(g)], "delta_gens": [cycles_str(g)],
+        "psi": {cycles_str(g): cycles_str(mult(g, g))},
+    }))
+    assert main(["abstract", "--datum", str(path)]) == 0
 
 
 def test_homomorphism_validation():

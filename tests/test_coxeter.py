@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -378,6 +379,23 @@ def test_tables_match_element_products(label, S):
     if g.coxeter_m(1, 2) > 2:  # else s_2 fixes alpha_1, the key of W_{1}
         with pytest.raises(GroupMismatch):
             g.tables((1,)).index_of([g.simple(2)])
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+def test_index_of_refuses_elements_outside_the_subgroup(label):
+    g = build_group(label)
+    elems = g.elements()
+    # every proper W_S; on A3 this includes s_3 against W_{1}, whose key
+    # (the image of alpha_1) s_3 shares with the identity
+    for size in range(g.rank):
+        for S in combinations(g.simple_indices, size):
+            t, inside = g.tables(S), ZipDatum(g, (), (), {}, universe=S).in_universe
+            members = g.parabolic_elements(S)
+            assert list(t.index_of(members)) == list(range(len(members)))
+            for w in elems:
+                if not inside(w):
+                    with pytest.raises(GroupMismatch):
+                        t.index_of([w])
 
 
 @pytest.mark.parametrize("label", ["D6", "E6"])

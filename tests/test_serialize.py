@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from weylzip import build_group
@@ -15,7 +13,6 @@ from weylzip.serialize import (
     parse_subset,
     parse_word,
     word_str,
-    words_json,
     zip_datum_from_json,
 )
 
@@ -27,11 +24,6 @@ def test_word_round_trip(a2):
     assert parse_word(a2, "e") == a2.identity
     with pytest.raises(MalformedInput):
         parse_word(a2, "1,x")
-
-
-def test_words_json(a2):
-    text = words_json(a2.elements()[:3])
-    assert json.loads(text) == ["e", "1", "2"]
 
 
 def test_subsets_and_psi():
