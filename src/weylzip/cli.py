@@ -6,7 +6,8 @@ comma-separated 1-based indices with "e" for the identity; data can also
 be given as JSON documents via --datum.  Output ordering is ShortLex
 throughout, so identical inputs produce identical bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input.
+Exit codes: 0 success, 1 verification failure, 2 malformed input or a
+request beyond a size bound (enumeration, poset).
 """
 
 from __future__ import annotations
@@ -199,66 +200,117 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _pieces_parser(p: argparse.ArgumentParser) -> None:
+    _add_datum_options(p)
+    p.add_argument("--format", choices=("text", "jsonl"), default="text")
+    p.set_defaults(fn=cmd_pieces)
+
+
+def _closure_parser(p: argparse.ArgumentParser) -> None:
+    _add_datum_options(p)
+    p.add_argument("--w", required=True)
+    p.add_argument("--side", choices=("iw", "wj"), default="iw")
+    p.set_defaults(fn=cmd_closure)
+
+
+def _poset_parser(p: argparse.ArgumentParser) -> None:
+    _add_datum_options(p)
+    p.add_argument("--side", choices=("iw", "wj"), default="iw")
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.set_defaults(fn=cmd_poset)
+
+
+def _classify_parser(p: argparse.ArgumentParser) -> None:
+    _add_datum_options(p)
+    p.add_argument("--w", required=True)
+    p.set_defaults(fn=cmd_classify)
+
+
+def _sigma_parser(p: argparse.ArgumentParser) -> None:
+    _add_datum_options(p)
+    p.add_argument("--w", required=True)
+    p.add_argument("--inverse", action="store_true")
+    p.set_defaults(fn=cmd_sigma)
+
+
+def _abstract_parser(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--datum", required=True)
+    p.set_defaults(fn=cmd_abstract)
+
+
+def _nonconnected_parser(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--datum", required=True)
+    p.add_argument("--side", choices=("iw", "wj"), default="iw")
+    p.add_argument("--closure-of", dest="closure_of")
+    p.set_defaults(fn=cmd_nonconnected)
+
+
+def _isogeny_parser(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--datum", required=True)
+    p.add_argument("--format", choices=("text", "jsonl"), default="text")
+    p.set_defaults(fn=cmd_isogeny)
+
+
+def _verify_parser(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p.set_defaults(fn=cmd_verify)
+
+
+#: name -> (help, the function adding its options and handler to its parser)
+SUBCOMMANDS = {
+    "pieces": ("list pieces with lengths, dimensions, K", _pieces_parser),
+    "closure": ("closure set of one piece", _closure_parser),
+    "poset": ("full Hasse diagram", _poset_parser),
+    "classify": ("canonical representative and sigma image", _classify_parser),
+    "sigma": ("the dual parameter of a piece", _sigma_parser),
+    "abstract": ("classes of an abstract zip datum", _abstract_parser),
+    "nonconnected": ("extended pieces and closures", _nonconnected_parser),
+    "isogeny": ("build a datum from isogeny data", _isogeny_parser),
+    "verify": ("run the invariant suites", _verify_parser),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylzip",
         description="Weyl-group combinatorics of algebraic zip data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pieces", help="list pieces with lengths, dimensions, K")
-    _add_datum_options(p)
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.set_defaults(fn=cmd_pieces)
-
-    p = sub.add_parser("closure", help="closure set of one piece")
-    _add_datum_options(p)
-    p.add_argument("--w", required=True)
-    p.add_argument("--side", choices=("iw", "wj"), default="iw")
-    p.set_defaults(fn=cmd_closure)
-
-    p = sub.add_parser("poset", help="full Hasse diagram")
-    _add_datum_options(p)
-    p.add_argument("--side", choices=("iw", "wj"), default="iw")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.set_defaults(fn=cmd_poset)
-
-    p = sub.add_parser("classify", help="canonical representative and sigma image")
-    _add_datum_options(p)
-    p.add_argument("--w", required=True)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("sigma", help="the dual parameter of a piece")
-    _add_datum_options(p)
-    p.add_argument("--w", required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.set_defaults(fn=cmd_sigma)
-
-    p = sub.add_parser("abstract", help="classes of an abstract zip datum")
-    p.add_argument("--datum", required=True)
-    p.set_defaults(fn=cmd_abstract)
-
-    p = sub.add_parser("nonconnected", help="extended pieces and closures")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--side", choices=("iw", "wj"), default="iw")
-    p.add_argument("--closure-of", dest="closure_of")
-    p.set_defaults(fn=cmd_nonconnected)
-
-    p = sub.add_parser("isogeny", help="build a datum from isogeny data")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.set_defaults(fn=cmd_isogeny)
-
-    p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.set_defaults(fn=cmd_verify)
-
+    for name, (help_, add) in SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=help_))
     return parser
 
 
+class _ParseFailed(Exception):
+    pass
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """A parser whose errors are raised, not printed, so that the full
+    parser can report them with its own usage line."""
+
+    def error(self, message):
+        raise _ParseFailed(message)
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse with the parser of the subcommand named first alone, whose help
+    is the same as in the full parser.  Usage errors and an unknown or
+    missing subcommand go through the full parser, so that their usage line
+    lists every subcommand."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _QuietParser(prog=f"weylzip {argv[0]}")
+        SUBCOMMANDS[argv[0]][1](parser)
+        try:
+            return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        except _ParseFailed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except WeylZipError as exc:

@@ -2,9 +2,16 @@
 and the Howlett decomposition.
 
 All representative sets are returned in ShortLex order of canonical
-words, filtered from the enumeration of W_U by its descent masks.  An
-optional `universe` restricts every computation to the standard parabolic
-subgroup W_U; subsets must then be contained in U.
+words, from the ShortLex walk of W_U^J (:meth:`CoxeterGroup.coset_walk`),
+which reaches only the elements with no right descent in J: minimal right
+representatives are that walk, double-coset ones the walk masked by its
+left descents in I, and minimal left representatives are the inverses of
+the walk of W_U^I (its inverse rows; nothing is inverted), sorted by
+canonical word.  The walk spells the words of its elements, and
+:func:`strip_rows` gives those of the inverses, stripping the smallest
+descent from a whole stack of rows at once.  No set of representatives
+enumerates W_U.  An optional `universe` restricts every computation to
+the standard parabolic subgroup W_U; subsets must then be contained in U.
 
 The Howlett decomposition strips descents from one numpy int16 row of
 root permutations (:func:`howlett_rows`), one gather per letter, and
@@ -14,12 +21,13 @@ stripping lives on only as :func:`weylzip.oracles.howlett_oracle`.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coxeter import CoxeterGroup, Element
-from .errors import NotDoubleCosetRep, NotMinimalRep
+from .errors import NotDoubleCosetRep, NotMinimalRep, SubsetMismatch
 
 
 def _universe(group: CoxeterGroup, universe) -> frozenset[int]:
@@ -43,38 +51,88 @@ def in_min_right(w: Element, J) -> bool:
     return not any(w.has_right_descent(j) for j in J)
 
 
-def descent_free_positions(group: CoxeterGroup, I, J, universe=None) -> np.ndarray:
-    """ShortLex positions, in the enumeration of W_U, of the elements with
-    no left descent in I and no right descent in J, read off its descent
-    masks."""
-    left, right = group.descent_masks(_universe(group, universe))
-    bad = left[:, [group.simple_root_index(i) for i in sorted(set(I))]].any(axis=1)
-    bad |= right[:, [group.simple_root_index(j) for j in sorted(set(J))]].any(axis=1)
-    return np.flatnonzero(~bad)
+def rep_rows(
+    group: CoxeterGroup, I, J, universe=None
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The int16 rows and canonical words of the elements of W_U with no
+    left descent in I and no right descent in J, in ShortLex order.
+
+    With J, or with neither, the walk of W_U^J in its order, masked by the
+    left descents in I, with the words the walk spells.  With I alone, the
+    inverses of the walk of W_U^I (its inverse rows, whose own inverses are
+    the walk's rows), sorted by the canonical words that :func:`strip_rows`
+    reads off the walk's rows.  The walk is refused, as the enumeration of
+    W_U is, when |W_U| exceeds the enumeration bound; SubsetMismatch when I
+    or J is not contained in U."""
+    U, I = _universe(group, universe), sorted(set(I))
+    if not U.issuperset(I) or not U.issuperset(J):
+        raise SubsetMismatch(f"I = {I} and J = {sorted(set(J))} must lie in U = {sorted(U)}")
+    if I and not J:
+        e, inverses = group.coset_walk(U, I)
+        letters, _ = strip_rows(group, e.perms, group.simple_indices)
+        lengths = (letters > 0).sum(axis=1)
+        order = np.lexsort([*letters.T[::-1], lengths])
+        # the words, unpacked in one C-level pass, without their zero padding
+        width = letters.shape[1]
+        padded = struct.iter_unpack(f"{width}h", letters[order]) if width else [()] * len(order)
+        return inverses[order], [word[:n] for word, n in zip(padded, lengths[order].tolist())]
+    e, _ = group.coset_walk(U, J)
+    keep = np.flatnonzero(~e.left[:, [i - 1 for i in I]].any(axis=1))
+    return e.perms[keep], e.words_at(keep)
 
 
-def _without_descents(group: CoxeterGroup, I, J, universe) -> tuple[Element, ...]:
-    """The elements at :func:`descent_free_positions`; Elements are built
-    for those positions only."""
-    positions = descent_free_positions(group, I, J, universe)
-    return group.elements_at(_universe(group, universe), positions)
+def strip_rows(group: CoxeterGroup, rows, S) -> tuple[np.ndarray, np.ndarray]:
+    """Strip from each row of a stack of int16 root-permutation rows its
+    smallest right descent in S, one letter per step, until none is left.
+
+    Returns (letters, rest): ``letters[p]`` holds the letters stripped from
+    row p in order, padded with 0, and ``rest[p]`` the row left over.  On
+    the inverse rows of elements with S every simple index, the letters are
+    their canonical words, as in :meth:`Element.canonical_word`.
+
+    Row w = x v, with v in W_S and x without right descent in S, loses the
+    l(v) letters of v: the roots of Phi_S^+ that w sends negative, counted
+    up front.  The rows are stripped longest first, so at each step those
+    still stripping are a prefix of the stack."""
+    m = group.num_positive
+    S = np.array(sorted(S), dtype=np.intp)
+    rows = np.array(rows, dtype=np.int16)
+    counts = (rows[:, sorted(group.phi_plus(S.tolist()))] >= m).sum(axis=1)
+    order = np.argsort(-counts, kind="stable")
+    rows, counts = rows[order], counts[order]
+    letters = np.zeros((len(rows), counts[0] if len(rows) else 0), dtype=np.int16)
+    for j in range(letters.shape[1]):
+        active = rows[: np.count_nonzero(counts > j)]
+        s = S[(active[:, S - 1] >= m).argmax(axis=1)]  # alpha_s sits at index s - 1
+        letters[: len(active), j] = s
+        for t in S:  # row p becomes row p * s_p: one column gather per letter
+            hit = np.flatnonzero(s == t)
+            if len(hit):
+                active[hit] = active[hit].take(group.reflections[t - 1], axis=1)
+    out, rest = np.empty_like(letters), np.empty_like(rows)
+    out[order], rest[order] = letters, rows
+    return out, rest
+
+
+def _reps(group: CoxeterGroup, I, J, universe) -> tuple[Element, ...]:
+    return group.elements_of_rows(*rep_rows(group, I, J, universe))
 
 
 def min_left_coset_reps(group: CoxeterGroup, I, universe=None) -> tuple[Element, ...]:
     """The set of minimal-length representatives of the cosets W_I w."""
-    return _without_descents(group, I, (), universe)
+    return _reps(group, I, (), universe)
 
 
 def min_right_coset_reps(group: CoxeterGroup, J, universe=None) -> tuple[Element, ...]:
     """The set of minimal-length representatives of the cosets w W_J;
     equivalently the w with w(Phi_J^+) positive."""
-    return _without_descents(group, (), J, universe)
+    return _reps(group, (), J, universe)
 
 
 def min_double_coset_reps(group: CoxeterGroup, I, J, universe=None) -> tuple[Element, ...]:
     """Minimal-length representatives of the double cosets W_I w W_J
     (the intersection of the two one-sided sets)."""
-    return _without_descents(group, I, J, universe)
+    return _reps(group, I, J, universe)
 
 
 def kilmoyer_subset(group: CoxeterGroup, I, J, x: Element) -> frozenset[int]:
@@ -83,7 +141,8 @@ def kilmoyer_subset(group: CoxeterGroup, I, J, x: Element) -> frozenset[int]:
     W_{I_x} = W_J n x^{-1} W_I x (asserted by tests, not here)."""
     if not (in_min_left(x, I) and in_min_right(x, J)):
         raise NotDoubleCosetRep("x is not a minimal double-coset representative")
-    return frozenset(group.partial_map(x.perm, J, {i: i for i in I}))
+    images = group.partial_map(x.perm, group.psi_table({i: i for i in I}))
+    return frozenset(t for t in J if images[t - 1])
 
 
 @dataclass(frozen=True)

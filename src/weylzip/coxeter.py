@@ -10,15 +10,17 @@ A standard parabolic subgroup W_S (the whole group when S holds every
 simple index) is enumerated once, layer by layer in ShortLex order, as
 numpy arrays only (:class:`ShortLex`): int16 rows of root permutations,
 the left and right descent masks of every element (read off the rows and
-their inverses), so coset representatives are mask filters, and the walk
-that reaches each element from its parent by one simple reflection, from
-which canonical words are read.  Elements are built only at the positions
-a caller asks for (:meth:`CoxeterGroup.elements_at`).  The same walk
-gives the integer multiplication tables of W_S (:class:`GroupTables`),
-built on first use.  Root subsets Phi_S, Phi_S^+ and the positive roots
-outside Phi_S are cached per subset.  Bruhat order is one lifting loop on
-root permutations (:meth:`CoxeterGroup.bruhat_below`), which enumerates
-nothing.
+their inverses), and the walk that reaches each element from its parent
+by one simple reflection, from which canonical words are read.  The same
+walk, kept to the elements with no right descent in J, gives the minimal
+coset representatives W_S^J without enumerating W_S
+(:meth:`CoxeterGroup.coset_walk`).  Elements are built only for the
+rows a caller asks for (:meth:`CoxeterGroup.elements_of_rows`).  The
+same walk gives the integer multiplication tables of W_S
+(:class:`GroupTables`), built on first use.  Root subsets Phi_S, Phi_S^+
+and the positive roots outside Phi_S are cached per subset.  Bruhat order
+is one lifting loop on root permutations
+(:meth:`CoxeterGroup.bruhat_below`), which enumerates nothing.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
@@ -290,6 +292,23 @@ class ShortLex(NamedTuple):
     first: np.ndarray
     parent: np.ndarray
 
+    def words_at(self, positions) -> list[tuple[int, ...]]:
+        """The canonical words of the elements at the given positions, as the
+        walk spells them: word(w_k) = (first[k],) + word(w_parent[k])."""
+        positions = np.asarray(positions, dtype=np.intp)
+        # the positions and their ancestors on the walk; parents come first
+        need = np.zeros(len(self.perms), dtype=bool)
+        todo = positions
+        while len(todo):
+            need[todo] = True
+            todo = self.parent[todo]
+            todo = todo[~need[todo]]
+        ks = np.flatnonzero(need[1:]) + 1
+        words: dict[int, tuple[int, ...]] = {0: ()}
+        for k, s, p in zip(ks.tolist(), self.first[ks].tolist(), self.parent[ks].tolist()):
+            words[k] = (s,) + words[p]
+        return [words[k] for k in positions.tolist()]
+
 
 class GroupTables:
     """Integer tables of a standard parabolic subgroup W_S, indexed by the
@@ -408,8 +427,8 @@ class CoxeterGroup:
     Each standard parabolic subgroup W_S is enumerated at most once, by
     :meth:`enumeration`, in ShortLex order of canonical words, as arrays
     only; the whole group is the case S = all simple indices.  Elements are
-    built from it only where asked for: :meth:`elements_at` at given
-    positions, :meth:`parabolic_elements` at all of them.  :meth:`tables`
+    built from it only where asked for: :meth:`elements_of_rows` for given
+    rows, :meth:`parabolic_elements` for all of them.  :meth:`tables`
     turns the same enumeration into integer left and right multiplication
     tables.  Every enumeration is refused up front when |W_S| exceeds
     ``enumeration_bound``.
@@ -434,6 +453,7 @@ class CoxeterGroup:
         self._phi: dict[frozenset[int], frozenset[int]] = {}
         self._phi_plus: dict[frozenset[int], frozenset[int]] = {}
         self._outside: dict[frozenset[int], tuple[int, ...]] = {}
+        self._orders: dict[frozenset[int], int] = {}
         self._tables: dict[frozenset[int], GroupTables] = {}
         #: Root permutations of the automorphisms by their images.
         self._automorphism_roots: dict[tuple[int, ...], tuple] = {}
@@ -484,11 +504,10 @@ class CoxeterGroup:
         #: array: ``reflections[i - 1, r]`` is the index of s_i(root r).
         self.reflections = np.array(self._reflect_tables, dtype=np.intp)
         self.reflections.flags.writeable = False
-        # root index -> 1-based simple index when the root is +-alpha_i
-        self._simple_of_root: dict[int, int] = {}
+        # root index -> 1-based simple index when the root is +-alpha_i, else 0
+        self._simple_of_root = np.zeros(2 * self.num_positive, dtype=np.intp)
         for i in range(n):
-            self._simple_of_root[i] = i + 1
-            self._simple_of_root[i + self.num_positive] = i + 1
+            self._simple_of_root[[i, i + self.num_positive]] = i + 1
 
     def _build_simple_reflections(self) -> None:
         self.identity = Element(self, tuple(range(2 * self.num_positive)))
@@ -540,14 +559,19 @@ class CoxeterGroup:
 
     def simple_index_of_root(self, r: int) -> int | None:
         """1-based simple index i when root r is +-alpha_i, else None."""
-        return self._simple_of_root.get(r)
+        return int(self._simple_of_root[r]) or None
 
-    def partial_map(self, row, S: Iterable[int], psi: Mapping[int, int]) -> dict[int, int]:
-        """The partial map s -> psi(w s w^{-1}) for w with root permutation
-        `row` and psi defined on I: {s: psi(i)} for the s in S with
-        w(alpha_s) = +-alpha_i, i in I."""
-        images = ((s, self._simple_of_root.get(int(row[s - 1]))) for s in S)
-        return {s: psi[i] for s, i in images if i in psi}
+    def psi_table(self, psi: Mapping[int, int]) -> np.ndarray:
+        """A map psi of simple indices as an int16 array indexed by simple
+        index: psi(i) at each i of its domain, 0 elsewhere (and at 0)."""
+        return np.array([psi.get(i, 0) for i in range(self.rank + 1)], dtype=np.int16)
+
+    def partial_map(self, rows, psi: np.ndarray) -> np.ndarray:
+        """The partial maps s -> psi(w s w^{-1}) of a stack of root
+        permutation rows w (or of one row), psi defined on I and given as
+        its :meth:`psi_table`: ``out[..., s - 1]`` is psi(i) when
+        w(alpha_s) = +-alpha_i with i in I, and 0 where s has no image."""
+        return psi[self._simple_of_root[np.asarray(rows)[..., : self.rank]]]
 
     def from_word(self, word: Iterable[int]) -> Element:
         out = self.identity
@@ -591,17 +615,31 @@ class CoxeterGroup:
     # -- enumeration --
 
     def parabolic_order(self, subset: Iterable[int]) -> int:
-        """|W_S|, read off the Coxeter type of S."""
-        idx = sorted(set(subset))
-        if not idx:
-            return 1
-        sub = [[self.coxeter_m(i, j) for j in idx] for i in idx]
-        factors, _, _ = cartan.classify_coxeter_matrix(sub)
-        return cartan.weyl_order(factors)
+        """|W_S|, read off the Coxeter type of S (cached per subset)."""
+        key = frozenset(subset)
+        got = self._orders.get(key)
+        if got is None:
+            idx = sorted(key)
+            sub = [[self.coxeter_m(i, j) for j in idx] for i in idx]
+            got = cartan.weyl_order(cartan.classify_coxeter_matrix(sub)[0]) if idx else 1
+            self._orders[key] = got
+        return got
 
     def elements(self) -> tuple[Element, ...]:
         """All group elements in ShortLex order of their canonical words."""
         return self.parabolic_elements(self.simple_indices)
+
+    def enumerable_order(self, subset: Iterable[int]) -> int:
+        """|W_S|; TooLargeToEnumerate when it exceeds the group's
+        enumeration bound."""
+        key = frozenset(subset)
+        order = self.parabolic_order(key)
+        if order > self.enumeration_bound:
+            raise TooLargeToEnumerate(
+                f"|W_S| = {order} for S = {sorted(key)} exceeds the "
+                f"enumeration bound {self.enumeration_bound}"
+            )
+        return order
 
     def enumeration(self, subset: Iterable[int]) -> ShortLex:
         """The ShortLex enumeration of W_S as arrays (cached).
@@ -611,58 +649,55 @@ class CoxeterGroup:
         key = frozenset(subset)
         got = self._enumerations.get(key)
         if got is None:
-            order = self.parabolic_order(key)
-            if order > self.enumeration_bound:
-                raise TooLargeToEnumerate(
-                    f"|W_S| = {order} for S = {sorted(key)} exceeds the "
-                    f"enumeration bound {self.enumeration_bound}"
-                )
-            got = self._shortlex(tuple(sorted(key)), order)
+            got, _ = self._shortlex(tuple(sorted(key)), self.enumerable_order(key))
             self._enumerations[key] = got
         return got
 
-    def elements_at(self, subset: Iterable[int], positions) -> tuple[Element, ...]:
-        """The elements of W_S at the given ShortLex positions, each with
-        its length and canonical word read off the enumeration's walk."""
-        e = self.enumeration(subset)
-        positions = np.asarray(positions, dtype=np.intp)
-        # the positions and their ancestors on the walk; parents come first
-        need = np.zeros(len(e.perms), dtype=bool)
-        todo = positions
-        while len(todo):
-            need[todo] = True
-            todo = e.parent[todo]
-            todo = todo[~need[todo]]
-        first, parent = e.first.tolist(), e.parent.tolist()
-        words: dict[int, tuple[int, ...]] = {0: ()}
-        for k in (np.flatnonzero(need[1:]) + 1).tolist():
-            words[k] = (first[k],) + words[parent[k]]
-        elems = []
-        # The selected int16 rows are unpacked to tuples in one C-level pass.
-        # A single tolist() is slower here: its temporary lists make every
+    def coset_walk(self, subset: Iterable[int], J: Iterable[int]) -> tuple[ShortLex, np.ndarray]:
+        """The ShortLex walk of W_S^J, the elements of W_S with no right
+        descent in J (J contained in S), and the rows of their inverses.
+        Not cached; J = () walks all of W_S.
+
+        Raises TooLargeToEnumerate, before walking, when |W_S| exceeds the
+        group's enumeration bound, as :meth:`enumeration` does."""
+        key, J = frozenset(subset), tuple(sorted(set(J)))
+        order = self.enumerable_order(key) // self.parabolic_order(J)
+        return self._shortlex(tuple(sorted(key)), order, J)
+
+    def elements_of_rows(self, rows: np.ndarray, words=None) -> tuple[Element, ...]:
+        """Elements for a stack of int16 root-permutation rows of this
+        group; with `words`, their canonical words, each is given its word
+        and length (and an empty word gives the identity itself)."""
+        # The int16 rows are unpacked to tuples in one C-level pass.  A
+        # single tolist() is slower here: its temporary lists make every
         # garbage collection during the Element constructions longer.
-        selected = e.perms[positions]
-        rows = struct.iter_unpack(f"{selected.shape[1]}h", selected)
-        for k, row in zip(positions.tolist(), rows):
-            if k == 0:
+        rows = np.ascontiguousarray(rows, dtype=np.int16)
+        unpacked = struct.iter_unpack(f"{rows.shape[1]}h", rows)
+        if words is None:
+            return tuple(Element(self, row) for row in unpacked)
+        elems = []
+        for row, word in zip(unpacked, words):
+            if not word:
                 elems.append(self.identity)
                 continue
             w = Element(self, row)
-            w._word = words[k]
-            w._length = len(w._word)
+            w._word = word
+            w._length = len(word)
             elems.append(w)
         return tuple(elems)
 
     def parabolic_elements(self, subset: Iterable[int]) -> tuple[Element, ...]:
         """All elements of the standard parabolic subgroup W_S in ShortLex
-        order, built by :meth:`elements_at` at every position and cached.
+        order, built by :meth:`elements_of_rows` from its enumeration, with
+        the words its walk spells, and cached.
 
         Raises TooLargeToEnumerate, before enumerating, when |W_S| exceeds
         the group's enumeration bound."""
         key = frozenset(subset)
         got = self._parabolic_cache.get(key)
         if got is None:
-            got = self.elements_at(key, np.arange(len(self.enumeration(key).perms)))
+            e = self.enumeration(key)
+            got = self.elements_of_rows(e.perms, e.words_at(np.arange(len(e.perms))))
             self._parabolic_cache[key] = got
         return got
 
@@ -672,15 +707,10 @@ class CoxeterGroup:
         image of root r."""
         return self.enumeration(subset).perms
 
-    def descent_masks(self, subset: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right descent masks of the elements of W_S in ShortLex
-        order: boolean arrays with one row per element and column i - 1
-        True iff the simple index i is a left (right) descent of it."""
-        e = self.enumeration(subset)
-        return e.left, e.right
-
-    def _shortlex(self, gens: tuple[int, ...], order: int) -> ShortLex:
-        """The enumeration of W_gens, of the given order, in ShortLex order.
+    def _shortlex(self, gens: tuple[int, ...], order: int,
+                  J: tuple[int, ...] = ()) -> tuple[ShortLex, np.ndarray]:
+        """The walk of W_gens^J, of the given order, in ShortLex order, and
+        the rows of the inverses of its elements.
 
         The canonical word of w is (s,) + word(s w) with s the smallest left
         descent of w.  So layer k + 1 is, in ShortLex order: for s ascending,
@@ -692,7 +722,17 @@ class CoxeterGroup:
         ``u^-1[reflections[s - 1]]``.  The inverse rows decide the descents,
         since t is a left descent of u iff u^-1 sends alpha_t to a negative
         root, and (s u)^-1 (alpha_t) = u^-1 (s alpha_t).  The left descent
-        masks are read off the inverse rows, the right ones off the rows."""
+        masks are read off the inverse rows, the right ones off the rows.
+
+        With J, s u is kept only when it has no right descent in J.  If
+        w = u v is reduced, every right descent of v is one of w
+        (Bjorner-Brenti, GTM 231, 2.4), so W^J is closed under the suffixes
+        s w -> w that the walk steps along, and the walk of W^J reaches all
+        of it; J = () is the whole of W_gens.  For u in W^J and s u longer,
+        s u(alpha_j) is negative iff u(alpha_j) = alpha_s (s makes no other
+        positive root negative), i.e. iff u^-1(alpha_s) = alpha_j (Deodhar's
+        lemma): so the test is the same read of u^-1 at alpha_s that asks
+        whether s is a left descent of u."""
         m = self.num_positive
         refl = self.reflections
         refl16 = refl.astype(np.int16)
@@ -701,18 +741,23 @@ class CoxeterGroup:
         first = np.zeros(order, dtype=np.int16)
         parent = np.zeros(order, dtype=np.int32)
         perms[0] = inverses[0] = np.arange(2 * m)
+        # s u keeps s as its smallest left descent iff u^-1 sends alpha_s and
+        # every s alpha_t, t < s, to positive roots: the columns read for s
+        tests = {s: [s - 1, *(refl[s - 1, t - 1] for t in gens if t < s)] for s in gens}
+        in_J = np.zeros(2 * m, dtype=bool)
+        in_J[[j - 1 for j in J]] = True  # alpha_j sits at index j - 1
         start, end = 0, 1  # the current layer
         while start < end:
             layer, top = inverses[start:end], end
             for s in gens:
-                keep = layer[:, s - 1] < m
-                for t in gens:
-                    if t >= s:
-                        break
-                    keep &= layer[:, refl[s - 1, t - 1]] < m
+                keep = (layer[:, tests[s]] < m).all(axis=1)
+                if J:  # and u^-1(alpha_s) is no alpha_j, j in J
+                    keep &= ~in_J[layer[:, s - 1]]
                 rows = start + np.flatnonzero(keep)
+                if not len(rows):
+                    continue
                 new = slice(top, top + len(rows))
-                np.take(refl16[s - 1], perms[rows], out=perms[new])
+                refl16[s - 1].take(perms[rows], out=perms[new])
                 inverses[new] = inverses[rows][:, refl[s - 1]]
                 first[new] = s
                 parent[new] = rows
@@ -723,7 +768,7 @@ class CoxeterGroup:
         out = ShortLex(perms, inverses[:, simple] >= m, perms[:, simple] >= m, first, parent)
         for array in out:
             array.flags.writeable = False
-        return out
+        return out, inverses
 
     def tables(self, subset: Iterable[int] | None = None) -> GroupTables:
         """Integer multiplication tables of W_S (default: the whole group),
@@ -772,15 +817,30 @@ class CoxeterGroup:
         return bool(self.bruhat_below(row, w.canonical_word())[0])
 
     def coxeter_automorphisms(self) -> tuple[CoxeterAutomorphism, ...]:
-        """All Coxeter-matrix preserving permutations of the simple set."""
-        from itertools import permutations
+        """All Coxeter-matrix preserving permutations of the simple set, in
+        lexicographic order of their images.
 
+        A backtracking search: a partial assignment 1 -> images[0], ...
+        grows by the unused images in ascending order, and is dropped at
+        the first Coxeter-matrix mismatch on its domain, so the search
+        visits none of the permutations that extend it."""
         S = self.simple_indices
-        return tuple(
-            CoxeterAutomorphism._trusted(self, images)
-            for images in permutations(S)
-            if self.coxeter_mismatch(dict(zip(S, images)), S) is None
-        )
+        found, images = [], []
+
+        def extend() -> None:
+            if len(images) == self.rank:
+                found.append(CoxeterAutomorphism._trusted(self, tuple(images)))
+                return
+            for t in S:
+                if t in images:
+                    continue
+                images.append(t)
+                if self.coxeter_mismatch(dict(zip(S, images)), S[: len(images)]) is None:
+                    extend()
+                images.pop()
+
+        extend()
+        return tuple(found)
 
     def identity_automorphism(self) -> CoxeterAutomorphism:
         return self._identity_automorphism

@@ -27,6 +27,10 @@ class TooLargeToEnumerate(WeylZipError):
     """Full element enumeration was requested beyond the configured bound."""
 
 
+class PosetTooLarge(WeylZipError):
+    """A closure poset was requested on more parameters than its bound."""
+
+
 # -- coset representatives ---------------------------------------------------
 
 class NotMinimalRep(WeylZipError):
@@ -44,7 +48,8 @@ class NonUniqueMinimum(WeylZipError):
 # -- zip datum validation ----------------------------------------------------
 
 class SubsetMismatch(WeylZipError):
-    """The two simple subsets of a zip datum have different sizes."""
+    """Simple subsets that do not fit together: the two of a zip datum have
+    different sizes, or one leaves the universe it must lie in."""
 
 
 class PsiNotBijective(WeylZipError):

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 def word_str(w: Element) -> str:
     word = w.canonical_word()
-    return "e" if not word else ",".join(str(i) for i in word)
+    return "e" if not word else ",".join(map(str, word))
 
 
 def parse_word(group: CoxeterGroup, text: str) -> Element:
@@ -42,7 +42,7 @@ def parse_word(group: CoxeterGroup, text: str) -> Element:
 
 
 def subset_str(subset) -> str:
-    return "{" + ",".join(str(i) for i in sorted(subset)) + "}"
+    return "{" + ",".join(map(str, sorted(subset))) + "}"
 
 
 def parse_subset(text: str) -> frozenset[int]:

@@ -172,7 +172,8 @@ def check_coset_identities(group: CoxeterGroup) -> list[str]:
                 sub_right = cosets.min_left_coset_reps(group, I_x, universe=J)
                 built_iw.update(x * wj_part for wj_part in sub_right)
                 count += len(group.parabolic_elements(I)) * len(sub_right)
-                I_cap_xJ = frozenset(group.partial_map(xi.perm, I, {j: j for j in J}))
+                inside = group.partial_map(xi.perm, group.psi_table({j: j for j in J}))
+                I_cap_xJ = frozenset(i for i in I if inside[i - 1])
                 sub_left = cosets.min_right_coset_reps(group, I_cap_xJ, universe=I)
                 built_wj.update(w_i * x for w_i in sub_left)
             if built_iw != iw:
@@ -327,8 +328,8 @@ def check_kw(z: ZipDatum) -> list[str]:
         K = z.stable_subset(w)
         if K != oracles.kw_bruteforce(z, w):
             bad.append(f"{z!r}: stable subset != brute force at {word_str(w)}")
-        f = g.partial_map(w.perm, K, z.psi)
-        if any(f.get(s) not in K for s in K):
+        f = g.partial_map(w.perm, g.psi_table(z.psi))
+        if any(f[s - 1] not in K for s in K):
             bad.append(f"{z!r}: stable subset not actually stable at {word_str(w)}")
         hd = cosets.howlett_decompose(g, z.I, z.J, w)
         sub = z.induced_at(hd.middle)

@@ -5,7 +5,9 @@ subsets preserving Coxeter matrix entries, so that it extends to an
 isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 
 * the piece parameter sets (minimal coset representatives on either side,
-  filtered from the enumeration of W_U by its descent masks),
+  from the ShortLex walk of the coset representatives, never all of W_U),
+* every piece with its sigma image, K_w, Howlett parts and dimension
+  counts in one batched pass over the stacked parameter rows,
 * the largest psi*inn(w)-stable subset K_w of each piece,
 * the canonical representative of any group element under the twisted
   equivalence relation (so membership of w in a piece is decidable), by
@@ -37,6 +39,7 @@ from .errors import (
     GroupMismatch,
     NotDoubleCosetRep,
     NotMinimalRep,
+    PosetTooLarge,
     PsiNotBijective,
     PsiNotCoxeter,
     SubsetMismatch,
@@ -46,6 +49,11 @@ if TYPE_CHECKING:
     from .abstract import AbstractZipDatum
 
 SIDES = ("iw", "wj")
+
+#: Most parameters a closure poset may have.  Its path holds about 11 k^2
+#: bytes (k x k relation and cover arrays), so this caps it near 2.5 GB;
+#: E6 with I = {1,2} (k = 12 960) fits.
+POSET_BOUND = 15_000
 
 #: About how many orbit members :meth:`ZipDatum._orbit_positions` gathers and
 #: looks up at once; its int64 lookup temporaries hold a few times this many.
@@ -77,9 +85,12 @@ class ZipDatum:
             universe = group.simple_indices
         self.universe = frozenset(int(u) for u in universe)
         self._validate()
+        self._psi_table = group.psi_table(self.psi)
+        #: the indices of the simple roots of J, ascending
+        self._J_cols = np.array(sorted(self.J), dtype=np.intp) - 1
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
-        self._params: dict[str, tuple[Element, ...]] = {}
+        self._params: dict[str, tuple[np.ndarray, tuple[Element, ...]]] = {}
         self._orbits: dict[str, np.ndarray] = {}
 
     def _validate(self) -> None:
@@ -162,15 +173,33 @@ class ZipDatum:
     def param_set(self, side: str = "iw") -> tuple[Element, ...]:
         """The piece parameter set: minimal left reps of W_I (side "iw") or
         minimal right reps of W_J (side "wj"), ShortLex ordered."""
+        return self._param_rows(side)[1]
+
+    def _param_rows(self, side: str) -> tuple[np.ndarray, tuple[Element, ...]]:
+        """The int16 rows of the parameters of a side and their Elements,
+        cached per side."""
         _check_side(side)
         got = self._params.get(side)
         if got is None:
-            if side == "iw":
-                got = cosets.min_left_coset_reps(self.group, self.I, self.universe)
-            else:
-                got = cosets.min_right_coset_reps(self.group, self.J, self.universe)
+            I, J = (self.I, ()) if side == "iw" else ((), self.J)
+            rows, letters = cosets.rep_rows(self.group, I, J, self.universe)
+            got = rows, self.group.elements_of_rows(rows, letters)
             self._params[side] = got
         return got
+
+    def _check_poset_size(self, side: str) -> None:
+        """PosetTooLarge when the side has more than POSET_BOUND parameters,
+        k = |W_U| / |W_I| (|W_J| for "wj"), read off the Coxeter types before
+        anything is built; an enumeration refusal on |W_U| comes first."""
+        g = self.group
+        k = g.enumerable_order(self.universe) // g.parabolic_order(
+            self.I if side == "iw" else self.J
+        )
+        if k > POSET_BOUND:
+            raise PosetTooLarge(
+                f"the closure poset has k = {k} parameters, above the poset "
+                f"bound {POSET_BOUND}"
+            )
 
     # -- induction step --
 
@@ -189,10 +218,11 @@ class ZipDatum:
         """The induced datum at x (a root permutation), with universe J and
         twist psi*inn(x).  It depends on (J, twist) alone and is cached on
         the group by that key, shared by every datum that reaches it."""
-        psi_x = self.group.partial_map(x, self.J, self.psi)
-        key = (self.J, tuple(sorted(psi_x.items())))
+        images = self.group.partial_map(x, self._psi_table)[self._J_cols].tolist()
+        key = (self.J, tuple(images))
         got = self.group._induced.get(key)
         if got is None:
+            psi_x = {j: i for j, i in zip(sorted(self.J), images) if i}
             got = ZipDatum(
                 self.group, psi_x.keys(), psi_x.values(), psi_x, universe=self.J
             )
@@ -207,15 +237,29 @@ class ZipDatum:
 
         Since s -> psi(w s w^{-1}) is an injective partial map, the largest
         stable subset is the union of its cycles, found by a decreasing
-        fixpoint."""
+        fixpoint (:meth:`_stable_subsets`)."""
         self._require_param(w, "iw")
-        f = self.group.partial_map(w.perm, self.universe, self.psi)
-        K = set(f)
+        return self._stable_subsets(np.array([w.perm], dtype=np.int16))[0]
+
+    def _stable_subsets(self, rows: np.ndarray) -> list[frozenset[int]]:
+        """K_w for each row w of a stack: the decreasing fixpoint K -> {s in
+        K : f(s) in K} of the partial maps f of all rows at once, from the
+        domain of f within the universe."""
+        S = self.group.simple_indices
+        f = self.group.partial_map(rows, self._psi_table)
+        outside = [s - 1 for s in S if s not in self.universe]
+        f[:, outside] = 0
+        K = f > 0
         while True:
-            K2 = {s for s in K if f[s] in K}
-            if K2 == K:
-                return frozenset(K)
+            # f - 1 is -1 off the domain, where K is False already
+            K2 = K & np.take_along_axis(K, f.astype(np.intp) - 1, axis=1)
+            if np.array_equal(K2, K):
+                break
             K = K2
+        # one frozenset per distinct subset, keyed by its bit mask
+        codes = (K @ (1 << np.arange(len(S)))).tolist()
+        subsets = {c: frozenset(s for s in S if c >> (s - 1) & 1) for c in set(codes)}
+        return [subsets[c] for c in codes]
 
     # -- canonical representatives --
 
@@ -306,11 +350,13 @@ class ZipDatum:
         Works on ShortLex positions in the tables of W_U.  Column b reads
         "some y params[a] psi(y)^{-1} lies in the Bruhat down-set of
         targets[b]" from one boolean row over W_U per target, so the cost
-        is |targets| * |W_U|, never |W_U|^2."""
-        params = self.param_set(side)
+        is |targets| * |W_U|, never |W_U|^2.  The whole matrix is refused
+        above POSET_BOUND parameters."""
         if targets is None:
-            targets = params
+            self._check_poset_size(side)
         orbit = self._orbit_positions(side)
+        params = self.param_set(side)
+        targets = params if targets is None else targets
         rel = np.zeros((len(params), len(targets)), dtype=bool)
         words = [w.canonical_word() for w in targets]
         for b, down in _down_rows(self.group.tables(self.universe), words, side == "iw"):
@@ -326,8 +372,7 @@ class ZipDatum:
         got = self._orbits.get(side)
         if got is None:
             g, U = self.group, sorted(self.universe)
-            I, J = (self.I, ()) if side == "iw" else ((), self.J)
-            params = g.parabolic_perms(U)[cosets.descent_free_positions(g, I, J, U)]
+            params = self._param_rows(side)[0]
             Y, P, cols = g.parabolic_perms(self.I), self._psi_inverse_rows, [u - 1 for u in U]
             t = g.tables(U)
             got = np.empty((len(Y), len(params)), dtype=np.int32)
@@ -340,7 +385,9 @@ class ZipDatum:
 
     def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> "ClosurePoset":
         """The full closure poset on the chosen parameter set, with cover
-        edges (transitive reduction) and per-node piece data."""
+        edges (transitive reduction) and per-node piece data.  Refused
+        (PosetTooLarge) above POSET_BOUND parameters, by
+        :meth:`_relation_matrix`, before anything is built."""
         _check_side(side)
         rel = self._relation_matrix(side)
         k = rel.shape[0]
@@ -392,9 +439,7 @@ class ZipDatum:
         """dim V - l(x) with x the double-coset part of w: the dimension of
         the infinitesimal stabilizer in the vanishing-differential case."""
         self._require_param(w, "iw")
-        return self._inf_stab_dim(cosets.howlett_decompose(self.group, self.I, self.J, w))
-
-    def _inf_stab_dim(self, hd: cosets.HowlettDecomposition) -> int:
+        hd = cosets.howlett_decompose(self.group, self.I, self.J, w)
         out = self.dim_levi_deficit() - hd.middle.length
         assert out >= 0
         return out
@@ -402,25 +447,59 @@ class ZipDatum:
     def pieces(self, side: str = "iw", central_rank: int = 0) -> tuple["Piece", ...]:
         """One Piece per parameter, ordered ShortLex by the chosen side's
         label.  In orbitally-finite data each piece is a single orbit and
-        this doubles as the orbit-representative list."""
+        this doubles as the orbit-representative list.
+
+        One batched pass over the stacked rows X of the "iw" parameters:
+        sigma from chunked twisted-orbit gathers at the simple roots of J,
+        K_w from the partial maps of all rows, and the Howlett parts by
+        stripping the right descents in J from all rows at once (a
+        parameter has no left descent in I, so its left part is e).  The
+        sigma images and the x parts are looked up by row among the "wj"
+        and the "iw" parameters, and each distinct right part is built
+        once, so Elements are built for the parameters of both sides and
+        the few distinct right parts only."""
         _check_side(side)
-        out = []
-        for w in self.param_set("iw"):
-            hd = cosets.howlett_decompose(self.group, self.I, self.J, w)
-            out.append(
-                Piece(
-                    rep=w,
-                    dual_rep=self.sigma(w),
-                    stable_subset=self.stable_subset(w),
-                    length=w.length,
-                    x_part=hd.middle,
-                    right_part=hd.right,
-                    dimension=self.piece_dimension(w, central_rank),
-                    inf_stab_dim=self._inf_stab_dim(hd),
-                )
+        g, m = self.group, self.group.num_positive
+        X, reps = self._param_rows("iw")
+        Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
+        first = np.empty(len(X), dtype=np.intp)
+        step = max(1, _ORBIT_CHUNK // len(Y))
+        for a in range(0, len(X), step):
+            images = self._orbit_images(Y, X[a : a + step], P, self._J_cols)
+            first[a : a + step] = (images < m).all(axis=2).argmax(axis=0)
+        # the rows of y w psi(y)^{-1} at the first such y, composed
+        # directly: one pair of gathers per y that is first somewhere
+        dual = np.empty_like(X)
+        for k in np.flatnonzero(np.bincount(first, minlength=len(Y))):
+            at = np.flatnonzero(first == k)
+            dual[at] = Y[k][X[at][:, P[k]]]
+        right_letters, x = cosets.strip_rows(g, X, self.J)
+        # sigma is a bijection onto the "wj" parameters, and x is an "iw" one
+        wj_rows, wj = self._param_rows("wj")
+        dual_at = _positions(wj_rows, dual)
+        x_parts = [reps[p] for p in _positions(X, x).tolist()]
+        # the right part is t_k ... t_1 for the letters t_1, ..., t_k stripped
+        # from w, one Element per distinct sequence (they lie in W_J)
+        right_keys = list(map(tuple, right_letters.tolist()))
+        rights = {key: g.from_word([t for t in reversed(key) if t]) for key in set(right_keys)}
+        dim_p, deficit = self.dim_parabolic(central_rank), self.dim_levi_deficit()
+        out = [
+            Piece(
+                rep=w,
+                dual_rep=wj[d],
+                stable_subset=K,
+                length=w.length,
+                x_part=xw,
+                right_part=rights[rk],
+                dimension=dim_p + w.length,
+                inf_stab_dim=deficit - xw.length,
             )
+            for w, d, K, xw, rk in zip(
+                reps, dual_at.tolist(), self._stable_subsets(X), x_parts, right_keys
+            )
+        ]
         if side == "wj":
-            out.sort(key=lambda p: p.dual_rep.sort_key)
+            out = [out[p] for p in np.argsort(dual_at).tolist()]
         return tuple(out)
 
     # -- bridge to the abstract-group machinery --
@@ -442,6 +521,17 @@ class ZipDatum:
         delta = frozenset(w.perm for w in self.w_I())
         psi = {w.perm: tuple(row) for w, row in zip(self.w_I(), psi_rows)}
         return AbstractZipDatum(gamma, delta, psi)
+
+
+def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The position in the stack `table` of each row of `rows`, all of which
+    it holds: rows compared as raw bytes, by one sort and one binary
+    search."""
+    whole_row = np.dtype((np.void, table.itemsize * table.shape[1]))
+    keys = np.ascontiguousarray(table).view(whole_row).ravel()
+    wanted = np.ascontiguousarray(rows, dtype=table.dtype).view(whole_row).ravel()
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys[order], wanted)]
 
 
 def _down_rows(t: GroupTables, words, right: bool):

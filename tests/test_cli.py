@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import io
 import json
@@ -263,3 +264,84 @@ def test_every_public_name_resolves():
     assert set(weylzip.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         weylzip.no_such_name
+
+
+PARSER_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "cli-parser.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_GOLDEN))
+def test_parser_bytes_are_those_of_the_full_parser(name, capsys, monkeypatch):
+    # Help, usage errors and an unknown or missing subcommand print exactly
+    # what the parser of all nine subcommands printed (files written by the
+    # CLI when it still built that parser in every process).
+    monkeypatch.setenv("COLUMNS", "80")
+    case = PARSER_GOLDEN[name]
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (out, err, code) == (case["stdout"], case["stderr"], case["exit"])
+
+
+def test_a_subcommand_builds_only_its_own_parser(monkeypatch):
+    from weylzip import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    args = cli.parse_args(["poset", "--type", "A3", "--format", "json"])
+    assert (args.command, args.format, args.side) == ("poset", "json", "iw")
+    assert built == ["weylzip poset"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.parse_args(["poset", "--format", "xml"])
+    assert built == ["weylzip poset", "weylzip", *(f"weylzip {name}" for name in cli.SUBCOMMANDS)]
+    # the arguments a subcommand's parser reads are those of the full parser
+    for name, (_, add) in cli.SUBCOMMANDS.items():
+        alone = argparse.ArgumentParser(prog=f"weylzip {name}")
+        add(alone)
+        full = cli.build_parser()._subparsers._group_actions[0].choices[name]
+        assert alone.format_help() == full.format_help()
+
+
+def test_poset_bound_fails_fast():
+    import time
+
+    from weylzip import ZipDatum, build_group
+    from weylzip.zipdata import POSET_BOUND
+
+    start = time.perf_counter()
+    code = main(["poset", "--type", "E6", "--I", "", "--psi", ""])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    # E6 I={1,2} (k = 12 960) stays admitted
+    e6 = build_group("E6")
+    z = ZipDatum(e6, {1, 2}, {1, 2}, {1: 1, 2: 2})
+    z._check_poset_size("iw")
+    z._check_poset_size("wj")
+    assert e6.order // e6.parabolic_order({1, 2}) == 12_960 <= POSET_BOUND
+
+
+def test_poset_bound_error_names_the_bound_and_k(capsys):
+    from weylzip import CoxeterGroup, ZipDatum, build_group
+    from weylzip import cartan
+    from weylzip.errors import PosetTooLarge
+
+    e6 = CoxeterGroup(*cartan.matrices_for_label("E6"), "E6")  # empty caches
+    z = ZipDatum(e6, (), (), {})
+    with pytest.raises(PosetTooLarge, match="k = 51840 .*bound 15000"):
+        z.hasse_poset()
+    with pytest.raises(PosetTooLarge):
+        z._relation_matrix("wj")
+    assert not e6._tables and not z._params
+    # one closure set needs a k x 1 column only, and stays unbounded
+    a3 = build_group("A3")
+    assert len(ZipDatum(a3, (), (), {}).closure_set(a3.from_word([1, 2]))) == 4

@@ -1,9 +1,13 @@
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from weylzip import (
+    CoxeterGroup,
     build_group,
+    cartan,
     howlett_decompose,
     kilmoyer_subset,
     min_double_coset_reps,
@@ -11,7 +15,8 @@ from weylzip import (
     min_right_coset_reps,
     refined_length_count,
 )
-from weylzip.errors import NotDoubleCosetRep, NotMinimalRep
+from weylzip.cosets import strip_rows
+from weylzip.errors import NotDoubleCosetRep, NotMinimalRep, SubsetMismatch
 from weylzip.oracles import iw_oracle
 
 
@@ -134,3 +139,81 @@ def test_coset_identity_sweep(label):
     from weylzip.verify import check_coset_identities
 
     assert check_coset_identities(build_group(label)) == []
+
+
+def _all_subsets(S):
+    return [frozenset(c) for k in range(len(S) + 1) for c in combinations(sorted(S), k)]
+
+
+def _mask_filter(g, I, J, U):
+    """The reference: the elements of the enumeration of W_U with no left
+    descent in I and no right descent in J, read off its descent masks."""
+    e = g.enumeration(U)
+    bad = e.left[:, [i - 1 for i in sorted(I)]].any(axis=1)
+    bad |= e.right[:, [j - 1 for j in sorted(J)]].any(axis=1)
+    at = np.flatnonzero(~bad)
+    return g.elements_of_rows(e.perms[at], e.words_at(at))
+
+
+def _same(got, expect):
+    assert [w.perm for w in got] == [w.perm for w in expect]
+    assert [w.canonical_word() for w in got] == [w.canonical_word() for w in expect]
+    assert [w.length for w in got] == [w.length for w in expect]
+
+
+WALK_CASES = [(label, None) for label in ("A3", "B3", "D4", "F4")] + [
+    (label, U) for label in ("A3", "B3") for U in _all_subsets(range(1, 4))
+]
+
+
+@pytest.mark.parametrize("label,U", WALK_CASES, ids=[f"{l}-{sorted(U) if U is not None else 'W'}"
+                                                     for l, U in WALK_CASES])
+def test_walk_reps_equal_the_mask_filter(label, U):
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)  # nothing enumerated
+    universe = frozenset(g.simple_indices) if U is None else U
+    subsets = _all_subsets(universe)
+    pairs = [(I, ()) for I in subsets] + [((), J) for J in subsets] + [
+        (I, J) for I in subsets for J in subsets]
+
+    def reps(I, J):
+        if not J:
+            return min_left_coset_reps(g, I, U)
+        return min_right_coset_reps(g, J, U) if not I else min_double_coset_reps(g, I, J, U)
+
+    walked = [reps(I, J) for I, J in pairs]
+    assert universe not in g._enumerations  # the walks enumerated no W_U
+    for (I, J), got in zip(pairs, walked):
+        expect = _mask_filter(g, I, J, universe)
+        _same(got, expect)
+
+
+def test_walk_reps_match_the_bruteforce_oracle(a3, b2):
+    # iw_oracle groups all of W into cosets by Element products: no walk, no
+    # masks; the right reps are the inverses of the left ones
+    for g in (a3, b2):
+        for I in _all_subsets(g.simple_indices):
+            left = iw_oracle(g, I)
+            assert min_left_coset_reps(g, I) == left
+            right = sorted((w.inverse() for w in left), key=lambda w: w.sort_key)
+            assert list(min_right_coset_reps(g, I)) == right
+
+
+def test_subsets_outside_the_universe_are_refused():
+    g = CoxeterGroup(*cartan.matrices_for_label("A3"), "A3")  # nothing enumerated
+    for reps in (lambda: min_left_coset_reps(g, {3}, universe={1}),
+                 lambda: min_right_coset_reps(g, {2}, universe={1, 3}),
+                 lambda: min_double_coset_reps(g, {1}, {3}, universe={1})):
+        with pytest.raises(SubsetMismatch, match="must lie in U"):
+            reps()
+    assert not g._enumerations
+
+
+def test_strip_rows_spells_canonical_words(a3):
+    g = build_group("F4")
+    rng = random.Random(7)
+    elements = [g.from_word(rng.choice(g.simple_indices) for _ in range(rng.randint(0, 30)))
+                for _ in range(200)]
+    inverses = np.array([w.inverse().perm for w in elements], dtype=np.int16)
+    letters, rest = strip_rows(g, inverses, g.simple_indices)
+    assert [tuple(r[r > 0]) for r in letters] == [w.canonical_word() for w in elements]
+    assert np.array_equal(rest, np.tile(g.identity.perm, (len(elements), 1)))

@@ -316,14 +316,15 @@ def test_apply_element_equals_letter_by_letter(name, a, sample):
         a.apply_element(build_group("A1").identity)
 
 
-def test_elements_at_equals_slices_of_parabolic_elements():
+def test_elements_of_rows_equals_slices_of_parabolic_elements():
     g = build_group("D5")
     rng = random.Random(11)
     for S in [(1, 2, 3, 4, 5), (1, 4, 5), ()]:
         every = g.parabolic_elements(S)
+        e = g.enumeration(S)
         picks = [rng.randrange(len(every)) for _ in range(40)]
         for positions in [[], [0], sorted(set(picks)), picks, picks[::-1]]:
-            got = g.elements_at(S, positions)
+            got = g.elements_of_rows(e.perms[positions], e.words_at(positions))
             want = tuple(every[k] for k in positions)
             assert got == want
             assert [w.canonical_word() for w in got] == [w.canonical_word() for w in want]
@@ -452,3 +453,33 @@ def test_parabolic_order_from_coxeter_type():
 
 def test_large_enumeration_fails_fast_on_the_command_line():
     assert main(["pieces", "--type", "E7", "--I", "1", "--J", "1", "--psi", "1:1"]) == 2
+
+
+def _automorphisms_by_permutations(g):
+    """The reference: every permutation of the simple set, filtered."""
+    from itertools import permutations
+
+    S = g.simple_indices
+    return tuple(images for images in permutations(S)
+                 if g.coxeter_mismatch(dict(zip(S, images)), S) is None)
+
+
+AUTOMORPHISM_TYPES = [f"{letter}{n}" for letter, ranks in (
+    ("A", range(1, 7)), ("B", range(2, 7)), ("C", range(2, 7)), ("D", range(3, 7)),
+    ("E", (6,)), ("F", (4,)), ("G", (2,))) for n in ranks] + ["A1xA1", "A2xA2"]
+
+
+@pytest.mark.parametrize("label", AUTOMORPHISM_TYPES)
+def test_automorphism_search_equals_the_permutation_filter(label):
+    g = build_group(label)
+    assert tuple(a.images for a in g.coxeter_automorphisms()) == _automorphisms_by_permutations(g)
+
+
+def test_flip_of_a12_is_found_fast():
+    import time
+
+    g = build_group("A12")
+    start = time.perf_counter()
+    flip = parse_automorphism(g, "flip")
+    assert time.perf_counter() - start < 1.0
+    assert flip.images == tuple(range(12, 0, -1))

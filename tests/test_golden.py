@@ -17,6 +17,7 @@ canonical representatives moved onto numpy root-permutation rows.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -96,3 +97,19 @@ CASES = cases()
 @pytest.mark.parametrize("name,argv", CASES, ids=[n for n, _ in CASES])
 def test_cli_output_matches_golden(name, argv):
     assert run_cli(argv) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+# sha256 of the standard output of `pieces` on E6 I={1,2} (12 960 pieces),
+# written by the CLI while the parameter sets were still filtered from all of
+# W_U and the pieces built one parameter at a time.
+E6_PIECES = ["pieces", "--type", "E6", "--I", "1,2", "--psi", "1:1,2:2"]
+E6_SHA256 = {
+    "text": "1c0c165da685a3f7e9a5efe0e531a02f518a1150a0b19dfe81e3bc76e261e82b",
+    "jsonl": "817604f4e6e3ecf9c558917dcc411ad14956ab6ed46c7bfab5417088202b6727",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(E6_SHA256))
+def test_e6_pieces_match_the_sha256_golden(fmt):
+    out = run_cli([*E6_PIECES, "--format", fmt])
+    assert hashlib.sha256(out).hexdigest() == E6_SHA256[fmt]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weylzip import ZipDatum, build_group, cartan
-from weylzip.coxeter import CoxeterGroup
+from weylzip.coxeter import CoxeterGroup, Element
 from weylzip.errors import (
     NotDoubleCosetRep,
     NotMinimalRep,
@@ -201,18 +201,27 @@ def test_poset_on_d6_builds_elements_for_the_parameters_only(monkeypatch):
     I = {1, 2, 3, 4, 5}
     z = ZipDatum(g, I, I, {i: i for i in I})
     calls = []
-    elements_at = g.elements_at
+    elements_of_rows = g.elements_of_rows
 
-    def recording(subset, positions):
-        calls.append((frozenset(subset), len(positions)))
-        return elements_at(subset, positions)
+    def recording(rows, letters=None):
+        calls.append(len(rows))
+        return elements_of_rows(rows, letters)
 
-    monkeypatch.setattr(g, "elements_at", recording)
+    monkeypatch.setattr(g, "elements_of_rows", recording)
     pieces = z.pieces()
     poset = z.hasse_poset()
     assert len(pieces) == len(poset.nodes) == 32
-    assert calls == [(frozenset(g.simple_indices), 32)]
+    # the 32 parameters and their 32 sigma images (the "wj" parameters)
+    assert calls == [32, 32]
     assert not g._parabolic_cache
+
+
+def test_d6_pieces_walk_no_whole_group():
+    g = CoxeterGroup(*cartan.matrices_for_label("D6"), "D6")
+    I = {1, 2, 3, 4, 5}
+    assert len(ZipDatum(g, I, I, {i: i for i in I}).pieces()) == 32
+    assert frozenset(g.simple_indices) not in g._enumerations
+    assert set(g._enumerations) == {frozenset(I)}
 
 
 def test_param_set_memory_on_d6():
@@ -525,3 +534,41 @@ def test_precedes_beyond_the_enumeration_bound_builds_no_tables():
                 assert z.precedes(a, b, side) == expect
     assert not e8._tables
     assert set(e8._enumerations) == {z.I}
+
+
+def _identity_datum(label, I):
+    return ZipDatum(build_group(label), I, I, {i: i for i in I})
+
+
+PIECES_DATA = [
+    _identity_datum("A3", {1}),
+    _identity_datum("B3", {1, 2}),
+    _identity_datum("F4", {1, 2}),
+    _identity_datum("D5", {1, 2, 3}),
+    _identity_datum("A6", {1, 2, 3}),
+    ZipDatum(build_group("F4"), {1, 2}, {3, 4}, {1: 4, 2: 3}),
+    _identity_datum("E6", {1, 3, 4, 5, 6}),
+    *twisted_data(),
+]
+
+
+@pytest.mark.parametrize("side", ["iw", "wj"])
+@pytest.mark.parametrize("z", PIECES_DATA, ids=repr)
+def test_batched_pieces_equal_the_per_element_api(z, side):
+    g = z.group
+    pieces = z.pieces(side, central_rank=1)
+    labels = [p.rep if side == "iw" else p.dual_rep for p in pieces]
+    assert labels == list(z.param_set(side))
+    for p in pieces:
+        w = p.rep
+        hd = howlett_decompose(g, z.I, z.J, w)
+        assert p.dual_rep == z.sigma(w)
+        assert p.stable_subset == z.stable_subset(w) == kw_bruteforce(z, w)
+        assert (p.x_part, p.right_part) == (hd.middle, hd.right)
+        assert p.length == w.length
+        assert p.dimension == z.piece_dimension(w, central_rank=1)
+        assert p.inf_stab_dim == z.inf_stab_dim(w)
+        # the words and lengths the pass presets are those of the rows
+        for v in (w, p.dual_rep, p.x_part):
+            fresh = Element(g, v.perm)
+            assert (v.canonical_word(), v.length) == (fresh.canonical_word(), fresh.length)
