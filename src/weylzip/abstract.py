@@ -14,7 +14,7 @@ from .errors import ElementNotInGroup, NotAHomomorphism, TooLargeToEnumerate
 
 Perm = tuple[int, ...]
 
-#: Default cap on full element enumeration of a FiniteGroup.
+#: Cap on full element enumeration of a FiniteGroup.
 ORDER_BOUND = 100_000
 
 
@@ -59,15 +59,14 @@ def closure(identity: Hashable, gens: Iterable, mul: Callable,
 
 class FiniteGroup:
     """A finite permutation group on {0..degree-1}, given by generators;
-    elements are enumerated lazily up to a configurable bound."""
+    elements are enumerated lazily up to ORDER_BOUND."""
 
-    def __init__(self, degree: int, generators: Sequence[Perm], order_bound: int = ORDER_BOUND):
+    def __init__(self, degree: int, generators: Sequence[Perm]):
         self.degree = int(degree)
         self.generators = tuple(tuple(g) for g in generators)
         for g in self.generators:
             if sorted(g) != list(range(self.degree)):
                 raise ElementNotInGroup(f"{g} is not a permutation of 0..{degree - 1}")
-        self.order_bound = order_bound
         self.identity = identity_perm(self.degree)
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[Perm] | None = None
@@ -87,7 +86,7 @@ class FiniteGroup:
 
     def elements(self) -> tuple[Perm, ...]:
         if self._elements is None:
-            closed = closure(self.identity, self.generators, mult, self.order_bound)
+            closed = closure(self.identity, self.generators, mult, ORDER_BOUND)
             self._element_set = closed
             self._elements = tuple(sorted(closed))
         return self._elements

@@ -4,6 +4,12 @@ Supported irreducible types: A_n (n>=1), B_n/C_n (n>=2), D_n (n>=3),
 E6, E7, E8, F4, G2, plus arbitrary products.  Simple reflections are
 numbered in Bourbaki order within each irreducible factor; factors of a
 product are numbered consecutively.
+
+One backtracking search, :func:`isomorphisms`, yields the vertex
+bijections between two Coxeter matrices in lexicographic order: the first
+one places each component of an explicit matrix in Bourbaki order
+(:func:`classify_coxeter_matrix`), and all of them from a matrix onto
+itself are the diagram automorphisms of the group.
 """
 
 from __future__ import annotations
@@ -210,33 +216,34 @@ def _components(M) -> list[list[int]]:
     return comps
 
 
-def _find_isomorphism(M, verts, target) -> tuple[int, ...] | None:
-    """Lexicographically least bijection verts -> range(len(target)) matching
-    Coxeter entries, or None."""
+def isomorphisms(M, target, verts=None):
+    """Every bijection verts -> range(len(target)) (default verts: all of M)
+    with M[verts[p]][verts[q]] = target[t[p]][t[q]] for all p, q, yielded as
+    the tuple t in lexicographic order; M and target are Coxeter matrices
+    (symmetric, with 1 on the diagonal).
+
+    A backtracking search: a partial assignment grows by the unused targets
+    in ascending order and is dropped at its first mismatch with the entries
+    already assigned, so no extension of it is visited."""
+    verts = range(len(M)) if verts is None else verts
     k = len(verts)
     assign: list[int] = []
-    used = [False] * k
 
-    def ok(v_pos, t):
-        for p, tp in enumerate(assign):
-            if M[verts[p]][verts[v_pos]] != target[tp][t]:
-                return False
-        return True
-
-    def rec(pos) -> bool:
+    def extend():
+        pos = len(assign)
         if pos == k:
-            return True
+            yield tuple(assign)
+            return
+        row = M[verts[pos]]
         for t in range(k):
-            if not used[t] and ok(pos, t):
-                used[t] = True
+            if t not in assign and all(
+                row[verts[p]] == target[tp][t] for p, tp in enumerate(assign)
+            ):
                 assign.append(t)
-                if rec(pos + 1):
-                    return True
+                yield from extend()
                 assign.pop()
-                used[t] = False
-        return False
 
-    return tuple(assign) if rec(0) else None
+    return extend()
 
 
 def _candidate_types(k: int) -> list[tuple[str, int]]:
@@ -257,10 +264,12 @@ def _candidate_types(k: int) -> list[tuple[str, int]]:
 def classify_coxeter_matrix(M):
     """Classify a validated Coxeter matrix as a product of finite Weyl types.
 
-    Returns (factors, cartan, label) where `cartan` is expressed in the
-    input numbering and `factors` lists (letter, rank, vertex-tuple) with the
-    component's vertices in Bourbaki order.  A Coxeter matrix does not
-    distinguish B_n from C_n; such components are reported as B_n.
+    Returns (factors, cartan, label) where `factors` lists (letter, rank)
+    per component, in order of its least vertex, and `cartan` is expressed
+    in the input numbering, read through the first vertex order of the
+    component that matches the Bourbaki Coxeter matrix.  A Coxeter matrix
+    does not distinguish B_n from C_n; such components are reported as
+    B_n.
     """
     rows = validate_coxeter_matrix(M)
     n = len(rows)
@@ -272,13 +281,12 @@ def classify_coxeter_matrix(M):
     factors = []
     cart = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for comp in _components(rows):
-        hit = None
-        for letter, rank in _candidate_types(len(comp)):
-            target = coxeter_matrix(letter, rank)
-            iso = _find_isomorphism(rows, comp, target)
-            if iso is not None:
-                hit = (letter, rank, iso)
-                break
+        # the first candidate type with a matching vertex order, and that order
+        hit = next(
+            ((letter, rank, iso) for letter, rank in _candidate_types(len(comp))
+             for iso in isomorphisms(rows, coxeter_matrix(letter, rank), comp)),
+            None,
+        )
         if hit is None:
             raise NonFiniteType("matrix component is not of finite Weyl type")
         letter, rank, iso = hit
@@ -286,7 +294,6 @@ def classify_coxeter_matrix(M):
         for p, q in combinations(range(len(comp)), 2):
             cart[comp[p]][comp[q]] = C[iso[p]][iso[q]]
             cart[comp[q]][comp[p]] = C[iso[q]][iso[p]]
-        bourbaki_order = tuple(comp[iso.index(t)] for t in range(len(comp)))
-        factors.append((letter, rank, bourbaki_order))
-    label = "x".join(f"{l}{r}" for l, r, _ in factors)
-    return tuple((l, r) for l, r, _ in factors), cart, label
+        factors.append((letter, rank))
+    label = "x".join(f"{l}{r}" for l, r in factors)
+    return tuple(factors), cart, label

@@ -17,10 +17,13 @@ coset representatives W_S^J without enumerating W_S
 (:meth:`CoxeterGroup.coset_walk`).  Elements are built only for the
 rows a caller asks for (:meth:`CoxeterGroup.elements_of_rows`).  The
 same walk gives the integer multiplication tables of W_S
-(:class:`GroupTables`), built on first use.  Root subsets Phi_S, Phi_S^+
-and the positive roots outside Phi_S are cached per subset.  Bruhat order
-is one lifting loop on root permutations
-(:meth:`CoxeterGroup.bruhat_below`), which enumerates nothing.
+(:class:`GroupTables`), built on first use.  Every enumeration and walk
+is refused before it starts when |W_S| exceeds ``ENUMERATION_BOUND``.
+Root subsets Phi_S, Phi_S^+ and the positive roots outside Phi_S are
+cached per subset.  Bruhat order is one lifting loop on root permutations
+(:meth:`CoxeterGroup.bruhat_below`), which enumerates nothing.  The
+diagram automorphisms are the isomorphisms of the Coxeter matrix onto
+itself, found by the one search of :func:`cartan.isomorphisms`.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
@@ -316,8 +319,8 @@ class GroupTables:
 
     ``lmul[s - 1, k]`` and ``rmul[s - 1, k]`` are the positions of
     ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
-    ``length[k]`` is ``l(w_k)``, and :meth:`index_of` and :meth:`lookup` map
-    elements of W_S to their positions.
+    ``length[k]`` is ``l(w_k)``, and :meth:`lookup` maps elements of W_S to
+    their positions.
 
     Both tables are read off the ShortLex walk.  ``lmul[s - 1]`` is an
     involution pairing w with s w; the walk already pairs w_k with its parent
@@ -331,7 +334,6 @@ class GroupTables:
         m = group.num_positive
         perms = e.perms
         self.subset = subset
-        self._perms = perms
         self.length = (perms[:, :m] >= m).sum(axis=1).astype(np.int16)
         n = len(perms)
         # w in W_S is fixed by the images of the simple roots of S, because
@@ -402,19 +404,6 @@ class GroupTables:
                 )
         return self._position[code]
 
-    def index_of(self, elements: Sequence[Element]) -> np.ndarray:
-        """ShortLex positions of the given elements of W_S (int32);
-        GroupMismatch if some element lies outside W_S."""
-        rows = np.array([w.perm for w in elements], dtype=np.int16).reshape(
-            len(elements), self._perms.shape[1]
-        )
-        positions = self.lookup(rows[:, self._cols].astype(np.int64))
-        if not np.array_equal(self._perms[positions], rows):
-            raise GroupMismatch(
-                f"element outside the parabolic subgroup W_{sorted(self.subset)}"
-            )
-        return positions
-
 
 class CoxeterGroup:
     """A finite Weyl group with its root system.
@@ -431,18 +420,16 @@ class CoxeterGroup:
     rows, :meth:`parabolic_elements` for all of them.  :meth:`tables`
     turns the same enumeration into integer left and right multiplication
     tables.  Every enumeration is refused up front when |W_S| exceeds
-    ``enumeration_bound``.
+    ``ENUMERATION_BOUND``.
     """
 
-    def __init__(self, factors, cartan_matrix_, coxeter_matrix_, label: str,
-                 enumeration_bound: int = ENUMERATION_BOUND):
+    def __init__(self, factors, cartan_matrix_, coxeter_matrix_, label: str):
         self.factors = tuple(factors)
         self.label = label
         self.rank = len(cartan_matrix_)
         self.cartan = tuple(tuple(row) for row in cartan_matrix_)
         self._coxeter = tuple(tuple(row) for row in coxeter_matrix_)
         self.order = cartan.weyl_order(self.factors)
-        self.enumeration_bound = enumeration_bound
         self.simple_indices = tuple(range(1, self.rank + 1))
 
         self._build_roots()
@@ -630,14 +617,13 @@ class CoxeterGroup:
         return self.parabolic_elements(self.simple_indices)
 
     def enumerable_order(self, subset: Iterable[int]) -> int:
-        """|W_S|; TooLargeToEnumerate when it exceeds the group's
-        enumeration bound."""
+        """|W_S|; TooLargeToEnumerate when it exceeds ENUMERATION_BOUND."""
         key = frozenset(subset)
         order = self.parabolic_order(key)
-        if order > self.enumeration_bound:
+        if order > ENUMERATION_BOUND:
             raise TooLargeToEnumerate(
                 f"|W_S| = {order} for S = {sorted(key)} exceeds the "
-                f"enumeration bound {self.enumeration_bound}"
+                f"enumeration bound {ENUMERATION_BOUND}"
             )
         return order
 
@@ -645,7 +631,7 @@ class CoxeterGroup:
         """The ShortLex enumeration of W_S as arrays (cached).
 
         Raises TooLargeToEnumerate, before enumerating, when |W_S| exceeds
-        the group's enumeration bound."""
+        ENUMERATION_BOUND."""
         key = frozenset(subset)
         got = self._enumerations.get(key)
         if got is None:
@@ -658,8 +644,8 @@ class CoxeterGroup:
         descent in J (J contained in S), and the rows of their inverses.
         Not cached; J = () walks all of W_S.
 
-        Raises TooLargeToEnumerate, before walking, when |W_S| exceeds the
-        group's enumeration bound, as :meth:`enumeration` does."""
+        Raises TooLargeToEnumerate, before walking, when |W_S| exceeds
+        ENUMERATION_BOUND, as :meth:`enumeration` does."""
         key, J = frozenset(subset), tuple(sorted(set(J)))
         order = self.enumerable_order(key) // self.parabolic_order(J)
         return self._shortlex(tuple(sorted(key)), order, J)
@@ -692,7 +678,7 @@ class CoxeterGroup:
         the words its walk spells, and cached.
 
         Raises TooLargeToEnumerate, before enumerating, when |W_S| exceeds
-        the group's enumeration bound."""
+        ENUMERATION_BOUND."""
         key = frozenset(subset)
         got = self._parabolic_cache.get(key)
         if got is None:
@@ -818,29 +804,12 @@ class CoxeterGroup:
 
     def coxeter_automorphisms(self) -> tuple[CoxeterAutomorphism, ...]:
         """All Coxeter-matrix preserving permutations of the simple set, in
-        lexicographic order of their images.
-
-        A backtracking search: a partial assignment 1 -> images[0], ...
-        grows by the unused images in ascending order, and is dropped at
-        the first Coxeter-matrix mismatch on its domain, so the search
-        visits none of the permutations that extend it."""
-        S = self.simple_indices
-        found, images = [], []
-
-        def extend() -> None:
-            if len(images) == self.rank:
-                found.append(CoxeterAutomorphism._trusted(self, tuple(images)))
-                return
-            for t in S:
-                if t in images:
-                    continue
-                images.append(t)
-                if self.coxeter_mismatch(dict(zip(S, images)), S[: len(images)]) is None:
-                    extend()
-                images.pop()
-
-        extend()
-        return tuple(found)
+        lexicographic order of their images: the isomorphisms of the Coxeter
+        matrix onto itself (:func:`cartan.isomorphisms`)."""
+        return tuple(
+            CoxeterAutomorphism._trusted(self, tuple(t + 1 for t in iso))
+            for iso in cartan.isomorphisms(self._coxeter, self._coxeter)
+        )
 
     def identity_automorphism(self) -> CoxeterAutomorphism:
         return self._identity_automorphism
@@ -850,23 +819,22 @@ class CoxeterGroup:
 
 
 @lru_cache(maxsize=None)
-def _build_cached(key, enumeration_bound: int) -> CoxeterGroup:
+def _build_cached(key) -> CoxeterGroup:
     if isinstance(key, str):
         factors, cart, cox = cartan.matrices_for_label(key)
         label = key
     else:
         factors, cart, label = cartan.classify_coxeter_matrix(key)
         cox = [list(row) for row in key]
-    return CoxeterGroup(factors, cart, cox, label, enumeration_bound)
+    return CoxeterGroup(factors, cart, cox, label)
 
 
-def build_group(spec, enumeration_bound: int = ENUMERATION_BOUND) -> CoxeterGroup:
+def build_group(spec) -> CoxeterGroup:
     """Build a finite Weyl group from a Cartan type label ("A2", "B3",
     "A1xA1", ...) or an explicit Coxeter matrix of finite Weyl type.
 
     Repeated calls with equal specs return the same instance.
     """
     if isinstance(spec, str):
-        return _build_cached(spec, enumeration_bound)
-    key = cartan.validate_coxeter_matrix(spec)
-    return _build_cached(key, enumeration_bound)
+        return _build_cached(spec)
+    return _build_cached(cartan.validate_coxeter_matrix(spec))

@@ -79,13 +79,14 @@ class ExtendedZipDatum:
         self.omega = close_automorphisms(omega_gens) or (
             self.group.identity_automorphism(),
         )
-        omega_set = set(self.omega)
+        self._omega_set = frozenset(self.omega)
         for g in omega_I_gens:
-            if g not in omega_set:
+            if g not in self._omega_set:
                 raise SubsetMismatch("Omega_I generator lies outside Omega")
         self.omega_I = close_automorphisms(omega_I_gens) or (
             self.group.identity_automorphism(),
         )
+        self._omega_I_set = frozenset(self.omega_I)
         self.psi_hat = self._extend_psi_hat(list(omega_I_gens), list(psi_hat_images))
         self._validate()
         self._conjugate_data: dict[CoxeterAutomorphism, ZipDatum] = {}
@@ -98,18 +99,17 @@ class ExtendedZipDatum:
             table = extend_homomorphism(ident, ident, gens, images, operator.mul)
         except NotAHomomorphism:
             raise NotAHomomorphism("psi_hat images are inconsistent") from None
-        if set(table) != set(self.omega_I):
+        if set(table) != self._omega_I_set:
             raise NotAHomomorphism("psi_hat generators do not generate Omega_I")
         return table
 
     def _validate(self) -> None:
         I, J, psi = self.base.I, self.base.J, self.base.psi
-        omega_set = set(self.omega)
         for u in self.omega_I:
             if u.apply_subset(I) != I:
                 raise SubsetMismatch(f"Omega_I element {u.images} does not preserve I")
             uh = self.psi_hat[u]
-            if uh not in omega_set:
+            if uh not in self._omega_set:
                 raise SubsetMismatch("psi_hat image lies outside Omega")
             if uh.apply_subset(J) != J:
                 raise SubsetMismatch(f"psi_hat image {uh.images} does not preserve J")
@@ -129,7 +129,7 @@ class ExtendedZipDatum:
 
     def contains_param(self, what: ExtendedElement, side: str = "iw") -> bool:
         _check_side(side)
-        if what.omega not in set(self.omega):
+        if what.omega not in self._omega_set:
             return False
         if side == "iw":
             return cosets.in_min_left(what.w, self.base.I)
@@ -146,13 +146,8 @@ class ExtendedZipDatum:
         _check_side(side)
         out = []
         for omega in self.omega:
-            if side == "iw":
-                ws = self.base.param_set("iw")
-            else:
-                ws = cosets.min_right_coset_reps(
-                    self.group, omega.apply_subset(self.base.J)
-                )
-            out.extend(ExtendedElement(w, omega) for w in ws)
+            base = self.base if side == "iw" else self._conjugate_datum(omega)
+            out.extend(ExtendedElement(w, omega) for w in base.param_set(side))
         return tuple(sorted(out, key=lambda e: e.sort_key))
 
     # -- the Omega_I action --
@@ -161,7 +156,7 @@ class ExtendedZipDatum:
             side: str = "iw") -> ExtendedElement:
         """The action u . what = u * what * psi_hat(u)^{-1}, which preserves
         both parameter sets."""
-        if upsilon not in set(self.omega_I):
+        if upsilon not in self._omega_I_set:
             raise NotInParamSet("upsilon must lie in Omega_I")
         self._require_param(what, side)
         uh = self.psi_hat[upsilon]

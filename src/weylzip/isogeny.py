@@ -5,15 +5,15 @@ Lusztig's pieces, and the orbit report for the vanishing-differential
 Input: Coxeter automorphisms phi_bar and delta of (W, S), a subset I,
 and an element x conjugating delta(phi_bar(I)) into the simple set.  The
 resulting datum has J = x delta(phi_bar(I)) x^{-1} and twist
-psi = inn(x) * delta * phi_bar.
+psi = inn(x) * delta * phi_bar.  A Lusztig closure is the "wj" closure set
+of w x^{-1} moved by x, read off the target set of the datum (cached on
+it) in that set's ShortLex order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import cosets
 from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element
@@ -52,6 +52,11 @@ class IsogenyDatum:
         return cosets.in_min_right(w, self.source_subset)
 
     def target_set(self) -> tuple[Element, ...]:
+        """The minimal right reps of delta(phi_bar(I)), ShortLex ordered."""
+        return self._target_set
+
+    @cached_property
+    def _target_set(self) -> tuple[Element, ...]:
         return cosets.min_right_coset_reps(self.group, self.source_subset)
 
     def reparam(self, w: Element, direction: str = "forward") -> Element:
@@ -76,20 +81,14 @@ class IsogenyDatum:
     def lusztig_closure(self, w: Element) -> tuple[Element, ...]:
         """Closure of the piece labeled w in the W^{delta(I)} parametrization
         (identity phi_bar only): all w' with w' x^{-1} preceding w x^{-1},
-        i.e. the "wj" closure set of w x^{-1} right-multiplied by x, in
-        ShortLex order like :meth:`target_set`."""
+        i.e. the "wj" closure set of w x^{-1} right-multiplied by x, read
+        off :meth:`target_set` in its ShortLex order."""
         if not self.phi_bar.is_identity():
             raise WrongMode("the Lusztig parametrization requires phi_bar = id")
         if not self.in_target_set(w):
             raise NotMinimalRep("w lies outside the reparametrized set")
-        closure = self.zip.closure_set(w * self.x.inverse(), side="wj")
-        # the ShortLex positions of the v x, read along a word of x in the
-        # right multiplication tables of W
-        t = self.group.tables()
-        positions = t.index_of(closure)
-        for s in self.x.canonical_word():
-            positions = t.rmul[s - 1][positions]
-        return tuple(closure[k] * self.x for k in np.argsort(positions))
+        closure = {v * self.x for v in self.zip.closure_set(w * self.x.inverse(), "wj")}
+        return tuple(v for v in self.target_set() if v in closure)
 
 
 def zip_datum_from_isogeny(group: CoxeterGroup,

@@ -459,22 +459,32 @@ def iter_isogeny_data(group: CoxeterGroup):
 
 
 def check_lusztig_consistency(group: CoxeterGroup) -> list[str]:
+    """The reparametrization by x is a bijection onto the target set, and
+    each Lusztig closure, order included, is the set of "wj" parameters
+    whose twisted orbit meets the Bruhat interval below w x^{-1}, carried
+    by x and sorted ShortLex: orbits from one gather per datum, one lifting
+    loop (:meth:`CoxeterGroup.bruhat_below`) per target, no closure set."""
     bad = []
+    m2 = 2 * group.num_positive
     for iso in iter_isogeny_data(group):
-        target = iso.target_set()
-        forward = [iso.reparam(w, "forward") for w in iso.zip.param_set("wj")]
+        z, target = iso.zip, iso.target_set()
+        params = z.param_set("wj")
+        forward = [iso.reparam(w, "forward") for w in params]
         if sorted(w.perm for w in forward) != sorted(w.perm for w in target):
             bad.append(f"{iso!r}: reparametrization is not onto")
             continue
+        Y = group.parabolic_perms(z.I)
+        rows = np.array([v.perm for v in params], dtype=np.int16)
+        orbits = z._orbit_images(Y, rows, z._psi_inverse_rows, slice(None)).reshape(-1, m2)
+        shortlex = sorted(range(len(forward)), key=lambda p: forward[p].sort_key)
         for w in target:
-            if iso.reparam(iso.reparam(w, "backward"), "forward") != w:
+            v = iso.reparam(w, "backward")
+            if iso.reparam(v, "forward") != w:
                 bad.append(f"{iso!r}: reparametrization round trip fails")
-            direct = set(iso.lusztig_closure(w))
-            mapped = {
-                iso.reparam(v, "forward")
-                for v in iso.zip.closure_set(iso.reparam(w, "backward"), "wj")
-            }
-            if direct != mapped:
+            below = group.bruhat_below(orbits, v.canonical_word())
+            below = below.reshape(len(Y), len(params)).any(axis=0)
+            expect = tuple(forward[p] for p in shortlex if below[p])
+            if iso.lusztig_closure(w) != expect:
                 bad.append(
                     f"{iso!r}: reparametrized closure mismatch at {word_str(w)}"
                 )

@@ -13,11 +13,12 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   equivalence relation (so membership of w in a piece is decidable), by
   the induction on numpy root-permutation rows, enumerating nothing,
 * the W_I-twisted orbits y w psi(y)^{-1} by one numpy gather over the root
-  permutations of all y in W_I and of the psi(y)^{-1}: sigma picks the
-  member with no right descent in J, and the closure order tests orbits
-  against Bruhat order, point queries by the lifting loop on root
-  permutations, closure sets and the Hasse poset by down-set rows in the
-  integer multiplication tables of W_U,
+  permutations of all y in W_I and of the psi(y)^{-1}: one kernel picks
+  the first member with no right descent in J for sigma, its mirror for
+  sigma_inverse and all parameters at once for the pieces, and the closure
+  order tests orbits against Bruhat order, point queries by the lifting
+  loop on root permutations, closure sets and the Hasse poset by down-set
+  rows in the integer multiplication tables of W_U,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Data may carry a `universe` subset U, in which case everything lives in
@@ -73,7 +74,9 @@ class ZipDatum:
 
     Every use of the W_I-twisted orbit y w psi(y)^{-1} (sigma, precedes,
     closure sets, posets) goes through one gather, :meth:`_orbit_images`;
-    closure sets and posets cache its ShortLex positions in W_U per side.
+    sigma, sigma_inverse and pieces pick their member of it by one kernel,
+    :meth:`_sigma_rows`, and closure sets and posets cache its ShortLex
+    positions in W_U per side.
     """
 
     def __init__(self, group: CoxeterGroup, I, J, psi: dict, universe=None):
@@ -299,12 +302,10 @@ class ZipDatum:
         self._require_param(w, "iw")
         got = self._sigma.get(w)
         if got is None:
-            g, x = self.group, np.array(w.perm, dtype=np.int16)
+            g = self.group
             Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
-            images = self._orbit_images(Y, x, P, [j - 1 for j in self.J])
-            k = np.flatnonzero((images < g.num_positive).all(axis=(1, 2)))[0]
-            # the row of y w psi(y)^{-1} for that y, composed directly
-            got = Element(g, tuple(Y[k][x[P[k]]].tolist()))
+            row = self._sigma_rows(Y, w.perm, P, self._J_cols)[0]
+            got = Element(g, tuple(row.tolist()))
             self._sigma[w] = got
         return got
 
@@ -315,11 +316,25 @@ class ZipDatum:
         whose inverse psi(y)^{-1} wj^{-1} y has no right descent in I (so w
         has no left descent in I)."""
         self._require_param(wj, "wj")
-        g, x = self.group, np.array(wj.inverse().perm, dtype=np.int16)
+        g = self.group
         Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
-        images = self._orbit_images(P, x, Y, [i - 1 for i in self.I])
-        k = np.flatnonzero((images < g.num_positive).all(axis=(1, 2)))[0]
-        return Element(g, tuple(P[k][x[Y[k]]].tolist())).inverse()
+        row = self._sigma_rows(P, wj.inverse().perm, Y, [i - 1 for i in self.I])[0]
+        return Element(g, tuple(row.tolist())).inverse()
+
+    def _sigma_rows(self, outer: np.ndarray, X, inner: np.ndarray, cols) -> np.ndarray:
+        """For each row x of a stack X (or one row), the row of
+        ``outer[y] x inner[y]`` at the first y whose images of the roots
+        ``cols`` are all positive: sigma for (Y, P, J), its mirror for
+        (P, Y, I).  The orbits are gathered by :meth:`_orbit_images` a few
+        rows at a time, then every product is composed by one broadcast
+        gather."""
+        X, m = np.atleast_2d(np.asarray(X, dtype=np.int16)), self.group.num_positive
+        first = np.empty(len(X), dtype=np.intp)
+        step = max(1, _ORBIT_CHUNK // len(outer))
+        for a in range(0, len(X), step):
+            images = self._orbit_images(outer, X[a : a + step], inner, cols)
+            first[a : a + step] = (images < m).all(axis=2).argmax(axis=0)
+        return outer[first[:, None], X[np.arange(len(X))[:, None], inner[first]]]
 
     # -- closure order --
 
@@ -450,29 +465,17 @@ class ZipDatum:
         this doubles as the orbit-representative list.
 
         One batched pass over the stacked rows X of the "iw" parameters:
-        sigma from chunked twisted-orbit gathers at the simple roots of J,
-        K_w from the partial maps of all rows, and the Howlett parts by
-        stripping the right descents in J from all rows at once (a
-        parameter has no left descent in I, so its left part is e).  The
-        sigma images and the x parts are looked up by row among the "wj"
-        and the "iw" parameters, and each distinct right part is built
-        once, so Elements are built for the parameters of both sides and
-        the few distinct right parts only."""
+        sigma of all rows by :meth:`_sigma_rows`, K_w from the partial maps
+        of all rows, and the Howlett parts by stripping the right descents
+        in J from all rows at once (a parameter has no left descent in I,
+        so its left part is e).  The sigma images and the x parts are looked
+        up by row among the "wj" and the "iw" parameters, and each distinct
+        right part is built once, so Elements are built for the parameters
+        of both sides and the few distinct right parts only."""
         _check_side(side)
-        g, m = self.group, self.group.num_positive
+        g = self.group
         X, reps = self._param_rows("iw")
-        Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
-        first = np.empty(len(X), dtype=np.intp)
-        step = max(1, _ORBIT_CHUNK // len(Y))
-        for a in range(0, len(X), step):
-            images = self._orbit_images(Y, X[a : a + step], P, self._J_cols)
-            first[a : a + step] = (images < m).all(axis=2).argmax(axis=0)
-        # the rows of y w psi(y)^{-1} at the first such y, composed
-        # directly: one pair of gathers per y that is first somewhere
-        dual = np.empty_like(X)
-        for k in np.flatnonzero(np.bincount(first, minlength=len(Y))):
-            at = np.flatnonzero(first == k)
-            dual[at] = Y[k][X[at][:, P[k]]]
+        dual = self._sigma_rows(g.parabolic_perms(self.I), X, self._psi_inverse_rows, self._J_cols)
         right_letters, x = cosets.strip_rows(g, X, self.J)
         # sigma is a bijection onto the "wj" parameters, and x is an "iw" one
         wj_rows, wj = self._param_rows("wj")

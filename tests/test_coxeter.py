@@ -1,12 +1,12 @@
 import random
-from itertools import combinations
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzip import ZipDatum, build_group, cartan
+from weylzip import ZipDatum, build_group, cartan, coxeter
 from weylzip.cli import main
 from weylzip.coxeter import CoxeterAutomorphism, CoxeterGroup, Element
 from weylzip.errors import (
@@ -79,6 +79,66 @@ def test_matrix_rejections():
         build_group("H3")
     with pytest.raises(NonFiniteType):
         build_group("Z9")
+
+
+def _classify_by_permutations(M):
+    """The reference: the connected components of the Coxeter graph by
+    growing each from its least vertex, and for each the first type among
+    A, B, D, E, F, G of its rank with some vertex order matching the
+    Bourbaki Coxeter matrix, that order being the first permutation, in
+    lexicographic order, that every entry accepts."""
+    n = len(M)
+    comps, seen = [], set()
+    for v in range(n):
+        if v in seen:
+            continue
+        comp = {v}
+        while more := {u for c in comp for u in range(n) if M[c][u] >= 3} - comp:
+            comp |= more
+        seen |= comp
+        comps.append(sorted(comp))
+    factors, orders = [], []
+    cart = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for comp in comps:
+        k = len(comp)
+        for letter in "ABDEFG":
+            try:
+                cartan.parse_label(f"{letter}{k}")
+            except NonFiniteType:
+                continue
+            C = cartan.coxeter_matrix(letter, k)
+            hits = [p for p in permutations(range(k)) if all(
+                M[comp[a]][comp[b]] == C[p[a]][p[b]] for a in range(k) for b in range(k))]
+            if hits:
+                break
+        p, bourbaki = hits[0], cartan.cartan_matrix(letter, k)
+        for a in range(k):
+            for b in range(k):
+                cart[comp[a]][comp[b]] = bourbaki[p[a]][p[b]]
+        factors.append((letter, k))
+        orders.append((comp, letter, hits))
+    label = "x".join(f"{letter}{k}" for letter, k in factors)
+    return (tuple(factors), cart, label), orders
+
+
+SHUFFLED_TYPES = [f"{letter}{n}" for letter, ranks in (
+    ("A", range(1, 7)), ("B", range(2, 7)), ("C", range(2, 7)), ("D", range(3, 7)),
+    ("E", (6,)), ("F", (4,)), ("G", (2,))) for n in ranks] + ["A2xB2"]
+
+
+@pytest.mark.parametrize("label", SHUFFLED_TYPES)
+def test_classification_equals_the_permutation_filter(label):
+    _, _, cox = cartan.matrices_for_label(label)
+    rng = random.Random(label)
+    for _ in range(3):
+        shuffle = rng.sample(range(len(cox)), len(cox))
+        M = [[cox[a][b] for b in shuffle] for a in shuffle]
+        expect, orders = _classify_by_permutations(M)
+        assert cartan.classify_coxeter_matrix(M) == expect
+        # the search yields the filter's vertex orders, least first
+        for comp, letter, hits in orders:
+            target = cartan.coxeter_matrix(letter, len(comp))
+            assert list(cartan.isomorphisms(M, target, comp)) == hits
 
 
 def test_words_and_identity(a2):
@@ -376,27 +436,17 @@ def test_tables_match_element_products(label, S):
         assert t.rmul[s - 1].tolist() == [position[(w * x).perm] for w in elems]
     rng = random.Random(7)
     sample = rng.sample(elems, min(50, len(elems)))
-    assert [elems[i] for i in t.index_of(sample)] == sample
+    assert [elems[i] for i in t.lookup(_keys(sample, S))] == sample
     if g.coxeter_m(1, 2) > 2:  # else s_2 fixes alpha_1, the key of W_{1}
         with pytest.raises(GroupMismatch):
-            g.tables((1,)).index_of([g.simple(2)])
+            g.tables((1,)).lookup(_keys([g.simple(2)], (1,)))
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "D4"])
-def test_index_of_refuses_elements_outside_the_subgroup(label):
-    g = build_group(label)
-    elems = g.elements()
-    # every proper W_S; on A3 this includes s_3 against W_{1}, whose key
-    # (the image of alpha_1) s_3 shares with the identity
-    for size in range(g.rank):
-        for S in combinations(g.simple_indices, size):
-            t, inside = g.tables(S), ZipDatum(g, (), (), {}, universe=S).in_universe
-            members = g.parabolic_elements(S)
-            assert list(t.index_of(members)) == list(range(len(members)))
-            for w in elems:
-                if not inside(w):
-                    with pytest.raises(GroupMismatch):
-                        t.index_of([w])
+def _keys(elements, S):
+    """The lookup keys of elements of W_S: the images of the simple roots
+    of S, ascending (alpha_i sits at root index i - 1)."""
+    return np.array([[w.perm[i - 1] for i in sorted(S)] for w in elements],
+                    dtype=np.int64).reshape(len(elements), len(S))
 
 
 @pytest.mark.parametrize("label", ["D6", "E6"])
@@ -421,18 +471,21 @@ def test_tables_keys_exceed_one_int64():
     t = g.tables()
     elems = g.elements()
     assert len(t._levels) > 1
-    assert list(t.index_of(elems)) == list(range(len(elems)))
+    assert list(t.lookup(_keys(elems, g.simple_indices))) == list(range(len(elems)))
     for _, level in t._levels:  # each fold renumbers its distinct codes densely
         assert (np.diff(level) > 0).all()
 
 
-def test_enumeration_bound_is_enforced_up_front():
-    a4 = build_group("A4", enumeration_bound=50)
+def test_enumeration_bound_is_enforced_up_front(monkeypatch):
+    monkeypatch.setattr(coxeter, "ENUMERATION_BOUND", 50)
+    # a group of its own, so no other test shares its caches
+    a4 = CoxeterGroup(*cartan.matrices_for_label("A4"), "A4")
     z = ZipDatum(a4, {1}, {1}, {1: 1})
     with pytest.raises(TooLargeToEnumerate, match="120 .*bound 50"):
         z.pieces()
     with pytest.raises(TooLargeToEnumerate):
         a4.elements()
+    assert not a4._enumerations  # both refused before enumerating
     assert len(a4.parabolic_elements({1, 2, 3})) == 24
     assert len(a4.parabolic_elements({1, 3, 4})) == 12
     with pytest.raises(IndexOutOfRange):
@@ -457,8 +510,6 @@ def test_large_enumeration_fails_fast_on_the_command_line():
 
 def _automorphisms_by_permutations(g):
     """The reference: every permutation of the simple set, filtered."""
-    from itertools import permutations
-
     S = g.simple_indices
     return tuple(images for images in permutations(S)
                  if g.coxeter_mismatch(dict(zip(S, images)), S) is None)

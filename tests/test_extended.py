@@ -146,6 +146,24 @@ def test_trivial_omega_degenerates(a3):
     assert check_extended_trivial_omega(z) == []
 
 
+def test_param_sets_where_omega_moves_J():
+    # Omega_I is trivial, so Omega = <flip> need not preserve J = {1}
+    g = build_group("A3")
+    flip = CoxeterAutomorphism(g, (3, 2, 1))
+    ext = ExtendedZipDatum(ZipDatum(g, {1}, {1}, {1: 1}), [flip], [], [])
+    minimal = {
+        "iw": lambda w, omega: not w.has_left_descent(1),
+        "wj": lambda w, omega: not w.has_right_descent(omega.apply_index(1)),
+    }
+    for side, keep in minimal.items():
+        expect = sorted(
+            (ExtendedElement(w, omega) for omega in ext.omega
+             for w in shortlex_oracle(g, g.simple_indices) if keep(w, omega)),
+            key=lambda e: e.sort_key,
+        )
+        assert ext.param_set(side) == tuple(expect)
+
+
 def _mul(a, b):
     """(w1, o1)(w2, o2) = (w1 o1(w2), o1 o2), with o1 applied letter by
     letter."""
