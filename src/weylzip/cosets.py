@@ -161,7 +161,7 @@ class HowlettDecomposition:
 
 def howlett_decompose(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposition:
     """Decompose w = w_I * x * w_J by :func:`howlett_rows`."""
-    left, x, right = howlett_rows(group, I, J, np.array(w.perm, dtype=np.int16))
+    left, x, right = howlett_rows(group, sorted(I), sorted(J), np.array(w.perm, dtype=np.int16))
     return HowlettDecomposition(
         _element(group, word_row(group, left)),
         _element(group, x),
@@ -170,7 +170,8 @@ def howlett_decompose(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposi
 
 
 def howlett_rows(group: CoxeterGroup, I, J, row: np.ndarray):
-    """The Howlett decomposition w = l * x * r on int16 root-permutation rows.
+    """The Howlett decomposition w = l * x * r on int16 root-permutation rows,
+    for I and J given as ascending sequences.
 
     Returns (left, x, right): l = s_1 ... s_k for the letters s_i of `left`,
     the row of x, and r = t_k ... t_1 for the letters t_i of `right`.
@@ -178,40 +179,36 @@ def howlett_rows(group: CoxeterGroup, I, J, row: np.ndarray):
     descent of w iff w^{-1}(alpha_s) is negative, and (s w)^{-1} = w^{-1} s
     is one gather.  Then right descents in J are stripped on the row itself.
     Nothing is enumerated."""
-    left, inv = _strip(_inverse(row), sorted(I), group)
-    x = _inverse(inv) if left else row
-    right, x = _strip(x, sorted(J), group)
+    left, inv = _strip(group.inverse_row(row), I, group)
+    x = group.inverse_row(inv) if left else row
+    right, x = _strip(x, J, group)
     return left, x, right
 
 
 def _strip(row: np.ndarray, S, group: CoxeterGroup) -> tuple[list[int], np.ndarray]:
     """Strip right descents in S (ascending) from the element with root
     permutation `row`, smallest first: w has right descent s iff
-    w(alpha_s) is negative, and w s is ``row[reflections[s - 1]]``."""
-    m = group.num_positive
+    w(alpha_s) is negative, read as a Python int, and w s is
+    ``row[reflections[s - 1]]``."""
+    m, refl = group.num_positive, group.reflections
     letters = []
     while True:
         for s in S:
-            if row[s - 1] >= m:  # the simple root alpha_s sits at index s - 1
+            if row.item(s - 1) >= m:  # the simple root alpha_s sits at index s - 1
                 break
         else:
             return letters, row
         letters.append(s)
-        row = row[group.reflections[s - 1]]
-
-
-def _inverse(row: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(row)
-    inv[row] = np.arange(len(row), dtype=row.dtype)
-    return inv
+        row = row[refl[s - 1]]
 
 
 def word_row(group: CoxeterGroup, word) -> np.ndarray:
     """Int16 root-permutation row of the product of the simple reflections
-    in `word`, one gather per letter."""
-    row = np.arange(2 * group.num_positive, dtype=np.int16)
+    in `word`, one gather per letter (the shared, read-only identity row
+    for the empty word)."""
+    row, refl = group.identity_row, group.reflections
     for s in word:
-        row = row[group.reflections[s - 1]]
+        row = row[refl[s - 1]]
     return row
 
 

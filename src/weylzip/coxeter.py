@@ -491,6 +491,10 @@ class CoxeterGroup:
         #: array: ``reflections[i - 1, r]`` is the index of s_i(root r).
         self.reflections = np.array(self._reflect_tables, dtype=np.intp)
         self.reflections.flags.writeable = False
+        #: The identity root permutation as a read-only int16 row, shared by
+        #: every row kernel that starts from it or inverts into it.
+        self.identity_row = np.arange(2 * self.num_positive, dtype=np.int16)
+        self.identity_row.flags.writeable = False
         # root index -> 1-based simple index when the root is +-alpha_i, else 0
         self._simple_of_root = np.zeros(2 * self.num_positive, dtype=np.intp)
         for i in range(n):
@@ -559,6 +563,12 @@ class CoxeterGroup:
         its :meth:`psi_table`: ``out[..., s - 1]`` is psi(i) when
         w(alpha_s) = +-alpha_i with i in I, and 0 where s has no image."""
         return psi[self._simple_of_root[np.asarray(rows)[..., : self.rank]]]
+
+    def inverse_row(self, row: np.ndarray) -> np.ndarray:
+        """The int16 root permutation of w^{-1} from that of w, one scatter."""
+        inv = np.empty_like(row)
+        inv[row] = self.identity_row
+        return inv
 
     def from_word(self, word: Iterable[int]) -> Element:
         out = self.identity
@@ -726,7 +736,7 @@ class CoxeterGroup:
         inverses = np.empty_like(perms)
         first = np.zeros(order, dtype=np.int16)
         parent = np.zeros(order, dtype=np.int32)
-        perms[0] = inverses[0] = np.arange(2 * m)
+        perms[0] = inverses[0] = self.identity_row
         # s u keeps s as its smallest left descent iff u^-1 sends alpha_s and
         # every s alpha_t, t < s, to positive roots: the columns read for s
         tests = {s: [s - 1, *(refl[s - 1, t - 1] for t in gens if t < s)] for s in gens}

@@ -12,13 +12,17 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 * the canonical representative of any group element under the twisted
   equivalence relation (so membership of w in a piece is decidable), by
   the induction on numpy root-permutation rows, enumerating nothing,
-* the W_I-twisted orbits y w psi(y)^{-1} by one numpy gather over the root
-  permutations of all y in W_I and of the psi(y)^{-1}: one kernel picks
-  the first member with no right descent in J for sigma, its mirror for
-  sigma_inverse and all parameters at once for the pieces, and the closure
-  order tests orbits against Bruhat order, point queries by the lifting
-  loop on root permutations, closure sets and the Hasse poset by down-set
-  rows in the integer multiplication tables of W_U,
+* sigma by one kernel over the W_I-twisted orbit y w psi(y)^{-1}: it
+  picks the first y in ShortLex order whose member has no right descent
+  in J, reading only the signs of the images of the simple roots of J
+  from sign rows of W_I cached per side (its mirror for sigma_inverse),
+  and composes that member alone; one row for sigma, all parameters at
+  once for the pieces,
+* the closure order from whole twisted orbits, gathered by one numpy
+  gather over the root permutations of all y in W_I and of the
+  psi(y)^{-1} and tested against Bruhat order: point queries by the
+  lifting loop on root permutations, closure sets and the Hasse poset by
+  down-set rows in the integer multiplication tables of W_U,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Data may carry a `universe` subset U, in which case everything lives in
@@ -72,11 +76,16 @@ class ZipDatum:
     `psi` maps 1-based simple indices of I to those of J.  All caches are
     internal; public methods are pure.
 
-    Every use of the W_I-twisted orbit y w psi(y)^{-1} (sigma, precedes,
-    closure sets, posets) goes through one gather, :meth:`_orbit_images`;
-    sigma, sigma_inverse and pieces pick their member of it by one kernel,
-    :meth:`_sigma_rows`, and closure sets and posets cache its ShortLex
-    positions in W_U per side.
+    Every use of whole W_I-twisted orbits y w psi(y)^{-1} (precedes,
+    closure sets, posets) goes through one gather, :meth:`_orbit_images`,
+    and closure sets and posets cache their ShortLex positions in W_U per
+    side.  sigma, sigma_inverse and pieces pick their member of the orbit
+    by one kernel, :meth:`_sigma_rows`: the first y whose member has all
+    images of the simple roots of J positive (of I, on inverse rows, for
+    sigma_inverse), found from the sign rows of W_I and the pre-gathered
+    columns of the psi(y)^{-1} that :meth:`_sigma_search` caches per side.
+    canonical_rep keeps the row of its last result, which sigma reads
+    when handed an equal Element.
     """
 
     def __init__(self, group: CoxeterGroup, I, J, psi: dict, universe=None):
@@ -89,10 +98,16 @@ class ZipDatum:
         self.universe = frozenset(int(u) for u in universe)
         self._validate()
         self._psi_table = group.psi_table(self.psi)
+        #: I and J ascending, as the Howlett stripping reads them
+        self._I_sorted, self._J_sorted = tuple(sorted(self.I)), tuple(sorted(self.J))
         #: the indices of the simple roots of J, ascending
-        self._J_cols = np.array(sorted(self.J), dtype=np.intp) - 1
+        self._J_cols = np.array(self._J_sorted, dtype=np.intp) - 1
         self._canonical: dict[Element, Element] = {}
+        #: the last representative canonical_rep built and its int16 row,
+        #: which sigma reads when handed an equal Element
+        self._last_rep = (group.identity, group.identity_row)
         self._sigma: dict[Element, Element] = {}
+        self._search: dict[str, tuple[np.ndarray, ...]] = {}
         self._params: dict[str, tuple[np.ndarray, tuple[Element, ...]]] = {}
         self._orbits: dict[str, np.ndarray] = {}
 
@@ -131,13 +146,26 @@ class ZipDatum:
     def _psi_inverse_rows(self) -> np.ndarray:
         """Root permutations of psi(y)^{-1}, one int16 row per y in W_I in
         ShortLex order: the enumeration reaches y as s y', and psi(y)^{-1} =
-        psi(y')^{-1} psi(s) reads the row of y' through that of psi(s)."""
+        psi(y')^{-1} psi(s) reads the row of y' through that of psi(s).  The
+        parents y' lie one length layer down, so a layer starts where the
+        running maximum of the parents first reaches the layer before, and
+        the walk spells each layer by first letter ascending: the rows are
+        filled by one column gather per run of one first letter s within
+        one layer, parents before children, as the walk fills its inverse
+        rows."""
         g = self.group
         e = g.enumeration(self.I)
         rows = np.empty_like(e.perms)
-        rows[0] = np.arange(2 * g.num_positive)
-        for j, (s, parent) in enumerate(zip(e.first[1:].tolist(), e.parent[1:].tolist()), 1):
-            rows[j] = rows[parent][g.reflections[self.psi[s] - 1]]
+        rows[0] = g.identity_row
+        top, cut = np.maximum.accumulate(e.parent), np.diff(e.first) != 0
+        start = 1
+        while start < len(rows):
+            cut[start - 1] = True
+            start = int(np.searchsorted(top, start))
+        cuts = np.flatnonzero(cut) + 1
+        ends = [*cuts[1:].tolist(), len(rows)]
+        for lo, hi, s in zip(cuts.tolist(), ends, e.first[cuts].tolist()):
+            rows[lo:hi] = rows[e.parent[lo:hi]].take(g.reflections[self.psi[s] - 1], axis=1)
         return rows
 
     def _orbit_images(self, outer: np.ndarray, X, inner: np.ndarray, cols) -> np.ndarray:
@@ -277,7 +305,8 @@ class ZipDatum:
         The recursion runs on int16 root-permutation rows: Howlett stripping
         by :func:`cosets.howlett_rows`, w_J * psi(w_I) by one reflection
         gather per letter, and the product of the x parts by one gather per
-        level.  Only the result becomes an Element; nothing is enumerated."""
+        level.  Only the result becomes an Element; nothing is enumerated.
+        The last result's row is kept for :meth:`sigma`."""
         if not self.in_universe(w):
             raise GroupMismatch("element lies outside the universe")
         got = self._canonical.get(w)
@@ -285,12 +314,16 @@ class ZipDatum:
             g = self.group
             rep, z, v = None, self, np.array(w.perm, dtype=np.int16)
             while z.I != z.universe:
-                left, x, right = cosets.howlett_rows(g, z.I, z.J, v)
+                left, x, right = cosets.howlett_rows(g, z._I_sorted, z._J_sorted, v)
                 rep = x if rep is None else rep[x]
-                v = cosets.word_row(g, [*right[::-1], *(z.psi[s] for s in left)])
+                v = cosets.word_row(g, [*right[::-1], *[z.psi[s] for s in left]])
                 z = z._induced_at_row(x)
-            got = g.identity if rep is None else Element(g, tuple(rep.tolist()))
+            if rep is None:
+                got, rep = g.identity, g.identity_row
+            else:
+                got = Element(g, tuple(rep.tolist()))
             self._canonical[w] = got
+            self._last_rep = (got, rep)
         return got
 
     # -- sigma --
@@ -298,14 +331,17 @@ class ZipDatum:
     def sigma(self, w: Element) -> Element:
         """The image of w under the unique bijection from the "iw" to the
         "wj" parameter set of the form y w psi(y)^{-1}, y in W_I: the first
-        member of the twisted orbit of w with no right descent in J."""
+        member of the twisted orbit of w with no right descent in J, found
+        by :meth:`_sigma_rows`.  When w equals the last result of
+        :meth:`canonical_rep`, the row that call kept is read instead of
+        converting ``w.perm``."""
         self._require_param(w, "iw")
         got = self._sigma.get(w)
         if got is None:
-            g = self.group
-            Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
-            row = self._sigma_rows(Y, w.perm, P, self._J_cols)[0]
-            got = Element(g, tuple(row.tolist()))
+            last, row = self._last_rep
+            if last != w:
+                row = np.array(w.perm, dtype=np.int16)
+            got = Element(self.group, tuple(self._sigma_rows("iw", row)[0].tolist()))
             self._sigma[w] = got
         return got
 
@@ -314,26 +350,50 @@ class ZipDatum:
 
         The mirror of :meth:`sigma`: w = y^{-1} wj psi(y) for the first y
         whose inverse psi(y)^{-1} wj^{-1} y has no right descent in I (so w
-        has no left descent in I)."""
+        has no left descent in I), on the inverse rows."""
         self._require_param(wj, "wj")
         g = self.group
-        Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
-        row = self._sigma_rows(P, wj.inverse().perm, Y, [i - 1 for i in self.I])[0]
-        return Element(g, tuple(row.tolist())).inverse()
+        row = self._sigma_rows("wj", g.inverse_row(np.array(wj.perm, dtype=np.int16)))[0]
+        return Element(g, tuple(g.inverse_row(row).tolist()))
 
-    def _sigma_rows(self, outer: np.ndarray, X, inner: np.ndarray, cols) -> np.ndarray:
-        """For each row x of a stack X (or one row), the row of
+    def _sigma_search(self, side: str) -> tuple[np.ndarray, ...]:
+        """The search data of :meth:`_sigma_rows` for a side, cached per
+        side: (outer, inner, inner_cols, negative, offsets), with (outer,
+        inner, S) = (Y, P, J) for "iw" and (P, Y, I) for "wj", Y the rows of
+        W_I and P those of the psi(y)^{-1}.  ``inner_cols[c, y]`` is the
+        intp ``inner[y, cols[c]]`` for the simple roots cols of S,
+        ``negative`` the sign rows ``outer >= m`` as one flat bool array,
+        and ``offsets[y]`` the start of the sign row of y in it."""
+        got = self._search.get(side)
+        if got is None:
+            g = self.group
+            Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
+            outer, inner, S = (Y, P, self._J_sorted) if side == "iw" else (P, Y, self._I_sorted)
+            cols = np.array(S, dtype=np.intp) - 1
+            inner_cols = np.ascontiguousarray(inner[:, cols].T, dtype=np.intp)
+            negative = (outer >= g.num_positive).ravel()
+            offsets = np.arange(0, outer.size, outer.shape[1])
+            got = outer, inner, inner_cols, negative, offsets
+            self._search[side] = got
+        return got
+
+    def _sigma_rows(self, side: str, X: np.ndarray) -> np.ndarray:
+        """For each row x of a stack X of int16 rows (or one row), the row of
         ``outer[y] x inner[y]`` at the first y whose images of the roots
-        ``cols`` are all positive: sigma for (Y, P, J), its mirror for
-        (P, Y, I).  The orbits are gathered by :meth:`_orbit_images` a few
-        rows at a time, then every product is composed by one broadcast
+        ``cols`` are all positive, in the search data of
+        :meth:`_sigma_search`: sigma for "iw", its mirror on inverse rows for
+        "wj".  The image of cols[c] is negative iff ``negative[offsets[y] +
+        x[inner_cols[c, y]]]``, so the search is one offset gather into the
+        sign rows, a few rows of X at a time, an ``any`` over c and an
+        ``argmin`` over y; only the chosen y are composed, by one broadcast
         gather."""
-        X, m = np.atleast_2d(np.asarray(X, dtype=np.int16)), self.group.num_positive
+        outer, inner, inner_cols, negative, offsets = self._sigma_search(side)
+        X = X.reshape(-1, X.shape[-1])
         first = np.empty(len(X), dtype=np.intp)
         step = max(1, _ORBIT_CHUNK // len(outer))
         for a in range(0, len(X), step):
-            images = self._orbit_images(outer, X[a : a + step], inner, cols)
-            first[a : a + step] = (images < m).all(axis=2).argmax(axis=0)
+            hit = negative.take(X[a : a + step].take(inner_cols, axis=1) + offsets)
+            first[a : a + step] = hit.any(axis=1).argmin(axis=1)
         return outer[first[:, None], X[np.arange(len(X))[:, None], inner[first]]]
 
     # -- closure order --
@@ -475,7 +535,7 @@ class ZipDatum:
         _check_side(side)
         g = self.group
         X, reps = self._param_rows("iw")
-        dual = self._sigma_rows(g.parabolic_perms(self.I), X, self._psi_inverse_rows, self._J_cols)
+        dual = self._sigma_rows("iw", X)
         right_letters, x = cosets.strip_rows(g, X, self.J)
         # sigma is a bijection onto the "wj" parameters, and x is an "iw" one
         wj_rows, wj = self._param_rows("wj")

@@ -15,6 +15,7 @@ from weylzip.errors import (
 )
 from weylzip.cosets import howlett_decompose, min_double_coset_reps
 from weylzip.oracles import (
+    _psi_pairs,
     bruhat_subword_oracle,
     canonical_rep_oracle,
     cover_edges_oracle,
@@ -25,6 +26,7 @@ from weylzip.oracles import (
     sigma_oracle,
 )
 from weylzip.verify import subsets, sweep_zip_data
+from weylzip.zipdata import _ORBIT_CHUNK
 
 
 def words(elements):
@@ -264,7 +266,11 @@ def test_sigma_is_length_preserving_bijection():
         ("A3", {1}, {3}, {1: 3}),
         ("B3", {1, 2}, {1, 2}, {1: 1, 2: 2}),
         ("F4", {1, 2}, {3, 4}, {1: 4, 2: 3}),
+        ("F4", {1, 2, 3}, {2, 3, 4}, {1: 4, 2: 3, 3: 2}),
         ("D5", {1, 2, 3}, {1, 2, 3}, {1: 1, 2: 2, 3: 3}),
+        ("D4", {1, 3, 4}, {1, 3, 4}, {1: 3, 3: 4, 4: 1}),
+        ("A5", {1, 2, 4, 5}, {1, 2, 4, 5}, {1: 5, 2: 4, 4: 2, 5: 1}),
+        ("A5", {1, 2, 3}, {3, 4, 5}, {1: 5, 2: 4, 3: 3}),
     ],
 )
 def test_sigma_matches_oracle(label, I, J, psi):
@@ -292,6 +298,60 @@ def test_sigma_of_canonical_reps_matches_oracle(label, I, psi, seed):
         sig = z.sigma(rep)
         assert sig == sigma_oracle(z, rep, "iw")
         assert z.sigma_inverse(sig) == rep == sigma_oracle(z, sig, "wj")
+
+
+@pytest.mark.parametrize(
+    "label,I,psi",
+    [
+        ("E7", {1, 3, 4, 5, 6}, {1: 6, 3: 5, 4: 4, 5: 3, 6: 1}),  # reversal
+        ("D4", {1, 3, 4}, {1: 3, 3: 4, 4: 1}),  # triality
+        ("A5", {1, 2, 4, 5}, {1: 5, 2: 4, 4: 2, 5: 1}),  # flip
+    ],
+    ids=["E7rev", "D4tri", "A5flip"],
+)
+def test_psi_inverse_rows_match_the_psi_pairs(label, I, psi):
+    z = ZipDatum(build_group(label), I, set(psi.values()), psi)
+    pairs = _psi_pairs(z)
+    assert len(z._psi_inverse_rows) == len(pairs)
+    for y_row, row, (y, py) in zip(z.group.parabolic_perms(I), z._psi_inverse_rows, pairs):
+        assert tuple(y_row.tolist()) == y.perm
+        assert tuple(row.tolist()) == py.inverse().perm
+
+
+def test_pieces_sigma_in_chunks_equals_per_element_sigma():
+    I = {1, 3, 4, 5, 6}
+    z = ZipDatum(build_group("E6"), I, I, {i: i for i in I})
+    params = z.param_set("iw")
+    # the stack of 72 parameters is searched 5 rows at a time
+    assert _ORBIT_CHUNK // len(z.w_I()) == 5 < len(params)
+    single = [z.sigma(w) for w in params]
+    assert [p.dual_rep for p in z.pieces()] == single
+    assert [p.dual_rep for p in ZipDatum(z.group, I, I, z.psi).pieces()] == single
+
+
+@pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA[3:], ids=["E8", "E7"])
+def test_sigma_reads_the_canonical_row_by_value(label, I, psi, seed):
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+    z = ZipDatum(g, I, set(psi.values()), psi)
+    elements = seeded_elements(g, seed + 20, 30)
+    # an Element equal to the result but built apart, before the caches fill
+    for w in elements[:10]:
+        rep = z.canonical_rep(w)
+        twin = g.from_word(rep.canonical_word())
+        assert twin == rep and twin is not rep
+        assert z.sigma(twin) == sigma_oracle(z, rep, "iw")
+    # the row kept is that of the last result only: sigma of an earlier one
+    # or of another parameter must not read it
+    reps = [z.canonical_rep(w) for w in elements[10:]]
+    other = z.canonical_rep(elements[0])
+    for rep in reversed(reps):
+        assert z.sigma(rep) == sigma_oracle(z, rep, "iw")
+        assert z.sigma(other) == sigma_oracle(z, other, "iw")
+    # and after the caches have filled
+    for w in elements:
+        rep = z.canonical_rep(w)
+        twin = g.from_word(rep.canonical_word())
+        assert z.sigma(twin) == z.sigma(rep) == sigma_oracle(z, rep, "iw")
 
 
 def test_precedes_and_closure(z_a2, a2):
