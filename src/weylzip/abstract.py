@@ -86,7 +86,13 @@ class FiniteGroup:
 
     def elements(self) -> tuple[Perm, ...]:
         if self._elements is None:
-            closed = closure(self.identity, self.generators, mult, ORDER_BOUND)
+            try:
+                closed = closure(self.identity, self.generators, mult, ORDER_BOUND)
+            except TooLargeToEnumerate:
+                raise TooLargeToEnumerate(
+                    f"the group generated on {self.degree} points has more than "
+                    f"abstract.ORDER_BOUND = {ORDER_BOUND} elements"
+                ) from None
             self._element_set = closed
             self._elements = tuple(sorted(closed))
         return self._elements

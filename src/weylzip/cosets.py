@@ -2,8 +2,9 @@
 and the Howlett decomposition.
 
 All representative sets are returned in ShortLex order of canonical
-words, from the ShortLex walk of W_U^J (:meth:`CoxeterGroup.coset_walk`),
-which reaches only the elements with no right descent in J: minimal right
+words, as Elements that view one stack of rows, from the ShortLex walk
+of W_U^J (:meth:`CoxeterGroup.coset_walk`), which reaches only the
+elements with no right descent in J: minimal right
 representatives are that walk, double-coset ones the walk masked by its
 left descents in I, and minimal left representatives are the inverses of
 the walk of W_U^I (its inverse rows; nothing is inverted), sorted by
@@ -13,9 +14,9 @@ descent from a whole stack of rows at once.  No set of representatives
 enumerates W_U.  An optional `universe` restricts every computation to
 the standard parabolic subgroup W_U; subsets must then be contained in U.
 
-The Howlett decomposition strips descents from one numpy int16 row of
-root permutations (:func:`howlett_rows`), one gather per letter, and
-enumerates nothing, so it runs in groups of any size.  The Element-product
+The Howlett decomposition strips descents from the int16 row of an
+Element (:func:`howlett_rows`), one gather per letter, and enumerates
+nothing, so it runs in groups of any size.  The Element-product
 stripping lives on only as :func:`weylzip.oracles.howlett_oracle`.
 """
 
@@ -37,13 +38,8 @@ def _universe(group: CoxeterGroup, universe) -> frozenset[int]:
 
 
 def in_min_left(w: Element, I) -> bool:
-    """True iff w has minimal length in W_I w, i.e. no left descent in I.
-
-    s is a left descent of w iff the root that w sends to alpha_s is
-    negative, read off the row with ``perm.index``, so no inverse is built."""
-    g = w.group
-    m = g.num_positive
-    return all(w.perm.index(g.simple_root_index(i)) < m for i in I)
+    """True iff w has minimal length in W_I w, i.e. no left descent in I."""
+    return not any(w.has_left_descent(i) for i in I)
 
 
 def in_min_right(w: Element, J) -> bool:
@@ -141,7 +137,7 @@ def kilmoyer_subset(group: CoxeterGroup, I, J, x: Element) -> frozenset[int]:
     W_{I_x} = W_J n x^{-1} W_I x (asserted by tests, not here)."""
     if not (in_min_left(x, I) and in_min_right(x, J)):
         raise NotDoubleCosetRep("x is not a minimal double-coset representative")
-    images = group.partial_map(x.perm, group.psi_table({i: i for i in I}))
+    images = group.partial_map(x.row, group.psi_table({i: i for i in I}))
     return frozenset(t for t in J if images[t - 1])
 
 
@@ -161,11 +157,11 @@ class HowlettDecomposition:
 
 def howlett_decompose(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposition:
     """Decompose w = w_I * x * w_J by :func:`howlett_rows`."""
-    left, x, right = howlett_rows(group, sorted(I), sorted(J), np.array(w.perm, dtype=np.int16))
+    left, x, right = howlett_rows(group, sorted(I), sorted(J), w.row)
     return HowlettDecomposition(
-        _element(group, word_row(group, left)),
-        _element(group, x),
-        _element(group, word_row(group, right[::-1])),
+        Element(group, word_row(group, left)),
+        Element(group, x),
+        Element(group, word_row(group, right[::-1])),
     )
 
 
@@ -210,10 +206,6 @@ def word_row(group: CoxeterGroup, word) -> np.ndarray:
     for s in word:
         row = row[refl[s - 1]]
     return row
-
-
-def _element(group: CoxeterGroup, row: np.ndarray) -> Element:
-    return Element(group, tuple(row.tolist()))
 
 
 def refined_length_count(group: CoxeterGroup, I, J, w: Element) -> int:

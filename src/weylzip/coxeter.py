@@ -1,10 +1,12 @@
 """Finite Weyl groups acting on their root systems.
 
-A group element is stored as a permutation of the root list (the left
-action on roots), which gives O(#roots) multiplication, exact length as
-the count of positive roots sent negative, and cheap descent tests.
-Canonical words are ShortLex-minimal reduced words, derived on demand by
-stripping the smallest left descent.
+A group element (:class:`Element`) is one read-only int16 row: the
+permutation of the root list by which it acts on the left, the same row
+that every kernel of the package works on.  A product is one gather, the
+inverse one scatter, the length the count of positive roots sent
+negative, and descent tests are reads of the row.  Canonical words are
+ShortLex-minimal reduced words, derived on demand by stripping the
+smallest left descent.
 
 A standard parabolic subgroup W_S (the whole group when S holds every
 simple index) is enumerated once, layer by layer in ShortLex order, as
@@ -15,7 +17,8 @@ by one simple reflection, from which canonical words are read.  The same
 walk, kept to the elements with no right descent in J, gives the minimal
 coset representatives W_S^J without enumerating W_S
 (:meth:`CoxeterGroup.coset_walk`).  Elements are built only for the
-rows a caller asks for (:meth:`CoxeterGroup.elements_of_rows`).  The
+rows a caller asks for, as read-only views of them
+(:meth:`CoxeterGroup.elements_of_rows`).  The
 same walk gives the integer multiplication tables of W_S
 (:class:`GroupTables`), built on first use.  Every enumeration and walk
 is refused before it starts when |W_S| exceeds ``ENUMERATION_BOUND``.
@@ -32,7 +35,6 @@ r + num_positive (mod 2 * num_positive).
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -49,56 +51,71 @@ from .errors import (
 #: Largest group order for which full element enumeration is allowed.
 ENUMERATION_BOUND = 100_000
 
+#: The dtype of Element rows; np.asarray resolves a dtype object faster
+#: than the scalar type.
+_INT16 = np.dtype(np.int16)
+
 
 class Element:
-    """One group element, as a permutation of the full root list."""
+    """One group element: its root permutation, one read-only int16 row of
+    length 2 |Phi^+| whose entry r is the index of the image of root r
+    under the left action.  Equality and hashing compare the row's bytes;
+    ``perm`` is the same row as a tuple, derived on demand."""
 
-    __slots__ = ("group", "perm", "_length", "_word", "_inverse", "_hash")
+    __slots__ = ("group", "row", "_key", "_length", "_word", "_inverse")
 
-    def __init__(self, group: "CoxeterGroup", perm: tuple[int, ...]):
+    def __init__(self, group: "CoxeterGroup", row: "np.ndarray | Sequence[int]"):
+        row = np.asarray(row, dtype=_INT16)
+        if row.flags.writeable:  # cheaper than setflags on a read-only view
+            row.setflags(write=False)
         self.group = group
-        self.perm = perm
+        self.row = row
+        self._key: bytes | None = None
         self._length: int | None = None
         self._word: tuple[int, ...] | None = None
         self._inverse: "Element | None" = None
-        self._hash: int | None = None
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        """The root permutation as a tuple of Python ints."""
+        return tuple(self.row.tolist())
 
     # -- group arithmetic --
 
     def __mul__(self, other: "Element") -> "Element":
         if self.group is not other.group:
             raise GroupMismatch("cannot multiply elements of different groups")
-        p, q = self.perm, other.perm
-        # a list comprehension: half the time of a generator in tuple()
-        return Element(self.group, tuple([p[i] for i in q]))
+        return Element(self.group, self.row.take(other.row))
 
     def inverse(self) -> "Element":
         if self._inverse is None:
-            inv = [0] * len(self.perm)
-            for i, j in enumerate(self.perm):
-                inv[j] = i
-            w = Element(self.group, tuple(inv))
+            w = Element(self.group, self.group.inverse_row(self.row))
             w._inverse = self
             self._inverse = w
         return self._inverse
+
+    def _bytes(self) -> bytes:
+        """The bytes of the row, which equality and hashing compare
+        (cached)."""
+        if self._key is None:
+            self._key = self.row.tobytes()
+        return self._key
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)
             and self.group is other.group
-            and self.perm == other.perm
+            and self._bytes() == other._bytes()
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.perm)
-        return self._hash
+        return hash(self._bytes())
 
     # -- root action --
 
     def act_on_root(self, r: int) -> int:
         """Index of the image of root r under the left action."""
-        return self.perm[r]
+        return self.row.item(r)
 
     # -- length, words, descents --
 
@@ -106,7 +123,7 @@ class Element:
     def length(self) -> int:
         if self._length is None:
             m = self.group.num_positive
-            self._length = sum(1 for r in range(m) if self.perm[r] >= m)
+            self._length = int(np.count_nonzero(self.row[:m] >= m))
         return self._length
 
     def is_identity(self) -> bool:
@@ -121,15 +138,15 @@ class Element:
         reflection table of s."""
         if self._word is None:
             g = self.group
-            m, rank, refl = g.num_positive, g.rank, g._reflect_tables
-            inv = self.inverse().perm
+            m, rank, refl = g.num_positive, g.rank, g.reflections
+            inv = self.inverse().row
             word = []
             while True:
-                s = next((i for i in range(rank) if inv[i] >= m), None)
+                s = next((i for i in range(rank) if inv.item(i) >= m), None)
                 if s is None:
                     break
                 word.append(s + 1)
-                inv = [inv[r] for r in refl[s]]
+                inv = inv[refl[s]]
             self._word = tuple(word)
         return self._word
 
@@ -141,9 +158,8 @@ class Element:
     def right_descents(self) -> frozenset[int]:
         g = self.group
         m = g.num_positive
-        return frozenset(
-            i for i in g.simple_indices if self.perm[g.simple_root_index(i)] >= m
-        )
+        # the simple root alpha_i sits at index i - 1
+        return frozenset(i for i in g.simple_indices if self.row.item(i - 1) >= m)
 
     def left_descents(self) -> frozenset[int]:
         return self.inverse().right_descents()
@@ -156,13 +172,14 @@ class Element:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def has_left_descent(self, i: int) -> bool:
+        """s_i is a left descent of w iff the root that w sends to alpha_i
+        is negative, found by one search of the row: no inverse is built."""
         g = self.group
-        m = g.num_positive
-        return self.inverse().perm[g.simple_root_index(i)] >= m
+        return bool((self.row == g.simple_root_index(i)).argmax() >= g.num_positive)
 
     def has_right_descent(self, i: int) -> bool:
         g = self.group
-        return self.perm[g.simple_root_index(i)] >= g.num_positive
+        return self.row.item(g.simple_root_index(i)) >= g.num_positive
 
     def __repr__(self) -> str:
         from .serialize import word_str
@@ -201,9 +218,10 @@ class CoxeterAutomorphism:
     def apply_subset(self, subset: Iterable[int]) -> frozenset[int]:
         return frozenset(self.images[i - 1] for i in subset)
 
-    def _root_permutation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _root_permutation(self) -> tuple[np.ndarray, np.ndarray]:
         """The permutation sigma of the root list by which this automorphism
-        acts, and its inverse, cached on the group by the images:
+        acts, as an int16 row, and its inverse, as an intp row, cached on the
+        group by the images:
         sigma(alpha_i) = alpha_pi(i) and sigma(s_j beta) = s_pi(j) sigma(beta),
         so sigma s_j sigma^-1 = s_pi(j).  It is built from the action on
         reflections, not from the Cartan matrix, which the flips of B2, G2
@@ -223,20 +241,20 @@ class CoxeterAutomorphism:
                 sigma[r] = refl[self.images[j] - 1][sigma[refl[j][r]]]
             for r in range(m):
                 sigma[r + m] = g.negate_root(sigma[r])
-            inv = [0] * (2 * m)
-            for r, t in enumerate(sigma):
-                inv[t] = r
-            got = (tuple(sigma), tuple(inv))
+            row = np.array(sigma, dtype=np.int16)
+            got = (row, g.inverse_row(row).astype(np.intp))
+            for array in got:
+                array.flags.writeable = False
             g._automorphism_roots[self.images] = got
         return got
 
     def apply_element(self, w: Element) -> Element:
-        """The image of w, whose root permutation is sigma w sigma^-1."""
+        """The image of w, whose root permutation is sigma w sigma^-1: one
+        gather, ``sigma[row[inv]]``."""
         if w.group is not self.group:
             raise GroupMismatch("element of a different group")
         sigma, inv = self._root_permutation()
-        p = w.perm
-        out = Element(self.group, tuple(sigma[p[r]] for r in inv))
+        out = Element(self.group, sigma[w.row[inv]])
         out._length = w._length
         return out
 
@@ -501,11 +519,11 @@ class CoxeterGroup:
             self._simple_of_root[[i, i + self.num_positive]] = i + 1
 
     def _build_simple_reflections(self) -> None:
-        self.identity = Element(self, tuple(range(2 * self.num_positive)))
+        self.identity = Element(self, self.identity_row)
         self.identity._word = ()
         self.identity._length = 0
         self._simples = {
-            i + 1: Element(self, self._reflect_tables[i]) for i in range(self.rank)
+            i + 1: Element(self, self.reflections[i]) for i in range(self.rank)
         }
         self._identity_automorphism = CoxeterAutomorphism._trusted(
             self, self.simple_indices
@@ -567,7 +585,7 @@ class CoxeterGroup:
     def inverse_row(self, row: np.ndarray) -> np.ndarray:
         """The int16 root permutation of w^{-1} from that of w, one scatter."""
         inv = np.empty_like(row)
-        inv[row] = self.identity_row
+        inv.put(row, self.identity_row)
         return inv
 
     def from_word(self, word: Iterable[int]) -> Element:
@@ -662,17 +680,15 @@ class CoxeterGroup:
 
     def elements_of_rows(self, rows: np.ndarray, words=None) -> tuple[Element, ...]:
         """Elements for a stack of int16 root-permutation rows of this
-        group; with `words`, their canonical words, each is given its word
-        and length (and an empty word gives the identity itself)."""
-        # The int16 rows are unpacked to tuples in one C-level pass.  A
-        # single tolist() is slower here: its temporary lists make every
-        # garbage collection during the Element constructions longer.
-        rows = np.ascontiguousarray(rows, dtype=np.int16)
-        unpacked = struct.iter_unpack(f"{rows.shape[1]}h", rows)
+        group, each a read-only view of its row of the stack; with `words`,
+        their canonical words, each is given its word and length (and an
+        empty word gives the identity itself)."""
+        rows = np.asarray(rows, dtype=np.int16).view()
+        rows.setflags(write=False)
         if words is None:
-            return tuple(Element(self, row) for row in unpacked)
+            return tuple(Element(self, row) for row in rows)
         elems = []
-        for row, word in zip(unpacked, words):
+        for row, word in zip(rows, words):
             if not word:
                 elems.append(self.identity)
                 continue
@@ -809,8 +825,7 @@ class CoxeterGroup:
         """Bruhat order test x <= w, by :meth:`bruhat_below` on one row."""
         if x.group is not self or w.group is not self:
             raise GroupMismatch("elements of a different group")
-        row = np.array(x.perm, dtype=np.int16)
-        return bool(self.bruhat_below(row, w.canonical_word())[0])
+        return bool(self.bruhat_below(x.row, w.canonical_word())[0])
 
     def coxeter_automorphisms(self) -> tuple[CoxeterAutomorphism, ...]:
         """All Coxeter-matrix preserving permutations of the simple set, in

@@ -43,14 +43,14 @@ def bruhat_subword_oracle(x: Element, w: Element) -> bool:
     searches subsequences left to right with memoization."""
     group = x.group
     word = w.canonical_word()
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+    memo: dict[tuple[int, Element], bool] = {}
 
     def search(i: int, u: Element) -> bool:
         if u.length == 0:
             return True
         if len(word) - i < u.length:
             return False
-        key = (i, u.perm)
+        key = (i, u)
         got = memo.get(key)
         if got is None:
             got = search(i + 1, u)
@@ -76,18 +76,18 @@ def shortlex_oracle(group: CoxeterGroup, subset) -> tuple[Element, ...]:
     """The standard parabolic subgroup W_S: close {e} under right products
     with the simple reflections of S, then sort by canonical word."""
     gens = [group.simple(i) for i in sorted(set(subset))]
-    seen = {group.identity.perm: group.identity}
+    seen = {group.identity}
     frontier = [group.identity]
     while frontier:
         new = []
         for w in frontier:
             for s in gens:
                 ws = w * s
-                if ws.perm not in seen:
-                    seen[ws.perm] = ws
+                if ws not in seen:
+                    seen.add(ws)
                     new.append(ws)
         frontier = new
-    return tuple(sorted(seen.values(), key=lambda w: w.sort_key))
+    return tuple(sorted(seen, key=lambda w: w.sort_key))
 
 
 def iw_oracle(group: CoxeterGroup, I) -> tuple[Element, ...]:
@@ -95,13 +95,13 @@ def iw_oracle(group: CoxeterGroup, I) -> tuple[Element, ...]:
     into cosets W_I w and pick each unique shortest element."""
     I = frozenset(I)
     parabolic = shortlex_oracle(group, I)
-    seen: set[tuple[int, ...]] = set()
+    seen: set[Element] = set()
     reps = []
     for w in shortlex_oracle(group, group.simple_indices):
-        if w.perm in seen:
+        if w in seen:
             continue
         coset = [y * w for y in parabolic]
-        seen.update(c.perm for c in coset)
+        seen.update(coset)
         shortest = min(c.length for c in coset)
         mins = [c for c in coset if c.length == shortest]
         if len(mins) != 1:

@@ -172,7 +172,7 @@ def check_coset_identities(group: CoxeterGroup) -> list[str]:
                 sub_right = cosets.min_left_coset_reps(group, I_x, universe=J)
                 built_iw.update(x * wj_part for wj_part in sub_right)
                 count += len(group.parabolic_elements(I)) * len(sub_right)
-                inside = group.partial_map(xi.perm, group.psi_table({j: j for j in J}))
+                inside = group.partial_map(xi.row, group.psi_table({j: j for j in J}))
                 I_cap_xJ = frozenset(i for i in I if inside[i - 1])
                 sub_left = cosets.min_right_coset_reps(group, I_cap_xJ, universe=I)
                 built_wj.update(w_i * x for w_i in sub_left)
@@ -328,7 +328,7 @@ def check_kw(z: ZipDatum) -> list[str]:
         K = z.stable_subset(w)
         if K != oracles.kw_bruteforce(z, w):
             bad.append(f"{z!r}: stable subset != brute force at {word_str(w)}")
-        f = g.partial_map(w.perm, g.psi_table(z.psi))
+        f = g.partial_map(w.row, g.psi_table(z.psi))
         if any(f[s - 1] not in K for s in K):
             bad.append(f"{z!r}: stable subset not actually stable at {word_str(w)}")
         hd = cosets.howlett_decompose(g, z.I, z.J, w)
@@ -474,7 +474,7 @@ def check_lusztig_consistency(group: CoxeterGroup) -> list[str]:
             bad.append(f"{iso!r}: reparametrization is not onto")
             continue
         Y = group.parabolic_perms(z.I)
-        rows = np.array([v.perm for v in params], dtype=np.int16)
+        rows = np.array([v.row for v in params])
         orbits = z._orbit_images(Y, rows, z._psi_inverse_rows, slice(None)).reshape(-1, m2)
         shortlex = sorted(range(len(forward)), key=lambda p: forward[p].sort_key)
         for w in target:

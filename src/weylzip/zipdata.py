@@ -25,6 +25,10 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   down-set rows in the integer multiplication tables of W_U,
 * dimension and infinitesimal-stabilizer counts from root data.
 
+Every kernel takes the int16 rows of its Elements as they are and wraps
+the rows it returns, so no method converts an element between two
+representations.
+
 Data may carry a `universe` subset U, in which case everything lives in
 the standard parabolic W_U; this is how the induction step to a smaller
 datum is realized without rebuilding groups.
@@ -84,8 +88,6 @@ class ZipDatum:
     images of the simple roots of J positive (of I, on inverse rows, for
     sigma_inverse), found from the sign rows of W_I and the pre-gathered
     columns of the psi(y)^{-1} that :meth:`_sigma_search` caches per side.
-    canonical_rep keeps the row of its last result, which sigma reads
-    when handed an equal Element.
     """
 
     def __init__(self, group: CoxeterGroup, I, J, psi: dict, universe=None):
@@ -103,9 +105,6 @@ class ZipDatum:
         #: the indices of the simple roots of J, ascending
         self._J_cols = np.array(self._J_sorted, dtype=np.intp) - 1
         self._canonical: dict[Element, Element] = {}
-        #: the last representative canonical_rep built and its int16 row,
-        #: which sigma reads when handed an equal Element
-        self._last_rep = (group.identity, group.identity_row)
         self._sigma: dict[Element, Element] = {}
         self._search: dict[str, tuple[np.ndarray, ...]] = {}
         self._params: dict[str, tuple[np.ndarray, tuple[Element, ...]]] = {}
@@ -185,8 +184,7 @@ class ZipDatum:
         Phi_U^+, i.e. it keeps every positive root outside Phi_U^+ positive."""
         g = self.group
         m = g.num_positive
-        perm = w.perm
-        return all(perm[r] < m for r in g.positive_roots_outside(self.universe))
+        return all(w.row.item(r) < m for r in g.positive_roots_outside(self.universe))
 
     def contains_param(self, w: Element, side: str = "iw") -> bool:
         _check_side(side)
@@ -243,7 +241,7 @@ class ZipDatum:
             and self.in_universe(x)
         ):
             raise NotDoubleCosetRep("x is not minimal in W_I x W_J")
-        return self._induced_at_row(x.perm)
+        return self._induced_at_row(x.row)
 
     def _induced_at_row(self, x) -> "ZipDatum":
         """The induced datum at x (a root permutation), with universe J and
@@ -270,7 +268,7 @@ class ZipDatum:
         stable subset is the union of its cycles, found by a decreasing
         fixpoint (:meth:`_stable_subsets`)."""
         self._require_param(w, "iw")
-        return self._stable_subsets(np.array([w.perm], dtype=np.int16))[0]
+        return self._stable_subsets(w.row[None])[0]
 
     def _stable_subsets(self, rows: np.ndarray) -> list[frozenset[int]]:
         """K_w for each row w of a stack: the decreasing fixpoint K -> {s in
@@ -305,25 +303,20 @@ class ZipDatum:
         The recursion runs on int16 root-permutation rows: Howlett stripping
         by :func:`cosets.howlett_rows`, w_J * psi(w_I) by one reflection
         gather per letter, and the product of the x parts by one gather per
-        level.  Only the result becomes an Element; nothing is enumerated.
-        The last result's row is kept for :meth:`sigma`."""
+        level.  Only the result becomes an Element; nothing is enumerated."""
         if not self.in_universe(w):
             raise GroupMismatch("element lies outside the universe")
         got = self._canonical.get(w)
         if got is None:
             g = self.group
-            rep, z, v = None, self, np.array(w.perm, dtype=np.int16)
+            rep, z, v = None, self, w.row
             while z.I != z.universe:
                 left, x, right = cosets.howlett_rows(g, z._I_sorted, z._J_sorted, v)
                 rep = x if rep is None else rep[x]
                 v = cosets.word_row(g, [*right[::-1], *[z.psi[s] for s in left]])
                 z = z._induced_at_row(x)
-            if rep is None:
-                got, rep = g.identity, g.identity_row
-            else:
-                got = Element(g, tuple(rep.tolist()))
+            got = g.identity if rep is None else Element(g, rep)
             self._canonical[w] = got
-            self._last_rep = (got, rep)
         return got
 
     # -- sigma --
@@ -332,16 +325,11 @@ class ZipDatum:
         """The image of w under the unique bijection from the "iw" to the
         "wj" parameter set of the form y w psi(y)^{-1}, y in W_I: the first
         member of the twisted orbit of w with no right descent in J, found
-        by :meth:`_sigma_rows`.  When w equals the last result of
-        :meth:`canonical_rep`, the row that call kept is read instead of
-        converting ``w.perm``."""
+        by :meth:`_sigma_rows`."""
         self._require_param(w, "iw")
         got = self._sigma.get(w)
         if got is None:
-            last, row = self._last_rep
-            if last != w:
-                row = np.array(w.perm, dtype=np.int16)
-            got = Element(self.group, tuple(self._sigma_rows("iw", row)[0].tolist()))
+            got = Element(self.group, self._sigma_rows("iw", w.row)[0])
             self._sigma[w] = got
         return got
 
@@ -353,8 +341,8 @@ class ZipDatum:
         has no left descent in I), on the inverse rows."""
         self._require_param(wj, "wj")
         g = self.group
-        row = self._sigma_rows("wj", g.inverse_row(np.array(wj.perm, dtype=np.int16)))[0]
-        return Element(g, tuple(g.inverse_row(row).tolist()))
+        row = self._sigma_rows("wj", g.inverse_row(wj.row))[0]
+        return Element(g, g.inverse_row(row))
 
     def _sigma_search(self, side: str) -> tuple[np.ndarray, ...]:
         """The search data of :meth:`_sigma_rows` for a side, cached per
@@ -409,7 +397,7 @@ class ZipDatum:
         self._require_param(wp, side)
         self._require_param(w, side)
         Y = self.group.parabolic_perms(self.I)
-        orbit = self._orbit_images(Y, wp.perm, self._psi_inverse_rows, slice(None))
+        orbit = self._orbit_images(Y, wp.row, self._psi_inverse_rows, slice(None))
         return bool(self.group.bruhat_below(orbit[:, 0], w.canonical_word()).any())
 
     def closure_set(self, w: Element, side: str = "iw") -> tuple[Element, ...]:
@@ -573,17 +561,16 @@ class ZipDatum:
         from .abstract import AbstractZipDatum, FiniteGroup
 
         g = self.group
-        universe_elements = g.parabolic_elements(self.universe)
         gamma = FiniteGroup.from_elements(
             2 * g.num_positive,
-            [w.perm for w in universe_elements],
-            generators=[g.simple(i).perm for i in sorted(self.universe)],
+            map(tuple, g.parabolic_perms(self.universe).tolist()),
+            generators=[tuple(g.reflections[i - 1].tolist()) for i in sorted(self.universe)],
         )
         # psi(y) is the inverse of the row of psi(y)^{-1}
         psi_rows = np.argsort(self._psi_inverse_rows, axis=1).tolist()
-        delta = frozenset(w.perm for w in self.w_I())
-        psi = {w.perm: tuple(row) for w, row in zip(self.w_I(), psi_rows)}
-        return AbstractZipDatum(gamma, delta, psi)
+        w_I = list(map(tuple, g.parabolic_perms(self.I).tolist()))
+        psi = dict(zip(w_I, map(tuple, psi_rows)))
+        return AbstractZipDatum(gamma, frozenset(w_I), psi)
 
 
 def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:

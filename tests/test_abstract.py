@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzip import AbstractZipDatum, FiniteGroup
+from weylzip import AbstractZipDatum, FiniteGroup, abstract
 from weylzip.abstract import inverse, mult
 from weylzip.cli import main
-from weylzip.errors import ElementNotInGroup, NotAHomomorphism
+from weylzip.errors import ElementNotInGroup, NotAHomomorphism, TooLargeToEnumerate
 from weylzip.oracles import e_gamma_bruteforce
 from weylzip.serialize import cycles_str, parse_cycles
 
@@ -110,6 +110,26 @@ def test_noninjective_psi_beyond_48_elements(tmp_path):
         "psi": {cycles_str(g): cycles_str(mult(g, g))},
     }))
     assert main(["abstract", "--datum", str(path)]) == 0
+
+
+def test_order_bound_names_the_bound_and_the_degree(monkeypatch):
+    gens = [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)]
+    monkeypatch.setattr(abstract, "ORDER_BOUND", 23)
+    with pytest.raises(TooLargeToEnumerate, match=r"generated on 4 points has more than "
+                       r"abstract\.ORDER_BOUND = 23 elements"):
+        FiniteGroup(4, gens).elements()
+    monkeypatch.setattr(abstract, "ORDER_BOUND", 24)
+    assert FiniteGroup(4, gens).order == 24
+
+
+def test_order_bound_on_the_command_line(tmp_path, capsys):
+    # S9 has 362 880 elements, above the bound of 100 000
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps({"domain": 9, "gamma_gens": ["(1 2)", "(1 2 3 4 5 6 7 8 9)"],
+                                "delta_gens": ["(1 2)"], "psi": {"(1 2)": "(1 2)"}}))
+    assert main(["abstract", "--datum", str(path)]) == 2
+    assert ("error: the group generated on 9 points has more than "
+            "abstract.ORDER_BOUND = 100000 elements") in capsys.readouterr().err
 
 
 def test_homomorphism_validation():

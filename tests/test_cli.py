@@ -345,3 +345,35 @@ def test_poset_bound_error_names_the_bound_and_k(capsys):
     # one closure set needs a k x 1 column only, and stays unbounded
     a3 = build_group("A3")
     assert len(ZipDatum(a3, (), (), {}).closure_set(a3.from_word([1, 2]))) == 4
+
+
+def test_letter_zero_is_refused(capsys):
+    code = main(["classify", "--type", "A3", "--I", "1", "--psi", "1:1", "--w", "0,1"])
+    assert code == 2
+    assert "simple index 0 not in 1..3" in capsys.readouterr().err
+
+
+A5_FLIP = {"type": "A5", "I": [1, 2, 4, 5], "psi": {"1": 5, "2": 4, "4": 2, "5": 1},
+           "omega_gens": [[5, 4, 3, 2, 1]], "omega_I_gens": [[5, 4, 3, 2, 1]],
+           "psi_hat": {"[5, 4, 3, 2, 1]": [5, 4, 3, 2, 1]}}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Elements hash their row bytes, which Python salts per process; sets of
+    # (extended) elements must not leak that order into the output.
+    path = tmp_path / "a5flip.json"
+    path.write_text(json.dumps(A5_FLIP))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in [
+        ["nonconnected", "--datum", str(path), "--closure-of", "3,2,1,4,3,2,5,4,3|5,4,3,2,1"],
+        ["poset", "--type", "F4", "--I", "1,2", "--psi", "1:1,2:2", "--format", "json"],
+    ]:
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "weylzip.cli", *argv],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
+        assert outputs[0].count(b"\n") > 10, argv

@@ -1,5 +1,7 @@
+import ast
 import random
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,8 +149,9 @@ def test_words_and_identity(a2):
     w0 = a2.from_word([1, 2, 1])
     assert w0 == a2.longest_element()
     assert w0.length == 3
-    with pytest.raises(IndexOutOfRange):
-        a2.from_word([3])
+    for word in ([3], [0], [-1]):
+        with pytest.raises(IndexOutOfRange):
+            a2.from_word(word)
 
 
 def test_canonical_words(a2):
@@ -534,3 +537,19 @@ def test_flip_of_a12_is_found_fast():
     flip = parse_automorphism(g, "flip")
     assert time.perf_counter() - start < 1.0
     assert flip.images == tuple(range(12, 0, -1))
+
+
+# The modules that work on Elements read their rows; verify and oracles are
+# references and may read the derived tuple.
+ROW_MODULES = ("coxeter", "cosets", "zipdata", "extended", "isogeny")
+
+
+@pytest.mark.parametrize("module", ROW_MODULES)
+def test_row_modules_read_no_perm_tuples(module):
+    path = Path(coxeter.__file__).with_name(f"{module}.py")
+    reads = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "perm"
+    ]
+    assert not reads, f"{module}.py reads .perm at lines {reads}"

@@ -354,6 +354,42 @@ def test_sigma_reads_the_canonical_row_by_value(label, I, psi, seed):
         assert z.sigma(twin) == z.sigma(rep) == sigma_oracle(z, rep, "iw")
 
 
+def _one_element_ways():
+    """(name, build) pairs: each build(z, t) returns the element t of the
+    datum z, built by its own path."""
+    yield "tuple", lambda z, t: Element(z.group, t.perm)
+    yield "enumeration view", lambda z, t: Element(
+        z.group, z.group.enumeration(z.group.simple_indices).perms[
+            z.group.elements().index(t)
+        ]
+    )
+    yield "product", lambda z, t: z.group.from_word(t.canonical_word())
+    # y t psi(y)^{-1} for y = s_1 lies in the class of the parameter t
+    yield "canonical_rep", lambda z, t: z.canonical_rep(
+        z.group.simple(1) * t * z.group.simple(z.psi[1])
+    )
+    yield "sigma", lambda z, t: z.sigma(z.sigma_inverse(t))
+    yield "sigma_inverse", lambda z, t: z.sigma_inverse(z.sigma(t))
+
+
+@pytest.mark.parametrize("way", [name for name, _ in _one_element_ways()])
+def test_one_element_however_built(way):
+    build = dict(_one_element_ways())[way]
+    g = build_group("D4")
+    z = ZipDatum(g, {1, 2}, {2, 4}, {1: 4, 2: 2})
+    # the longest parameter of both sides, not built by any of the ways
+    both = set(z.param_set("iw")) & set(z.param_set("wj"))
+    t = max(both, key=lambda w: w.sort_key)
+    assert t.length >= 3
+    got = build(z, t)
+    assert got == t and hash(got) == hash(t)
+    assert isinstance(got.row, np.ndarray) and got.row.dtype == np.int16
+    with pytest.raises(ValueError):
+        got.row[0] = got.row[1]
+    assert got.perm == tuple(t.row.tolist())
+    assert Element(g, got.perm) == got
+
+
 def test_precedes_and_closure(z_a2, a2):
     e = a2.identity
     s2 = a2.simple(2)
