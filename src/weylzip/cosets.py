@@ -38,8 +38,13 @@ def _universe(group: CoxeterGroup, universe) -> frozenset[int]:
 
 
 def in_min_left(w: Element, I) -> bool:
-    """True iff w has minimal length in W_I w, i.e. no left descent in I."""
-    return not any(w.has_left_descent(i) for i in I)
+    """True iff w has minimal length in W_I w, i.e. no left descent in I:
+    every alpha_s, s in I, lies in w(Phi^+), the first half of the row,
+    read from one mark of that half (no inverse is built)."""
+    g, m = w.group, w.group.num_positive
+    image = np.zeros(2 * m, dtype=bool)
+    image.put(w.row[:m], True)
+    return all(image.item(g.simple_root_index(i)) for i in I)
 
 
 def in_min_right(w: Element, J) -> bool:
@@ -57,9 +62,9 @@ def rep_rows(
     left descents in I, with the words the walk spells.  With I alone, the
     inverses of the walk of W_U^I (its inverse rows, whose own inverses are
     the walk's rows), sorted by the canonical words that :func:`strip_rows`
-    reads off the walk's rows.  The walk is refused, as the enumeration of
-    W_U is, when |W_U| exceeds the enumeration bound; SubsetMismatch when I
-    or J is not contained in U."""
+    reads off the walk's rows.  The walk is refused when its rows, |W_U| /
+    |W_J| (|W_I|), exceed the enumeration bound; SubsetMismatch when I or J
+    is not contained in U."""
     U, I = _universe(group, universe), sorted(set(I))
     if not U.issuperset(I) or not U.issuperset(J):
         raise SubsetMismatch(f"I = {I} and J = {sorted(set(J))} must lie in U = {sorted(U)}")

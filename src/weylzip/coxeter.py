@@ -21,7 +21,8 @@ rows a caller asks for, as read-only views of them
 (:meth:`CoxeterGroup.elements_of_rows`).  The
 same walk gives the integer multiplication tables of W_S
 (:class:`GroupTables`), built on first use.  Every enumeration and walk
-is refused before it starts when |W_S| exceeds ``ENUMERATION_BOUND``.
+is refused before it starts when the number of rows it builds (|W_S|, or
+|W_S| / |W_J| for the walk of W_S^J) exceeds ``ENUMERATION_BOUND``.
 Root subsets Phi_S, Phi_S^+ and the positive roots outside Phi_S are
 cached per subset.  Bruhat order is one lifting loop on root permutations
 (:meth:`CoxeterGroup.bruhat_below`), which enumerates nothing.  The
@@ -672,11 +673,16 @@ class CoxeterGroup:
         descent in J (J contained in S), and the rows of their inverses.
         Not cached; J = () walks all of W_S.
 
-        Raises TooLargeToEnumerate, before walking, when |W_S| exceeds
-        ENUMERATION_BOUND, as :meth:`enumeration` does."""
+        Raises TooLargeToEnumerate, before walking, when the number of rows
+        it builds, |W_S| / |W_J|, exceeds ENUMERATION_BOUND."""
         key, J = frozenset(subset), tuple(sorted(set(J)))
-        order = self.enumerable_order(key) // self.parabolic_order(J)
-        return self._shortlex(tuple(sorted(key)), order, J)
+        whole, part = self.parabolic_order(key), self.parabolic_order(J)
+        if whole // part > ENUMERATION_BOUND:
+            raise TooLargeToEnumerate(
+                f"|W_S| / |W_J| = {whole} / {part} = {whole // part} for S = {sorted(key)}, "
+                f"J = {list(J)} exceeds the enumeration bound {ENUMERATION_BOUND} "
+                "(coxeter.ENUMERATION_BOUND)")
+        return self._shortlex(tuple(sorted(key)), whole // part, J)
 
     def elements_of_rows(self, rows: np.ndarray, words=None) -> tuple[Element, ...]:
         """Elements for a stack of int16 root-permutation rows of this

@@ -12,12 +12,11 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 * the canonical representative of any group element under the twisted
   equivalence relation (so membership of w in a piece is decidable), by
   the induction on numpy root-permutation rows, enumerating nothing,
-* sigma by one kernel over the W_I-twisted orbit y w psi(y)^{-1}: it
-  picks the first y in ShortLex order whose member has no right descent
-  in J, reading only the signs of the images of the simple roots of J
-  from sign rows of W_I cached per side (its mirror for sigma_inverse),
-  and composes that member alone; one row for sigma, all parameters at
-  once for the pieces,
+* sigma by one kernel, a length-preserving walk in the W_I-twisted orbit
+  y w psi(y)^{-1}: while w has a right descent j in J it becomes s w s_j
+  with psi(s) = s_j, until it lies in W^J (the mirror, on inverse rows,
+  for sigma_inverse); one row for sigma, all parameters at once for the
+  pieces, and W_I is never enumerated for it,
 * the closure order from whole twisted orbits, gathered by one numpy
   gather over the root permutations of all y in W_I and of the
   psi(y)^{-1} and tested against Bruhat order: point queries by the
@@ -83,11 +82,13 @@ class ZipDatum:
     Every use of whole W_I-twisted orbits y w psi(y)^{-1} (precedes,
     closure sets, posets) goes through one gather, :meth:`_orbit_images`,
     and closure sets and posets cache their ShortLex positions in W_U per
-    side.  sigma, sigma_inverse and pieces pick their member of the orbit
-    by one kernel, :meth:`_sigma_rows`: the first y whose member has all
-    images of the simple roots of J positive (of I, on inverse rows, for
-    sigma_inverse), found from the sign rows of W_I and the pre-gathered
-    columns of the psi(y)^{-1} that :meth:`_sigma_search` caches per side.
+    side.  sigma, sigma_inverse and pieces reach their member of the orbit
+    by one kernel, :meth:`_sigma_rows`, a walk of twisted conjugations by
+    simple reflections that keeps the length and stops in W^J (in ^I W, on
+    inverse rows, for sigma_inverse), after Pink-Wedhorn-Ziegler's
+    length-preserving bijection and X. He, Adv. Math. 215 (2007); it
+    enumerates nothing of W_I.  Induced data, valid by construction, skip
+    :meth:`_validate` (:meth:`_trusted`).
     """
 
     def __init__(self, group: CoxeterGroup, I, J, psi: dict, universe=None):
@@ -99,14 +100,26 @@ class ZipDatum:
             universe = group.simple_indices
         self.universe = frozenset(int(u) for u in universe)
         self._validate()
-        self._psi_table = group.psi_table(self.psi)
+        self._setup()
+
+    @classmethod
+    def _trusted(cls, group: CoxeterGroup, I, J, psi: dict, universe) -> "ZipDatum":
+        """A datum valid by construction (an induced datum), from normalized
+        fields, built without :meth:`_validate`."""
+        z = cls.__new__(cls)
+        z.group, z.I, z.J, z.psi, z.universe = group, I, J, psi, universe
+        z._setup()
+        return z
+
+    def _setup(self) -> None:
+        """The tables and empty caches of a validated datum."""
+        self._psi_table = self.group.psi_table(self.psi)
         #: I and J ascending, as the Howlett stripping reads them
         self._I_sorted, self._J_sorted = tuple(sorted(self.I)), tuple(sorted(self.J))
         #: the indices of the simple roots of J, ascending
         self._J_cols = np.array(self._J_sorted, dtype=np.intp) - 1
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
-        self._search: dict[str, tuple[np.ndarray, ...]] = {}
         self._params: dict[str, tuple[np.ndarray, tuple[Element, ...]]] = {}
         self._orbits: dict[str, np.ndarray] = {}
 
@@ -251,9 +264,9 @@ class ZipDatum:
         key = (self.J, tuple(images))
         got = self.group._induced.get(key)
         if got is None:
-            psi_x = {j: i for j, i in zip(sorted(self.J), images) if i}
-            got = ZipDatum(
-                self.group, psi_x.keys(), psi_x.values(), psi_x, universe=self.J
+            psi_x = {j: i for j, i in zip(self._J_sorted, images) if i}
+            got = ZipDatum._trusted(
+                self.group, frozenset(psi_x), frozenset(psi_x.values()), psi_x, self.J
             )
             self.group._induced[key] = got
         return got
@@ -323,66 +336,77 @@ class ZipDatum:
 
     def sigma(self, w: Element) -> Element:
         """The image of w under the unique bijection from the "iw" to the
-        "wj" parameter set of the form y w psi(y)^{-1}, y in W_I: the first
-        member of the twisted orbit of w with no right descent in J, found
-        by :meth:`_sigma_rows`."""
+        "wj" parameter set of the form y w psi(y)^{-1}, y in W_I: the
+        member of the twisted orbit of w with no right descent in J, reached
+        by the walk of :meth:`_sigma_rows`."""
         self._require_param(w, "iw")
         got = self._sigma.get(w)
         if got is None:
-            got = Element(self.group, self._sigma_rows("iw", w.row)[0])
+            got = Element(self.group, self._sigma_rows("iw", w.row))
             self._sigma[w] = got
         return got
 
     def sigma_inverse(self, wj: Element) -> Element:
         """Inverse of sigma: the unique w with sigma(w) = wj.
 
-        The mirror of :meth:`sigma`: w = y^{-1} wj psi(y) for the first y
-        whose inverse psi(y)^{-1} wj^{-1} y has no right descent in I (so w
-        has no left descent in I), on the inverse rows."""
+        The mirror of :meth:`sigma`: the member w of the twisted orbit of
+        wj with no left descent in I, walked on the inverse rows, on which
+        a left descent of w is a right descent."""
         self._require_param(wj, "wj")
         g = self.group
-        row = self._sigma_rows("wj", g.inverse_row(wj.row))[0]
-        return Element(g, g.inverse_row(row))
+        return Element(g, g.inverse_row(self._sigma_rows("wj", g.inverse_row(wj.row))))
 
-    def _sigma_search(self, side: str) -> tuple[np.ndarray, ...]:
-        """The search data of :meth:`_sigma_rows` for a side, cached per
-        side: (outer, inner, inner_cols, negative, offsets), with (outer,
-        inner, S) = (Y, P, J) for "iw" and (P, Y, I) for "wj", Y the rows of
-        W_I and P those of the psi(y)^{-1}.  ``inner_cols[c, y]`` is the
-        intp ``inner[y, cols[c]]`` for the simple roots cols of S,
-        ``negative`` the sign rows ``outer >= m`` as one flat bool array,
-        and ``offsets[y]`` the start of the sign row of y in it."""
-        got = self._search.get(side)
-        if got is None:
-            g = self.group
-            Y, P = g.parabolic_perms(self.I), self._psi_inverse_rows
-            outer, inner, S = (Y, P, self._J_sorted) if side == "iw" else (P, Y, self._I_sorted)
-            cols = np.array(S, dtype=np.intp) - 1
-            inner_cols = np.ascontiguousarray(inner[:, cols].T, dtype=np.intp)
-            negative = (outer >= g.num_positive).ravel()
-            offsets = np.arange(0, outer.size, outer.shape[1])
-            got = outer, inner, inner_cols, negative, offsets
-            self._search[side] = got
-        return got
+    @cached_property
+    def _sigma_cap(self) -> int:
+        """|Phi_I^+|, the most steps a walk of :meth:`_sigma_rows` may take."""
+        return len(self.group.phi_plus(self.I))
+
+    @cached_property
+    def _psi_preimage(self) -> dict[int, int]:
+        return {j: i for i, j in self.psi.items()}
 
     def _sigma_rows(self, side: str, X: np.ndarray) -> np.ndarray:
-        """For each row x of a stack X of int16 rows (or one row), the row of
-        ``outer[y] x inner[y]`` at the first y whose images of the roots
-        ``cols`` are all positive, in the search data of
-        :meth:`_sigma_search`: sigma for "iw", its mirror on inverse rows for
-        "wj".  The image of cols[c] is negative iff ``negative[offsets[y] +
-        x[inner_cols[c, y]]]``, so the search is one offset gather into the
-        sign rows, a few rows of X at a time, an ``any`` over c and an
-        ``argmin`` over y; only the chosen y are composed, by one broadcast
-        gather."""
-        outer, inner, inner_cols, negative, offsets = self._sigma_search(side)
-        X = X.reshape(-1, X.shape[-1])
-        first = np.empty(len(X), dtype=np.intp)
-        step = max(1, _ORBIT_CHUNK // len(outer))
-        for a in range(0, len(X), step):
-            hit = negative.take(X[a : a + step].take(inner_cols, axis=1) + offsets)
-            first[a : a + step] = hit.any(axis=1).argmin(axis=1)
-        return outer[first[:, None], X[np.arange(len(X))[:, None], inner[first]]]
+        """sigma of one int16 row, or of each row of a stack, by a walk in
+        its twisted orbit ("iw"): while x has a right descent j in J (the
+        smallest first), x becomes s x s_j with psi(s) = s_j.  Each step
+        keeps the length, since l(x) is least in its orbit.  "wj" walks the
+        inverse rows by the mirror: while the row has a right descent i in
+        I, it becomes psi(s_i) row s_i.  That the walk ends, at the one
+        element of W^J (^I W) in the orbit, is checked by tests, not proved
+        here (leads: X. He, Adv. Math. 215 (2007); the bijection of
+        Pink-Wedhorn-Ziegler); a walk past |Phi_I^+| steps raises
+        RuntimeError.  One row is walked by ``row.item`` reads and one
+        product per step, a stack in rounds of one column gather and one
+        value gather per letter on the rows still moving."""
+        g, m, refl = self.group, self.group.num_positive, self.group.reflections
+        D, twist = (self._J_sorted, self._psi_preimage) if side == "iw" else (self._I_sorted, self.psi)
+        cap = self._sigma_cap
+        if X.ndim == 1:
+            row = X
+            for _ in range(cap + 1):
+                for d in D:
+                    if row.item(d - 1) >= m:  # alpha_d sits at index d - 1
+                        break
+                else:
+                    return row
+                row = g.simple(twist[d]).row.take(row.take(refl[d - 1]))
+        else:
+            X = np.array(X, dtype=np.int16)
+            cols = np.array(D, dtype=np.intp) - 1
+            active = np.arange(len(X))
+            for _ in range(cap + 1):
+                descents = X[active[:, None], cols] >= m
+                moving = descents.any(axis=1)
+                active = active[moving]
+                if not len(active):
+                    return X
+                first = descents[moving].argmax(axis=1)
+                for c, d in enumerate(D):
+                    rows = active[first == c]
+                    if len(rows):
+                        X[rows] = g.simple(twist[d]).row.take(X[rows].take(refl[d - 1], axis=1))
+        raise RuntimeError(f"the sigma walk of {self!r} ({side}) took more than "
+                           f"|Phi_I^+| = {cap} steps")
 
     # -- closure order --
 

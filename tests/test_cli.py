@@ -347,6 +347,60 @@ def test_poset_bound_error_names_the_bound_and_k(capsys):
     assert len(ZipDatum(a3, (), (), {}).closure_set(a3.from_word([1, 2]))) == 4
 
 
+def _identity_args(label, I):
+    letters = ",".join(map(str, I))
+    return ["--type", label, "--I", letters, "--J", letters,
+            "--psi", ",".join(f"{i}:{i}" for i in I)]
+
+
+def _poincare(degrees):
+    """The Poincare polynomial prod [d]_q of a Weyl group from its degrees,
+    as a coefficient list."""
+    out = [1]
+    for d in degrees:
+        out = [sum(out[k - i] for i in range(d) if 0 <= k - i < len(out))
+               for k in range(len(out) + d - 1)]
+    return out
+
+
+def test_e7_pieces_beyond_the_enumeration_bound():
+    # |W(E7)| = 2 903 040 exceeds the bound; the coset walk builds 56 rows
+    code, out = run_cli(["pieces", *_identity_args("E7", range(1, 7)), "--format", "jsonl"])
+    assert code == 0
+    lengths = [json.loads(line)["length"] for line in out.splitlines()]
+    assert len(lengths) == 56
+    counts = [lengths.count(k) for k in range(max(lengths) + 1)]
+    # sum_w q^l(w) over W^I is P_W(q) / P_{W_I}(q): E7 over E6, by degrees
+    product = _poincare([2, 5, 6, 8, 9, 12])
+    product = [sum(counts[i] * product[k - i] for i in range(len(counts))
+                   if 0 <= k - i < len(product))
+               for k in range(len(counts) + len(product) - 1)]
+    assert product == _poincare([2, 6, 8, 10, 12, 14, 18])
+
+
+def test_coset_walk_bound_names_the_bound_and_the_rows(capsys):
+    assert main(["pieces", "--type", "E7", "--I", "1", "--psi", "1:1"]) == 2
+    err = capsys.readouterr().err
+    assert "|W_S| / |W_J| = 2903040 / 2 = 1451520" in err
+    assert "enumeration bound 100000 (coxeter.ENUMERATION_BOUND)" in err
+
+
+def test_classify_on_e8_with_i_of_type_e7():
+    from weylzip import build_group
+    from weylzip.serialize import parse_word, word_str
+
+    args = _identity_args("E8", range(1, 8))
+    code, out = run_cli(["classify", *args, "--w", "1,2,3,4,5,6,7,8"])
+    assert code == 0
+    (_, piece), (_, sigma) = (line.split() for line in out.splitlines())
+    e8 = build_group("E8")
+    rep, sig = parse_word(e8, piece), parse_word(e8, sigma)
+    assert not sig.right_descents() & set(range(1, 8))
+    assert sig.length == rep.length
+    code, out = run_cli(["sigma", *args, "--w", sigma, "--inverse"])
+    assert code == 0 and out.strip() == word_str(rep) == piece
+
+
 def test_letter_zero_is_refused(capsys):
     code = main(["classify", "--type", "A3", "--I", "1", "--psi", "1:1", "--w", "0,1"])
     assert code == 2

@@ -26,7 +26,6 @@ from weylzip.oracles import (
     sigma_oracle,
 )
 from weylzip.verify import subsets, sweep_zip_data
-from weylzip.zipdata import _ORBIT_CHUNK
 
 
 def words(elements):
@@ -181,13 +180,14 @@ def test_induced_data_are_built_once_per_group(monkeypatch, label, I, psi, seed)
     g = CoxeterGroup(*cartan.matrices_for_label(label), label)
     z = ZipDatum(g, I, set(psi.values()), psi)
     built = []
-    init = ZipDatum.__init__
+    setup = ZipDatum._setup
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    # every datum, validated or built as an induced one, is set up once
+    def counting_setup(self):
+        setup(self)
         built.append((self.universe, tuple(sorted(self.psi.items()))))
 
-    monkeypatch.setattr(ZipDatum, "__init__", counting_init)
+    monkeypatch.setattr(ZipDatum, "_setup", counting_setup)
     elements = seeded_elements(g, seed + 10, 150)
     reps = [z.canonical_rep(w) for w in elements]
     sigmas = [z.sigma(rep) for rep in reps]
@@ -196,6 +196,22 @@ def test_induced_data_are_built_once_per_group(monkeypatch, label, I, psi, seed)
     assert len(g._induced) == len(built)
     assert reps == [canonical_rep_oracle(z, w) for w in elements]
     assert sigmas == [sigma_oracle(z, rep, "iw") for rep in reps]
+
+
+@pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA[3:], ids=["E8", "E7"])
+def test_induced_data_pass_the_validation_they_skip(label, I, psi, seed):
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+    z = ZipDatum(g, I, set(psi.values()), psi)
+    for w in seeded_elements(g, seed + 30, 60):
+        z.sigma(z.canonical_rep(w))
+    assert len(g._induced) > 10
+    for sub in g._induced.values():
+        sub._validate()
+        public = ZipDatum(g, sub.I, sub.J, sub.psi, universe=sub.universe)
+        for name in ("I", "J", "psi", "universe", "_I_sorted", "_J_sorted"):
+            assert getattr(sub, name) == getattr(public, name)
+        assert np.array_equal(sub._psi_table, public._psi_table)
+        assert np.array_equal(sub._J_cols, public._J_cols)
 
 
 def test_poset_on_d6_builds_elements_for_the_parameters_only(monkeypatch):
@@ -221,9 +237,11 @@ def test_poset_on_d6_builds_elements_for_the_parameters_only(monkeypatch):
 def test_d6_pieces_walk_no_whole_group():
     g = CoxeterGroup(*cartan.matrices_for_label("D6"), "D6")
     I = {1, 2, 3, 4, 5}
-    assert len(ZipDatum(g, I, I, {i: i for i in I}).pieces()) == 32
-    assert frozenset(g.simple_indices) not in g._enumerations
-    assert set(g._enumerations) == {frozenset(I)}
+    z = ZipDatum(g, I, I, {i: i for i in I})
+    assert len(z.pieces()) == 32
+    assert [z.sigma_inverse(z.sigma(w)) for w in z.param_set()] == list(z.param_set())
+    # the coset walks are not cached, and sigma enumerates nothing of W_I
+    assert not g._enumerations
 
 
 def test_param_set_memory_on_d6():
@@ -260,6 +278,73 @@ def test_sigma_is_length_preserving_bijection():
             assert all(w.length == im.length for w, im in zip(params, images))
 
 
+RANK_AT_MOST_3 = ("A1", "A1xA1", "A2", "B2", "G2", "A1xA1xA1", "A1xA2", "A1xB2",
+                  "A1xG2", "A3", "B3", "C3")
+RANK_4_DATA = [
+    ("A4", {1, 2}, {3, 4}, {1: 3, 2: 4}),
+    ("A4", {1, 2, 3}, {2, 3, 4}, {1: 4, 2: 3, 3: 2}),
+    ("B4", {1, 2}, {2, 3}, {1: 2, 2: 3}),
+    ("C4", {1, 3}, {2, 4}, {1: 2, 3: 4}),
+    ("D4", {1, 3, 4}, {1, 3, 4}, {1: 3, 3: 4, 4: 1}),
+    ("D4", {1, 2}, {2, 4}, {1: 4, 2: 2}),
+    ("F4", {1, 2}, {3, 4}, {1: 4, 2: 3}),
+    ("F4", {1, 2, 3}, {2, 3, 4}, {1: 4, 2: 3, 3: 2}),
+    ("A1xA3", {1, 2, 3}, {1, 3, 4}, {1: 1, 2: 4, 3: 3}),
+]
+
+
+def _census_data():
+    for label in RANK_AT_MOST_3:
+        yield from sweep_zip_data(build_group(label))
+    for label, I, J, psi in RANK_4_DATA:
+        yield ZipDatum(build_group(label), I, J, psi)
+
+
+def test_every_twisted_orbit_holds_one_element_of_each_parameter_set():
+    """The facts the sigma walk rests on and that are not proved here: each
+    W_I-twisted orbit of an "iw" parameter holds exactly one element of
+    W^J, each orbit of a "wj" parameter exactly one of ^I W, and the walk
+    (both sides, on the whole stack) ends at it."""
+    for z in _census_data():
+        g = z.group
+        m = g.num_positive
+        Y, P = g.parabolic_perms(z.I), z._psi_inverse_rows
+        for side in ("iw", "wj"):
+            X = z._param_rows(side)[0]
+            orbit = z._orbit_images(Y, X, P, slice(None))  # [y, p, root]
+            if side == "iw":
+                members, walked = orbit, z._sigma_rows("iw", X)
+                S = z._J_sorted
+            else:  # x lies in ^I W iff x^{-1} lies in W^I
+                members = np.argsort(orbit, axis=2)
+                walked = z._sigma_rows("wj", np.argsort(X, axis=1))
+                S = z._I_sorted
+            hit = (members[:, :, [s - 1 for s in S]] < m).all(axis=2)
+            first = hit.argmax(axis=0)
+            one = members[first, np.arange(len(X))]
+            assert hit.any(axis=0).all(), (z, side)
+            assert ((members == one).all(axis=2) | ~hit).all(), (z, side)
+            assert np.array_equal(walked, one), (z, side)
+
+
+def test_sigma_walk_past_its_cap_raises_and_nothing_falls_back(monkeypatch):
+    # a group of its own, so that no other test has filled its caches
+    g = CoxeterGroup(*cartan.matrices_for_label("F4"), "F4")
+    z = ZipDatum(g, {1, 2}, {3, 4}, {1: 4, 2: 3})
+    moving = next(w for w in z.param_set("iw") if w.right_descents() & z.J)
+    moving_wj = next(w for w in z.param_set("wj") if w.left_descents() & z.I)
+    monkeypatch.setattr(z, "_sigma_cap", 0)
+    named = r"sigma walk of ZipDatum\(F4, I=\[1, 2\], J=\[3, 4\].* \|Phi_I\^\+\| = 0 steps"
+    with pytest.raises(RuntimeError, match=named):
+        z.sigma(moving)
+    with pytest.raises(RuntimeError, match=named):
+        z.sigma_inverse(moving_wj)
+    with pytest.raises(RuntimeError, match=named):
+        z.pieces()
+    assert not z._sigma and not g._enumerations and not g._parabolic_cache
+    assert z.sigma(g.identity) == g.identity  # no step needed
+
+
 @pytest.mark.parametrize(
     "label,I,J,psi",
     [
@@ -271,6 +356,11 @@ def test_sigma_is_length_preserving_bijection():
         ("D4", {1, 3, 4}, {1, 3, 4}, {1: 3, 3: 4, 4: 1}),
         ("A5", {1, 2, 4, 5}, {1, 2, 4, 5}, {1: 5, 2: 4, 4: 2, 5: 1}),
         ("A5", {1, 2, 3}, {3, 4, 5}, {1: 5, 2: 4, 3: 3}),
+        # the benchmark data not in PIECES_DATA
+        ("D6", {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}, {i: i for i in range(1, 6)}),
+        ("F4", {1}, {1}, {1: 1}),
+        ("A5", {1, 5}, {1, 5}, {1: 1, 5: 5}),
+        ("A6", {1, 2, 3}, {4, 5, 6}, {1: 6, 2: 5, 3: 4}),
     ],
 )
 def test_sigma_matches_oracle(label, I, J, psi):
@@ -322,8 +412,7 @@ def test_pieces_sigma_in_chunks_equals_per_element_sigma():
     I = {1, 3, 4, 5, 6}
     z = ZipDatum(build_group("E6"), I, I, {i: i for i in I})
     params = z.param_set("iw")
-    # the stack of 72 parameters is searched 5 rows at a time
-    assert _ORBIT_CHUNK // len(z.w_I()) == 5 < len(params)
+    # the stack is walked in rounds, each row alone by the one-row walk
     single = [z.sigma(w) for w in params]
     assert [p.dual_rep for p in z.pieces()] == single
     assert [p.dual_rep for p in ZipDatum(z.group, I, I, z.psi).pieces()] == single
