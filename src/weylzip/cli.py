@@ -32,7 +32,17 @@ from .zipdata import ZipDatum
 
 
 def _read_datum_doc(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    """The JSON document at `path` ('-' for stdin); MalformedInput naming
+    the path when it cannot be read as UTF-8 text."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MalformedInput(f"cannot read the datum document {path!r}: {reason}") from None
     return serialize.load_json(text)
 
 
@@ -314,9 +324,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except WeylZipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -230,7 +230,7 @@ class CoxeterAutomorphism:
         g = self.group
         got = g._automorphism_roots.get(self.images)
         if got is None:
-            m, refl = g.num_positive, g._reflect_tables
+            m, refl = g.num_positive, g.reflections.tolist()
             sigma = [0] * (2 * m)
             for r in range(m):
                 if r < g.rank:  # the simple roots
@@ -306,13 +306,16 @@ class ShortLex(NamedTuple):
     descent masks (column i - 1 True iff s_i is a left, right descent of
     w_k).  The walk reaches every w_k after the identity as s * w_parent,
     with s = ``first[k]`` the first letter of its canonical word and
-    parent = ``parent[k]`` < k, so that word is (s,) + word(w_parent)."""
+    parent = ``parent[k]`` < k, so that word is (s,) + word(w_parent).
+    ``layers[l]:layers[l + 1]`` are the positions of the elements of
+    length l, so every parent lies in the layer before its child's."""
 
     perms: np.ndarray
     left: np.ndarray
     right: np.ndarray
     first: np.ndarray
     parent: np.ndarray
+    layers: np.ndarray
 
     def words_at(self, positions) -> list[tuple[int, ...]]:
         """The canonical words of the elements at the given positions, as the
@@ -395,8 +398,7 @@ class GroupTables:
             self.lmul[s - 1, lower] = upper
         gens = np.array(sorted(subset), dtype=np.intp) - 1
         self.rmul[gens, 0] = self.lmul[gens, 0]
-        starts = np.flatnonzero(np.diff(self.length)) + 1
-        for lo, hi in zip(starts, [*starts[1:], n]):
+        for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
             below = self.rmul[gens[:, None], e.parent[lo:hi]]
             self.rmul[gens, lo:hi] = self.lmul[e.first[lo:hi] - 1, below]
 
@@ -502,13 +504,10 @@ class CoxeterGroup:
             tuple(-c for c in v) for v in positives
         )
         self._root_index = {v: r for r, v in enumerate(self.roots)}
-        self._reflect_tables = [
-            tuple(self._root_index[reflect(v, j)] for v in self.roots)
-            for j in range(n)
-        ]
         #: Root permutations of the simple reflections as a read-only intp
         #: array: ``reflections[i - 1, r]`` is the index of s_i(root r).
-        self.reflections = np.array(self._reflect_tables, dtype=np.intp)
+        self.reflections = np.array([[self._root_index[reflect(v, j)] for v in self.roots]
+                                     for j in range(n)], dtype=np.intp)
         self.reflections.flags.writeable = False
         #: The identity root permutation as a read-only int16 row, shared by
         #: every row kernel that starts from it or inverts into it.
@@ -765,7 +764,9 @@ class CoxeterGroup:
         in_J = np.zeros(2 * m, dtype=bool)
         in_J[[j - 1 for j in J]] = True  # alpha_j sits at index j - 1
         start, end = 0, 1  # the current layer
+        layers = [0]
         while start < end:
+            layers.append(end)
             layer, top = inverses[start:end], end
             for s in gens:
                 keep = (layer[:, tests[s]] < m).all(axis=1)
@@ -783,7 +784,8 @@ class CoxeterGroup:
             start, end = end, top
         assert end == order, f"the walk reached {end} of {order} elements"
         simple = slice(0, self.rank)  # the simple roots sit at indices 0..rank-1
-        out = ShortLex(perms, inverses[:, simple] >= m, perms[:, simple] >= m, first, parent)
+        out = ShortLex(perms, inverses[:, simple] >= m, perms[:, simple] >= m, first, parent,
+                       np.array(layers, dtype=np.intp))
         for array in out:
             array.flags.writeable = False
         return out, inverses

@@ -462,8 +462,10 @@ def check_lusztig_consistency(group: CoxeterGroup) -> list[str]:
     """The reparametrization by x is a bijection onto the target set, and
     each Lusztig closure, order included, is the set of "wj" parameters
     whose twisted orbit meets the Bruhat interval below w x^{-1}, carried
-    by x and sorted ShortLex: orbits from one gather per datum, one lifting
-    loop (:meth:`CoxeterGroup.bruhat_below`) per target, no closure set."""
+    by x and sorted ShortLex: orbit rows from one gather per datum
+    (:meth:`ZipDatum._orbit_rows`, not the table walk of closure sets), one
+    lifting loop (:meth:`CoxeterGroup.bruhat_below`) per target, no closure
+    set."""
     bad = []
     m2 = 2 * group.num_positive
     for iso in iter_isogeny_data(group):
@@ -473,16 +475,15 @@ def check_lusztig_consistency(group: CoxeterGroup) -> list[str]:
         if sorted(w.perm for w in forward) != sorted(w.perm for w in target):
             bad.append(f"{iso!r}: reparametrization is not onto")
             continue
-        Y = group.parabolic_perms(z.I)
         rows = np.array([v.row for v in params])
-        orbits = z._orbit_images(Y, rows, z._psi_inverse_rows, slice(None)).reshape(-1, m2)
+        orbits = z._orbit_rows(rows).reshape(-1, m2)
         shortlex = sorted(range(len(forward)), key=lambda p: forward[p].sort_key)
         for w in target:
             v = iso.reparam(w, "backward")
             if iso.reparam(v, "forward") != w:
                 bad.append(f"{iso!r}: reparametrization round trip fails")
             below = group.bruhat_below(orbits, v.canonical_word())
-            below = below.reshape(len(Y), len(params)).any(axis=0)
+            below = below.reshape(-1, len(params)).any(axis=0)
             expect = tuple(forward[p] for p in shortlex if below[p])
             if iso.lusztig_closure(w) != expect:
                 bad.append(

@@ -17,11 +17,11 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   with psi(s) = s_j, until it lies in W^J (the mirror, on inverse rows,
   for sigma_inverse); one row for sigma, all parameters at once for the
   pieces, and W_I is never enumerated for it,
-* the closure order from whole twisted orbits, gathered by one numpy
-  gather over the root permutations of all y in W_I and of the
-  psi(y)^{-1} and tested against Bruhat order: point queries by the
-  lifting loop on root permutations, closure sets and the Hasse poset by
-  down-set rows in the integer multiplication tables of W_U,
+* the closure order from whole twisted orbits against Bruhat order:
+  point queries by the lifting loop on the orbit's root permutations,
+  one gather; closure sets and the Hasse poset by down-set rows in the
+  integer multiplication tables of W_U, the orbits walked along W_I on
+  the same ShortLex positions,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Every kernel takes the int16 rows of its Elements as they are and wraps
@@ -63,10 +63,6 @@ SIDES = ("iw", "wj")
 #: E6 with I = {1,2} (k = 12 960) fits.
 POSET_BOUND = 15_000
 
-#: About how many orbit members :meth:`ZipDatum._orbit_positions` gathers and
-#: looks up at once; its int64 lookup temporaries hold a few times this many.
-_ORBIT_CHUNK = 4096
-
 
 def _check_side(side: str) -> None:
     if side not in SIDES:
@@ -79,12 +75,13 @@ class ZipDatum:
     `psi` maps 1-based simple indices of I to those of J.  All caches are
     internal; public methods are pure.
 
-    Every use of whole W_I-twisted orbits y w psi(y)^{-1} (precedes,
-    closure sets, posets) goes through one gather, :meth:`_orbit_images`,
-    and closure sets and posets cache their ShortLex positions in W_U per
-    side.  sigma, sigma_inverse and pieces reach their member of the orbit
-    by one kernel, :meth:`_sigma_rows`, a walk of twisted conjugations by
-    simple reflections that keeps the length and stops in W^J (in ^I W, on
+    Whole W_I-twisted orbits y w psi(y)^{-1} are root permutations from
+    one gather for precedes (:meth:`_orbit_rows`), and ShortLex positions
+    in the tables of W_U, walked along W_I and cached per side, for
+    closure sets and posets (:meth:`_orbit_positions`).  sigma,
+    sigma_inverse and pieces reach their member of the orbit by one
+    kernel, :meth:`_sigma_rows`, a walk of twisted conjugations by simple
+    reflections that keeps the length and stops in W^J (in ^I W, on
     inverse rows, for sigma_inverse), after Pink-Wedhorn-Ziegler's
     length-preserving bijection and X. He, Adv. Math. 215 (2007); it
     enumerates nothing of W_I.  Induced data, valid by construction, skip
@@ -116,7 +113,8 @@ class ZipDatum:
         self._psi_table = self.group.psi_table(self.psi)
         #: I and J ascending, as the Howlett stripping reads them
         self._I_sorted, self._J_sorted = tuple(sorted(self.I)), tuple(sorted(self.J))
-        #: the indices of the simple roots of J, ascending
+        #: the indices of the simple roots of I and J, ascending
+        self._I_cols = np.array(self._I_sorted, dtype=np.intp) - 1
         self._J_cols = np.array(self._J_sorted, dtype=np.intp) - 1
         self._canonical: dict[Element, Element] = {}
         self._sigma: dict[Element, Element] = {}
@@ -158,37 +156,27 @@ class ZipDatum:
     def _psi_inverse_rows(self) -> np.ndarray:
         """Root permutations of psi(y)^{-1}, one int16 row per y in W_I in
         ShortLex order: the enumeration reaches y as s y', and psi(y)^{-1} =
-        psi(y')^{-1} psi(s) reads the row of y' through that of psi(s).  The
-        parents y' lie one length layer down, so a layer starts where the
-        running maximum of the parents first reaches the layer before, and
-        the walk spells each layer by first letter ascending: the rows are
-        filled by one column gather per run of one first letter s within
-        one layer, parents before children, as the walk fills its inverse
-        rows."""
+        psi(y')^{-1} psi(s) reads the row of y' through that of psi(s), one
+        gather per length layer, parents before children."""
         g = self.group
         e = g.enumeration(self.I)
         rows = np.empty_like(e.perms)
         rows[0] = g.identity_row
-        top, cut = np.maximum.accumulate(e.parent), np.diff(e.first) != 0
-        start = 1
-        while start < len(rows):
-            cut[start - 1] = True
-            start = int(np.searchsorted(top, start))
-        cuts = np.flatnonzero(cut) + 1
-        ends = [*cuts[1:].tolist(), len(rows)]
-        for lo, hi, s in zip(cuts.tolist(), ends, e.first[cuts].tolist()):
-            rows[lo:hi] = rows[e.parent[lo:hi]].take(g.reflections[self.psi[s] - 1], axis=1)
+        for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
+            twist = g.reflections[self._psi_table[e.first[lo:hi]] - 1]
+            rows[lo:hi] = rows[e.parent[lo:hi, None], twist]
         return rows
 
-    def _orbit_images(self, outer: np.ndarray, X, inner: np.ndarray, cols) -> np.ndarray:
+    def _orbit_rows(self, X) -> np.ndarray:
         """The twisted orbits of a stack X of int16 root-permutation rows (or
-        one row) in one gather: ``images[y, p, c]`` is the image of root
-        ``cols[c]`` under ``outer[y] X[p] inner[y]``, which is
-        y X[p] psi(y)^{-1} for outer the rows of W_I, inner the psi(y)^{-1}."""
+        one row) in one gather: ``images[y, p, r]`` is the image of root r
+        under y X[p] psi(y)^{-1}, from the rows of W_I and
+        :attr:`_psi_inverse_rows`."""
+        Y, P = self.group.parabolic_perms(self.I), self._psi_inverse_rows
         X = np.atleast_2d(np.asarray(X, dtype=np.int16))
-        # X[p][inner[y][cols[c]]], moved to [y, p, c]
-        middle = X[:, inner[:, cols]].swapaxes(0, 1)
-        return outer[np.arange(len(outer))[:, None, None], middle]
+        # X[p][P[y][r]], moved to [y, p, r]
+        middle = X[:, P].swapaxes(0, 1)
+        return Y[np.arange(len(Y))[:, None, None], middle]
 
     # -- parameter sets and membership --
 
@@ -414,14 +402,13 @@ class ZipDatum:
         """The closure partial order: wp precedes w iff some y in W_I has
         y wp psi(y)^{-1} below w in Bruhat order.
 
-        The twisted orbit of wp comes from one gather, as in :meth:`sigma`,
+        The twisted orbit of wp comes from one gather (:meth:`_orbit_rows`)
         and goes through the Bruhat kernel as one stack; no tables of W_U
         are built."""
         _check_side(side)
         self._require_param(wp, side)
         self._require_param(w, side)
-        Y = self.group.parabolic_perms(self.I)
-        orbit = self._orbit_images(Y, wp.row, self._psi_inverse_rows, slice(None))
+        orbit = self._orbit_rows(wp.row)
         return bool(self.group.bruhat_below(orbit[:, 0], w.canonical_word()).any())
 
     def closure_set(self, w: Element, side: str = "iw") -> tuple[Element, ...]:
@@ -434,11 +421,11 @@ class ZipDatum:
         """Boolean matrix R with R[a, b] = (params[a] precedes targets[b]),
         the targets being parameters of the same side (default: all).
 
-        Works on ShortLex positions in the tables of W_U.  Column b reads
-        "some y params[a] psi(y)^{-1} lies in the Bruhat down-set of
-        targets[b]" from one boolean row over W_U per target, so the cost
-        is |targets| * |W_U|, never |W_U|^2.  The whole matrix is refused
-        above POSET_BOUND parameters."""
+        Works on ShortLex positions in the tables of W_U, orbits included
+        (:meth:`_orbit_positions`).  Column b reads "some y params[a]
+        psi(y)^{-1} lies in the Bruhat down-set of targets[b]" from one
+        boolean row over W_U per target, so the cost is |targets| * |W_U|,
+        never |W_U|^2.  The whole matrix is refused above POSET_BOUND."""
         if targets is None:
             self._check_poset_size(side)
         orbit = self._orbit_positions(side)
@@ -452,21 +439,23 @@ class ZipDatum:
 
     def _orbit_positions(self, side: str) -> np.ndarray:
         """ShortLex positions in W_U of y p psi(y)^{-1}, one row per y in W_I
-        and one column per parameter p of the side, cached per side; the
-        images of the simple roots of U are the tables' lookup keys, gathered
-        and looked up for a few parameters at a time, so that the temporaries
-        stay near ``_ORBIT_CHUNK`` keys whatever the size of W_U."""
+        and one column per parameter p of the side, cached per side.  The
+        parameters are the positions in W_U with no left descent in I
+        ("iw") or no right descent in J ("wj"), and the walk of W_I reaches
+        y as s y', so y p psi(y)^{-1} = s (y' p psi(y')^{-1}) psi(s): two
+        table gathers per length layer of W_I, and no root permutation."""
         got = self._orbits.get(side)
         if got is None:
-            g, U = self.group, sorted(self.universe)
-            params = self._param_rows(side)[0]
-            Y, P, cols = g.parabolic_perms(self.I), self._psi_inverse_rows, [u - 1 for u in U]
-            t = g.tables(U)
-            got = np.empty((len(Y), len(params)), dtype=np.int32)
-            step = max(1, _ORBIT_CHUNK // len(Y))
-            for a in range(0, len(params), step):
-                images = self._orbit_images(Y, params[a : a + step], P, cols)
-                got[:, a : a + step] = t.lookup(images.reshape(-1, len(cols))).reshape(len(Y), -1)
+            g, U = self.group, self.universe
+            t, e = g.tables(U), g.enumeration(U)
+            descents = e.left[:, self._I_cols] if side == "iw" else e.right[:, self._J_cols]
+            params = np.flatnonzero(~descents.any(axis=1))
+            w_I = g.enumeration(self.I)
+            got = np.empty((len(w_I.perms), len(params)), dtype=np.int32)
+            got[0] = params
+            for lo, hi in zip(w_I.layers[1:-1].tolist(), w_I.layers[2:].tolist()):
+                s = w_I.first[lo:hi, None]
+                got[lo:hi] = t.rmul[self._psi_table[s] - 1, t.lmul[s - 1, got[w_I.parent[lo:hi]]]]
             self._orbits[side] = got
         return got
 
@@ -585,16 +574,16 @@ class ZipDatum:
         from .abstract import AbstractZipDatum, FiniteGroup
 
         g = self.group
+        simple = [tuple(row) for row in g.reflections.tolist()]
         gamma = FiniteGroup.from_elements(
             2 * g.num_positive,
             map(tuple, g.parabolic_perms(self.universe).tolist()),
-            generators=[tuple(g.reflections[i - 1].tolist()) for i in sorted(self.universe)],
+            generators=[simple[i - 1] for i in sorted(self.universe)],
         )
-        # psi(y) is the inverse of the row of psi(y)^{-1}
-        psi_rows = np.argsort(self._psi_inverse_rows, axis=1).tolist()
-        w_I = list(map(tuple, g.parabolic_perms(self.I).tolist()))
-        psi = dict(zip(w_I, map(tuple, psi_rows)))
-        return AbstractZipDatum(gamma, frozenset(w_I), psi)
+        return AbstractZipDatum.from_generators(
+            gamma, [simple[i - 1] for i in self._I_sorted],
+            [simple[self.psi[i] - 1] for i in self._I_sorted],
+        )
 
 
 def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:

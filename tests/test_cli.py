@@ -81,6 +81,19 @@ def test_datum_file(tmp_path):
     assert code == 0 and "2,1" in out
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_datum_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "datum.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b'{"type": "A2\xff"}')
+    assert main(["pieces", "--datum", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read the datum document") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_abstract_command(tmp_path):
     path = tmp_path / "abstract.json"
     path.write_text(

@@ -321,9 +321,27 @@ def test_walk_spells_the_canonical_words(label):
             assert parent < len(words)
             words.append((s,) + words[parent])
         assert words == [w.canonical_word() for w in shortlex_oracle(g, S)], S
+        _assert_layers_step_at_lengths(e, words)
         # each step of the walk is one left multiplication: w_k = s * w_parent
         steps = refl[e.first[1:, None] - 1, e.perms[e.parent[1:]]]
         assert np.array_equal(e.perms[1:], steps)
+
+
+def _assert_layers_step_at_lengths(e, words):
+    """``e.layers`` bounds the runs of equal word length, from 0 to the
+    number of elements, and is read-only."""
+    steps = np.flatnonzero(np.diff([len(w) for w in words])) + 1
+    assert e.layers.tolist() == [0, *steps.tolist(), len(words)]
+    assert not e.layers.flags.writeable
+
+
+def test_coset_walk_layers_step_at_lengths():
+    g = build_group("F4")
+    e, _ = g.coset_walk(g.simple_indices, (2, 3))
+    words = e.words_at(np.arange(len(e.perms)))
+    expect = [w for w in shortlex_oracle(g, g.simple_indices) if not w.right_descents() & {2, 3}]
+    assert words == [w.canonical_word() for w in expect]
+    _assert_layers_step_at_lengths(e, words)
 
 
 def _word_by_products(w):

@@ -9,9 +9,10 @@ poset here has fewer than 256 parameters, so the cover-edge overflow fix
 leaves them unchanged.  Rewrite a file only for an intended output change,
 and name that change in CHANGES.md.
 
-The `classify` cases on E8 and E7 lie beyond the enumeration bound (only
-W_I is ever enumerated there); their files were written by the CLI before
-canonical representatives moved onto numpy root-permutation rows.
+The `classify` cases on E8 and E7 lie beyond the enumeration bound
+(nothing is enumerated there, W_I included: sigma is a walk in the
+twisted orbit); their files were written by the CLI before canonical
+representatives moved onto numpy root-permutation rows.
 """
 
 from __future__ import annotations

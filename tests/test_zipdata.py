@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weylzip import ZipDatum, build_group, cartan
-from weylzip.coxeter import ENUMERATION_BOUND, CoxeterGroup, Element
+from weylzip.coxeter import ENUMERATION_BOUND, CoxeterGroup, Element, GroupTables
 from weylzip.errors import (
     NotDoubleCosetRep,
     NotMinimalRep,
@@ -308,10 +308,9 @@ def test_every_twisted_orbit_holds_one_element_of_each_parameter_set():
     for z in _census_data():
         g = z.group
         m = g.num_positive
-        Y, P = g.parabolic_perms(z.I), z._psi_inverse_rows
         for side in ("iw", "wj"):
             X = z._param_rows(side)[0]
-            orbit = z._orbit_images(Y, X, P, slice(None))  # [y, p, root]
+            orbit = z._orbit_rows(X)  # [y, p, root]
             if side == "iw":
                 members, walked = orbit, z._sigma_rows("iw", X)
                 S = z._J_sorted
@@ -635,13 +634,19 @@ def test_relation_matrix_in_a_smaller_universe(a3):
 
 def twisted_data():
     """The data induced from A3 I={1,2} -> {2,3} (universes {2,3}, twists
-    among them non-identity) and a D5 datum twisted by 4 <-> 5."""
+    among them non-identity), a D5 datum twisted by 4 <-> 5, D4 triality
+    on {1,3,4} (psi of order 3) and the A5 flip on {1,2,4,5} (psi reversing
+    the order of I)."""
     a3 = build_group("A3")
     z = ZipDatum(a3, {1, 2}, {2, 3}, {1: 2, 2: 3})
     induced = [z.induced_at(x) for x in min_double_coset_reps(a3, z.I, z.J)]
     assert any(sub.universe != z.universe and any(a != b for a, b in sub.psi.items())
                for sub in induced)
-    return induced + [ZipDatum(build_group("D5"), {2, 3, 4}, {2, 3, 5}, {2: 2, 3: 3, 4: 5})]
+    return induced + [
+        ZipDatum(build_group("D5"), {2, 3, 4}, {2, 3, 5}, {2: 2, 3: 3, 4: 5}),
+        ZipDatum(build_group("D4"), {1, 3, 4}, {1, 3, 4}, {1: 3, 3: 4, 4: 1}),
+        ZipDatum(build_group("A5"), {1, 2, 4, 5}, {1, 2, 4, 5}, {1: 5, 2: 4, 4: 2, 5: 1}),
+    ]
 
 
 @pytest.mark.parametrize("z", twisted_data(), ids=repr)
@@ -656,6 +661,39 @@ def test_orbit_gather_matches_element_products(z):
         params = z.param_set(side)
         expect = [[position[(y * p * py).perm] for p in params] for y, py in twists]
         assert z._orbit_positions(side).tolist() == expect
+
+
+@pytest.mark.parametrize(
+    "label,I,J,psi",
+    [("F4", {1, 2}, {3, 4}, {1: 4, 2: 3}), ("D5", {1, 2, 3}, {1, 2, 3}, {1: 1, 2: 2, 3: 3})],
+)
+def test_closure_path_reads_table_positions_only(monkeypatch, label, I, J, psi):
+    """Closure sets and posets walk the twisted orbits on the positions of
+    the tables of W_U: with the tables built, a fresh datum gives the same
+    results when the position lookup and the orbit row gather refuse to
+    run, and builds no psi(y)^{-1} rows."""
+    g = build_group(label)
+    z = ZipDatum(g, I, J, psi)
+    g.tables(z.universe)
+
+    def results(datum):
+        out = []
+        for side in ("iw", "wj"):
+            poset = datum.hasse_poset(side)
+            closures = [datum.closure_set(w, side) for w in datum.param_set(side)]
+            out.append((poset.leq.tolist(), poset.cover_edges, closures))
+        return out
+
+    expect = results(z)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure path read root-permutation rows")
+
+    monkeypatch.setattr(GroupTables, "lookup", refuse)
+    monkeypatch.setattr(ZipDatum, "_orbit_rows", refuse)
+    fresh = ZipDatum(g, I, J, psi)
+    assert results(fresh) == expect
+    assert "_psi_inverse_rows" not in vars(fresh)
 
 
 @pytest.mark.parametrize("label,I", [("F4", {1}), ("D5", {1, 2})])
