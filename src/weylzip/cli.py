@@ -115,7 +115,7 @@ def cmd_poset(args) -> int:
     if args.format == "dot":
         sys.stdout.write(poset.to_dot())
     else:
-        print(json.dumps(poset.to_json_dict(), indent=2, sort_keys=True))
+        print(poset.to_json())
     return 0
 
 

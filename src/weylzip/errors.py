@@ -28,7 +28,8 @@ class TooLargeToEnumerate(WeylZipError):
 
 
 class PosetTooLarge(WeylZipError):
-    """A closure poset was requested on more parameters than its bound."""
+    """A closure poset was requested on more parameters than its bound, or
+    its cover edges, not certified, need the product above its bound."""
 
 
 # -- coset representatives ---------------------------------------------------

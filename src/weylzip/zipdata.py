@@ -19,9 +19,11 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   pieces, and W_I is never enumerated for it,
 * the closure order from whole twisted orbits against Bruhat order:
   point queries by the lifting loop on the orbit's root permutations,
-  one gather; closure sets and the Hasse poset by down-set rows in the
-  integer multiplication tables of W_U, the orbits walked along W_I on
-  the same ShortLex positions,
+  one gather; closure sets and the Hasse poset's relation by down-set rows
+  in the integer multiplication tables of W_U, the orbits walked along W_I
+  on the same ShortLex positions; the poset's cover edges from the
+  related pairs one length apart, found through the Bruhat lower covers
+  of each parameter and certified by their transitive closure,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Every kernel takes the int16 rows of its Elements as they are and wraps
@@ -35,6 +37,7 @@ datum is realized without rebuilding groups.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -58,10 +61,15 @@ if TYPE_CHECKING:
 
 SIDES = ("iw", "wj")
 
-#: Most parameters a closure poset may have.  Its path holds about 11 k^2
-#: bytes (k x k relation and cover arrays), so this caps it near 2.5 GB;
-#: E6 with I = {1,2} (k = 12 960) fits.
-POSET_BOUND = 15_000
+#: Most parameters a closure poset may have.  Its largest array is the k x k
+#: boolean relation (k^2 bytes), so this caps it near 0.9 GB; E6 with
+#: I = {1} (k = 25 920) fits, E6 with I = {} (k = 51 840) does not.
+POSET_BOUND = 30_000
+
+#: Most parameters whose cover edges, when the length-one pairs do not
+#: certify them, may come from the float32 product of the strict relation,
+#: which holds about 11 k^2 bytes (2.5 GB here).
+PRODUCT_BOUND = 15_000
 
 
 def _check_side(side: str) -> None:
@@ -459,29 +467,70 @@ class ZipDatum:
             self._orbits[side] = got
         return got
 
+    def _length_one_pairs(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """D1, row-major: the pairs (a, b) of parameter indices with
+        l(a) = l(b) - 1 whose orbit of a meets a lower cover of w_b.
+
+        These are exactly the related pairs one length apart: an orbit
+        element of a has length at least l(a) and lies in no other orbit, so
+        below w_b it is a lower cover of w_b.  Deleting one letter of the
+        canonical word of w_b spells every lower cover (Bjorner-Brenti,
+        GTM 231, ch. 2): with w_b = s_0 ... s_{L-1}, deleting s_j leaves
+        s_0 ... s_{j-1} times a suffix on the ShortLex walk, one ``lmul``
+        gather per letter for all (b, j) at once.  Each W_U position is owned
+        by the parameter whose orbit (:meth:`_orbit_positions`) holds it,
+        through one int32 array; the orbits are disjoint, as the twisted
+        action's orbits of two parameters would otherwise share a sigma."""
+        g = self.group
+        t, e = g.tables(self.universe), g.enumeration(self.universe)
+        orbit = self._orbit_positions(side)
+        params = orbit[0]
+        k = len(params)
+        owner = np.full(len(e.parent), -1, dtype=np.int32)
+        owner[orbit] = np.arange(k, dtype=np.int32)
+        assert (owner[orbit] == np.arange(k)).all(), "two twisted orbits meet"
+        length = t.length[params]
+        top = int(length[-1])
+        # suffix[:, j] is w_b with its first j letters removed, and letter j of
+        # w_b is first[suffix[:, j]]; past the word's end both are read at the
+        # identity, whose first[0] - 1 = -1 marks no letter
+        suffix = np.empty((k, top + 1), dtype=np.int32)
+        suffix[:, 0] = params
+        for j in range(top):
+            suffix[:, j + 1] = e.parent[suffix[:, j]]
+        letter = e.first[suffix[:, :top]] - 1
+        # deleted[:, j] is w_b with letter j deleted (w_b itself past the end)
+        deleted = suffix[:, 1:].copy()
+        for m in range(1, top):
+            s, x = letter[:, :top - m], deleted[:, m:]
+            deleted[:, m:] = np.where(s >= 0, t.lmul[s, x], x)
+        a = owner[deleted]
+        hit = (a >= 0) & (length[a] == length[:, None] - 1)
+        pair = np.sort(a[hit].astype(np.int64) * k + np.nonzero(hit)[0])
+        pair = pair[np.flatnonzero(np.diff(pair, prepend=-1))]
+        return pair // k, pair % k
+
     def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> "ClosurePoset":
         """The full closure poset on the chosen parameter set, with cover
         edges (transitive reduction) and per-node piece data.  Refused
         (PosetTooLarge) above POSET_BOUND parameters, by
-        :meth:`_relation_matrix`, before anything is built."""
+        :meth:`_relation_matrix`, before anything is built.
+
+        The cover edges are the pairs D1 of :meth:`_length_one_pairs` when
+        their transitive closure is the relation, and otherwise come from a
+        float32 product of the relation, up to PRODUCT_BOUND parameters
+        (:func:`_cover_edges`)."""
         _check_side(side)
         rel = self._relation_matrix(side)
-        k = rel.shape[0]
-        strict = rel & ~np.eye(k, dtype=bool)
-        # Nodes strictly between each pair, counted by a float32 (BLAS)
-        # product: every partial sum is an integer at most k < 2**24, so the
-        # counts are exact and cannot wrap.
-        between = strict.astype(np.float32)
-        covers = strict & ((between @ between) == 0)
-        edges = tuple(
-            (int(a), int(b)) for a, b in np.argwhere(covers)
-        )
+        a, b = self._length_one_pairs(side)
+        nodes = self.pieces(side=side, central_rank=central_rank)
+        length = np.array([p.length for p in nodes])
         return ClosurePoset(
             datum=self,
             side=side,
-            nodes=self.pieces(side=side, central_rank=central_rank),
+            nodes=nodes,
             leq=rel,
-            cover_edges=edges,
+            cover_edges=_cover_edges(rel, a, b, length, f"{self!r} ({side})"),
         )
 
     # -- numeric reports --
@@ -597,6 +646,55 @@ def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return order[np.searchsorted(keys[order], wanted)]
 
 
+def _cover_edges(rel: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarray,
+                 where: str) -> tuple[tuple[int, int], ...]:
+    """The cover edges of the order rel (rel[x, y] = x <= y), row-major.
+
+    (a, b) are pairs of rel one length apart, row-major, and `length`
+    holds the nondecreasing node lengths.  The order strictly raises length,
+    so each pair is a cover; if the reflexive transitive closure of the
+    pairs is rel, they are all of the covers.  The closure is checked one
+    length layer at a time from the top, on rows packed eight nodes to a
+    byte as by ``np.packbits`` and OR-ed as uint64 words: the up-set of a
+    node is itself and the up-sets of the upper ends of its pairs, which lie
+    in the layer just above, so two layers are held at once.  If the check
+    fails, the covers come from :func:`_product_covers`, refused
+    (PosetTooLarge) above PRODUCT_BOUND nodes."""
+    k = len(length)
+    bounds = np.searchsorted(length, np.arange(int(length[-1]) + 2))
+    above = None
+    for lo, hi in zip(bounds[-2::-1].tolist(), bounds[:0:-1].tolist()):
+        nodes = np.arange(lo, hi)
+        rows = np.zeros((hi - lo, (k + 63) // 64), dtype=np.uint64)
+        packed = rows.view(np.uint8)
+        packed[nodes - lo, nodes >> 3] = 0x80 >> (nodes & 7)
+        i, j = np.searchsorted(a, (lo, hi)).tolist()
+        if i < j:
+            starts = np.flatnonzero(np.diff(a[i:j], prepend=-1))
+            rows[a[i:j][starts] - lo] |= np.bitwise_or.reduceat(above[b[i:j] - hi], starts)
+        if not np.array_equal(packed[:, :(k + 7) // 8], np.packbits(rel[lo:hi], axis=1)):
+            break
+        above = rows
+    else:
+        return tuple(zip(a.tolist(), b.tolist()))
+    if k > PRODUCT_BOUND:
+        raise PosetTooLarge(
+            f"the length-one pairs of {where} do not close to its order, and "
+            f"its k = {k} parameters are above the product bound {PRODUCT_BOUND}"
+        )
+    return _product_covers(rel)
+
+
+def _product_covers(rel: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The cover edges of rel, row-major, from the nodes strictly between
+    each pair, counted by a float32 (BLAS) product: every partial sum is an
+    integer at most k < 2**24, so the counts are exact and cannot wrap."""
+    strict = rel & ~np.eye(len(rel), dtype=bool)
+    between = strict.astype(np.float32)
+    covers = strict & ((between @ between) == 0)
+    return tuple(zip(*(x.tolist() for x in np.nonzero(covers))))
+
+
 def _down_rows(t: GroupTables, words, right: bool):
     """Yield (b, row) with row[x] = (x <= the element of canonical word
     words[b]) over the ShortLex positions of the tables.
@@ -672,6 +770,24 @@ class ClosurePoset:
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        """The text of ``json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True)``, written for its fixed schema: with an indent,
+        json.dumps runs the pure-Python encoder, and here only the strings
+        go through an encoder, the C one."""
+        from .serialize import word_str
+
+        edges = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in self.cover_edges)
+        nodes = ",\n".join(
+            f'    {{\n      "dim": {p.dimension},\n      "length": {p.length},\n'
+            f'      "word": {json.dumps(word_str(self.label(k)))}\n    }}'
+            for k, p in enumerate(self.nodes)
+        )
+        return (
+            '{\n  "cover_edges": ' + (f"[\n{edges}\n  ]" if edges else "[]")
+            + f',\n  "nodes": [\n{nodes}\n  ],\n  "side": {json.dumps(self.side)}\n}}'
+        )
 
     def to_json_dict(self) -> dict:
         from .serialize import word_str

@@ -4,8 +4,13 @@ All tolerances are exact (set/value equality); the only numeric bounds are
 the stated wall-clock limits.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -250,4 +255,48 @@ def test_criterion_10_performance_e6_e7():
     if e7_elapsed >= 1.0:
         failures.append(f"100 E7 canonical_rep+sigma took {e7_elapsed:.2f}s (limit 1s)")
     print(f"  E6 pieces+poset: {e6_elapsed:.1f}s; 100 E7 queries: {e7_elapsed:.1f}s")
+    crit.finish(failures)
+
+
+#: Runs a command with its standard output sent to a file, then prints its
+#: exit code and the peak RSS of its process (kB), the only child it waits for.
+METER = """
+import resource, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    code = subprocess.run(sys.argv[2:], stdout=out).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_criterion_10_e6_poset_in_a_subprocess(tmp_path):
+    """The tighter bound next to criterion 10: `poset --format json` on E6
+    I={1,2} (k = 12 960) in a fresh process, start-up included, takes under
+    12 s and 500 MB, and its output matches the sha256 golden."""
+    from test_golden import POSET_SHA256
+
+    crit = Criterion(10, "E6 I={1,2} poset in a subprocess")
+    options, digest = POSET_SHA256["E6"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = tmp_path / "poset.json"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", METER, str(out),
+         sys.executable, "-m", "weylzip.cli", "poset", *options, "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, peak_kb = map(int, proc.stdout.split())
+    failures = []
+    if code != 0:
+        failures.append(f"poset exited {code}")
+    elif hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+        failures.append("poset output differs from its sha256 golden")
+    if elapsed >= 12.0:
+        failures.append(f"E6 I={{1,2}} poset took {elapsed:.1f}s (limit 12s)")
+    if peak_kb >= 500 * 1024:
+        failures.append(f"E6 I={{1,2}} poset peaked at {peak_kb / 1024:.0f} MB (limit 500 MB)")
+    print(f"  E6 I={{1,2}} poset: {elapsed:.1f}s, {peak_kb / 1024:.0f} MB")
     crit.finish(failures)

@@ -331,26 +331,30 @@ def test_poset_bound_fails_fast():
     from weylzip import ZipDatum, build_group
     from weylzip.zipdata import POSET_BOUND
 
+    # E6 I={} (k = 51 840) is refused
     start = time.perf_counter()
     code = main(["poset", "--type", "E6", "--I", "", "--psi", ""])
     assert code == 2
     assert time.perf_counter() - start < 1.0
-    # E6 I={1,2} (k = 12 960) stays admitted
     e6 = build_group("E6")
-    z = ZipDatum(e6, {1, 2}, {1, 2}, {1: 1, 2: 2})
-    z._check_poset_size("iw")
-    z._check_poset_size("wj")
-    assert e6.order // e6.parabolic_order({1, 2}) == 12_960 <= POSET_BOUND
+    assert e6.order == 51_840 > POSET_BOUND
+    # E6 I={1} (k = 25 920) and I={1,2} (k = 12 960) are admitted
+    for I in ({1}, {1, 2}):
+        z = ZipDatum(e6, I, I, {i: i for i in I})
+        z._check_poset_size("iw")
+        z._check_poset_size("wj")
+    assert e6.order // e6.parabolic_order({1}) == 25_920 <= POSET_BOUND
 
 
 def test_poset_bound_error_names_the_bound_and_k(capsys):
     from weylzip import CoxeterGroup, ZipDatum, build_group
     from weylzip import cartan
     from weylzip.errors import PosetTooLarge
+    from weylzip.zipdata import POSET_BOUND
 
     e6 = CoxeterGroup(*cartan.matrices_for_label("E6"), "E6")  # empty caches
     z = ZipDatum(e6, (), (), {})
-    with pytest.raises(PosetTooLarge, match="k = 51840 .*bound 15000"):
+    with pytest.raises(PosetTooLarge, match=f"k = 51840 .*bound {POSET_BOUND}"):
         z.hasse_poset()
     with pytest.raises(PosetTooLarge):
         z._relation_matrix("wj")

@@ -20,10 +20,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
+from weylzip import cli
 from weylzip.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,3 +116,36 @@ E6_SHA256 = {
 def test_e6_pieces_match_the_sha256_golden(fmt):
     out = run_cli([*E6_PIECES, "--format", fmt])
     assert hashlib.sha256(out).hexdigest() == E6_SHA256[fmt]
+
+
+# sha256 of the standard output of `poset --format json`, written by the CLI
+# while the cover edges still came from a float32 product of the whole
+# relation.  E6 I={1,2} (12 960 nodes, 99 191 cover edges) is checked in a
+# subprocess by the acceptance test next to criterion 10, under its time and
+# memory bound.
+# name -> (datum options, sha256)
+POSET_SHA256 = {
+    "D6": (["--type", "D6", "--I", "1,2", "--psi", "1:1,2:2"],
+           "c0f3fc2b77de7b0468a83940fa8724f08b2a856f3bed9aa93292d9df4f6e735f"),
+    "E6": (["--type", "E6", "--I", "1,2", "--psi", "1:1,2:2"],
+           "85c2d20713bf905872e32cc3bff910df2ae5eb429f74cee0dd498b1246a7e55f"),
+}
+
+
+def test_d6_poset_matches_the_sha256_golden():
+    options, digest = POSET_SHA256["D6"]
+    out = run_cli(["poset", *options, "--format", "json"])
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name,side", [(name, side) for name in DATA for side in ("iw", "wj")] + [("D6", "iw")]
+)
+def test_poset_json_writer_matches_json_dumps(name, side):
+    """`ClosurePoset.to_json`, written for the fixed poset schema, gives the
+    bytes of the indented, key-sorted json.dumps of `to_json_dict`, on both
+    sides of every golden datum and on D6 I={1,2}."""
+    options = DATA[name][0] if name in DATA else POSET_SHA256[name][0]
+    z, _ = cli._zip_datum_from_args(cli.build_parser().parse_args(["poset", *options]))
+    poset = z.hasse_poset(side)
+    assert poset.to_json() == json.dumps(poset.to_json_dict(), indent=2, sort_keys=True)

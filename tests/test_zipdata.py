@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weylzip import ZipDatum, build_group, cartan
+from weylzip import ZipDatum, build_group, cartan, zipdata
 from weylzip.coxeter import ENUMERATION_BOUND, CoxeterGroup, Element, GroupTables
 from weylzip.errors import (
     NotDoubleCosetRep,
     NotMinimalRep,
+    PosetTooLarge,
     PsiNotBijective,
     PsiNotCoxeter,
     SubsetMismatch,
@@ -703,6 +704,46 @@ def test_cover_edges_match_oracle(label, I):
     z = ZipDatum(build_group(label), I, I, {i: i for i in I})
     poset = z.hasse_poset()
     assert poset.cover_edges == cover_edges_oracle(poset.leq)
+
+
+def test_uncertified_order_takes_the_product_covers():
+    # 0 < 1 < 2 and 0 < 3, with l = 0, 1, 2, 2: the cover 0 < 3 skips a
+    # length, so the length-one pairs (0, 1) and (1, 2) do not close to rel
+    rel = np.eye(4, dtype=bool)
+    for a, b in [(0, 1), (1, 2), (0, 2), (0, 3)]:
+        rel[a, b] = True
+    a, b, length = np.array([0, 1]), np.array([1, 2]), np.array([0, 1, 2, 2])
+    edges = zipdata._cover_edges(rel, a, b, length, "a hand-built order")
+    assert edges == cover_edges_oracle(rel) == ((0, 1), (0, 3), (1, 2))
+    # the same pairs certify the graded order without 0 < 3
+    rel[0, 3] = False
+    assert zipdata._cover_edges(rel, a, b, length, "") == ((0, 1), (1, 2))
+
+
+def test_uncertified_order_above_the_product_bound_is_refused(monkeypatch):
+    rel = np.eye(4, dtype=bool)
+    rel[0, 3] = True
+    monkeypatch.setattr(zipdata, "PRODUCT_BOUND", 3)
+    with pytest.raises(PosetTooLarge, match="a hand-built order .*k = 4 .*bound 3"):
+        zipdata._cover_edges(rel, np.array([], dtype=int), np.array([], dtype=int),
+                             np.array([0, 1, 2, 2]), "a hand-built order")
+
+
+def test_length_one_pairs_certify_every_census_poset(monkeypatch):
+    """Every datum of rank at most 3 and the rank-4 list, both sides: the
+    length-one pairs close to the relation, so no poset takes the product
+    covers, and they are the oracle's cover edges."""
+    def refuse(rel):
+        raise AssertionError("the length-one pairs did not certify the covers")
+
+    monkeypatch.setattr(zipdata, "_product_covers", refuse)
+    count = 0
+    for z in _census_data():
+        for side in ("iw", "wj"):
+            poset = z.hasse_poset(side)
+            assert poset.cover_edges == cover_edges_oracle(poset.leq), (z, side)
+            count += 1
+    assert count == 390
 
 
 def test_in_universe_is_a_support_test():
