@@ -69,15 +69,15 @@ def rep_rows(
     if not U.issuperset(I) or not U.issuperset(J):
         raise SubsetMismatch(f"I = {I} and J = {sorted(set(J))} must lie in U = {sorted(U)}")
     if I and not J:
-        e, inverses = group.coset_walk(U, I)
+        e = group.coset_walk(U, I)
         letters, _ = strip_rows(group, e.perms, group.simple_indices)
         lengths = (letters > 0).sum(axis=1)
         order = np.lexsort([*letters.T[::-1], lengths])
         # the words, unpacked in one C-level pass, without their zero padding
         width = letters.shape[1]
         padded = struct.iter_unpack(f"{width}h", letters[order]) if width else [()] * len(order)
-        return inverses[order], [word[:n] for word, n in zip(padded, lengths[order].tolist())]
-    e, _ = group.coset_walk(U, J)
+        return e.inverses[order], [word[:n] for word, n in zip(padded, lengths[order].tolist())]
+    e = group.coset_walk(U, J)
     keep = np.flatnonzero(~e.left[:, [i - 1 for i in I]].any(axis=1))
     return e.perms[keep], e.words_at(keep)
 

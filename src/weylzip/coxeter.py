@@ -10,19 +10,23 @@ smallest left descent.
 
 A standard parabolic subgroup W_S (the whole group when S holds every
 simple index) is enumerated once, layer by layer in ShortLex order, as
-numpy arrays only (:class:`ShortLex`): int16 rows of root permutations,
-the left and right descent masks of every element (read off the rows and
-their inverses), and the walk that reaches each element from its parent
-by one simple reflection, from which canonical words are read.  The same
-walk, kept to the elements with no right descent in J, gives the minimal
-coset representatives W_S^J without enumerating W_S
-(:meth:`CoxeterGroup.coset_walk`).  Elements are built only for the
-rows a caller asks for, as read-only views of them
-(:meth:`CoxeterGroup.elements_of_rows`).  The
-same walk gives the integer multiplication tables of W_S
-(:class:`GroupTables`), built on first use.  Every enumeration and walk
-is refused before it starts when the number of rows it builds (|W_S|, or
-|W_S| / |W_J| for the walk of W_S^J) exceeds ``ENUMERATION_BOUND``.
+numpy arrays only (:class:`ShortLex`): the walk that reaches each element
+from its parent by one simple reflection, from which canonical words are
+read, its length layers, and the left and right descent masks of every
+element.  The walk holds the rows of one layer at a time; the int16 root
+permutations of all elements, and of their inverses, are rebuilt from the
+walk only when read.  The same walk, kept to the elements with no right
+descent in J, gives the minimal coset representatives W_S^J without
+enumerating W_S (:meth:`CoxeterGroup.coset_walk`).  Elements are built
+only for the rows a caller asks for, as read-only views of them
+(:meth:`CoxeterGroup.elements_of_rows`).  The same walk gives the
+integer multiplication tables of W_S (:class:`GroupTables`), built on
+first use from the walk alone: left multiplication by braid chains in the
+rank-2 parabolic subgroups, right multiplication by recursion on the walk,
+and no row of W_S.  Every enumeration and walk is refused before it
+starts when the number of rows it builds (|W_S|, or |W_S| / |W_J| for the
+walk of W_S^J) exceeds ``ENUMERATION_BOUND``.  The root system and the
+reflection table are built from int arrays (:meth:`CoxeterGroup._build_roots`).
 Root subsets Phi_S, Phi_S^+ and the positive roots outside Phi_S are
 cached per subset.  Bruhat order is one lifting loop on root permutations
 (:meth:`CoxeterGroup.bruhat_below`), which enumerates nothing.  The
@@ -36,8 +40,8 @@ r + num_positive (mod 2 * num_positive).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -297,32 +301,70 @@ class CoxeterAutomorphism:
         return f"CoxeterAutomorphism{self.images}"
 
 
-class ShortLex(NamedTuple):
-    """The enumeration of a standard parabolic subgroup W_S in ShortLex
-    order, as arrays indexed by position (the identity is 0).
+class ShortLex:
+    """The walk of a standard parabolic subgroup W_S (or of W_S^J, the
+    elements with no right descent in J) in ShortLex order, as arrays
+    indexed by position (the identity is 0).
 
-    All arrays are read-only.  ``perms[k]`` is the int16 root permutation
-    of the k-th element w_k, and ``left[k]`` and ``right[k]`` are its
-    descent masks (column i - 1 True iff s_i is a left, right descent of
-    w_k).  The walk reaches every w_k after the identity as s * w_parent,
-    with s = ``first[k]`` the first letter of its canonical word and
-    parent = ``parent[k]`` < k, so that word is (s,) + word(w_parent).
+    The walk reaches every w_k after the identity as s * w_parent, with
+    s = ``first[k]`` the first letter of its canonical word and parent =
+    ``parent[k]`` < k, so that word is (s,) + word(w_parent).
     ``layers[l]:layers[l + 1]`` are the positions of the elements of
-    length l, so every parent lies in the layer before its child's."""
+    length l, so every parent lies in the layer before its child's.
+    ``left[k]`` and ``right[k]`` are the descent masks of w_k (column
+    i - 1 True iff s_i is a left, right descent of w_k).  These arrays are
+    all the walk keeps, and all are read-only.
 
-    perms: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    first: np.ndarray
-    parent: np.ndarray
-    layers: np.ndarray
+    The int16 root permutations of the elements (``perms``) and of their
+    inverses (``inverses``) are rebuilt from the walk on first read, one
+    gather per length layer, parents before children, and then cached."""
+
+    def __init__(self, group: "CoxeterGroup", first: np.ndarray, parent: np.ndarray,
+                 layers: np.ndarray, left: np.ndarray, right: np.ndarray):
+        self.group = group
+        self.first, self.parent, self.layers = first, parent, layers
+        self.left, self.right = left, right
+        for array in (first, parent, layers, left, right):
+            array.flags.writeable = False
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """The root permutation of each element, one int16 row each."""
+        return self._replay(inverse=False)
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """The root permutation of the inverse of each element."""
+        return self._replay(inverse=True)
+
+    def _replay(self, inverse: bool) -> np.ndarray:
+        """The rows of the elements (of their inverses), read along the
+        walk: the row of s u is the value gather ``reflections[s - 1][u]``,
+        and its inverse u^-1 s the column gather ``u^-1[reflections[s - 1]]``.
+        A layer holds its children of each s in one run, s ascending, so
+        each run is one gather."""
+        g = self.group
+        rows = np.empty((len(self.first), 2 * g.num_positive), dtype=np.int16)
+        rows[0] = g.identity_row
+        cut = np.ones(len(self.first) + 1, dtype=bool)
+        cut[1:-1] = self.first[1:] != self.first[:-1]
+        cut[self.layers] = True
+        cuts = np.flatnonzero(cut).tolist()
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            s, parents = self.first.item(lo) - 1, rows[self.parent[lo:hi]]
+            if inverse:
+                rows[lo:hi] = parents[:, g.reflections[s]]
+            else:
+                g.reflections16[s].take(parents, out=rows[lo:hi])
+        rows.flags.writeable = False
+        return rows
 
     def words_at(self, positions) -> list[tuple[int, ...]]:
         """The canonical words of the elements at the given positions, as the
         walk spells them: word(w_k) = (first[k],) + word(w_parent[k])."""
         positions = np.asarray(positions, dtype=np.intp)
         # the positions and their ancestors on the walk; parents come first
-        need = np.zeros(len(self.perms), dtype=bool)
+        need = np.zeros(len(self.first), dtype=bool)
         todo = positions
         while len(todo):
             need[todo] = True
@@ -337,93 +379,99 @@ class ShortLex(NamedTuple):
 
 class GroupTables:
     """Integer tables of a standard parabolic subgroup W_S, indexed by the
-    ShortLex positions of its enumeration (the identity is 0).
+    ShortLex positions of its walk (the identity is 0).
 
     ``lmul[s - 1, k]`` and ``rmul[s - 1, k]`` are the positions of
     ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
-    ``length[k]`` is ``l(w_k)``, and :meth:`lookup` maps elements of W_S to
-    their positions.
+    and ``length[k]`` is ``l(w_k)``, read off the walk's length layers.
 
-    Both tables are read off the ShortLex walk.  ``lmul[s - 1]`` is an
-    involution pairing w with s w; the walk already pairs w_k with its parent
-    when s = ``first[k]``, so only the w_k with some other left descent s
-    are looked up, and each pair fills both of its ends.  Then
-    ``w_k s = first[k] (w_parent s)`` gives ``rmul`` with no lookup, one
-    gather through ``lmul`` per length layer, parents before children.
+    Both tables are read off the walk, with no root permutation and no
+    search: ``lmul`` by :func:`_left_table`, from the walk's pairs and
+    braid chains, and then ``w_k s = first[k] (w_parent s)`` gives
+    ``rmul``, one gather through ``lmul`` per length layer, parents before
+    children.
     """
 
     def __init__(self, group: "CoxeterGroup", subset: frozenset[int], e: ShortLex):
-        m = group.num_positive
-        perms = e.perms
         self.subset = subset
-        self.length = (perms[:, :m] >= m).sum(axis=1).astype(np.int16)
-        n = len(perms)
-        # w in W_S is fixed by the images of the simple roots of S, because
-        # W_S acts faithfully on their span.
-        self._cols = [group.simple_root_index(i) for i in sorted(subset)]
-        self._base = 2 * m
-        keys = perms[:, self._cols].astype(np.int64)
-        # The key columns are folded into int64 codes, as many at a time as
-        # fit below 2**62; each fold renumbers the distinct codes densely, so
-        # the map stays exact for any rank.
-        self._levels: list[tuple[list[int], np.ndarray]] = []
-        code = np.zeros(n, dtype=np.int64)
-        todo, bound = list(range(len(self._cols))), 1
-        while todo:
-            cols = []
-            while todo and (not cols or bound * self._base < 2**62):
-                cols.append(todo.pop(0))
-                bound *= self._base
-            value = self._fold(code, keys[:, cols])
-            # the distinct values in order, without np.unique, which loads
-            # numpy.ma
-            level = np.sort(value)
-            keep = np.ones(len(level), dtype=bool)
-            keep[1:] = level[1:] != level[:-1]
-            level = level[keep]
-            code = np.searchsorted(level, value)
-            self._levels.append((cols, level))
-            bound = len(level)
-        self._position = np.empty(n, dtype=np.int32)
-        self._position[code] = np.arange(n, dtype=np.int32)
-
-        self.lmul = np.full((group.rank, n), -1, dtype=np.int32)
-        self.rmul = np.full((group.rank, n), -1, dtype=np.int32)
-        for s in subset:
-            upper = np.flatnonzero(e.left[:, s - 1])  # the longer end of each pair
-            lower = e.parent[upper]
-            other = e.first[upper] != s
-            lower[other] = self.lookup(group.reflections[s - 1][keys[upper[other]]])
-            self.lmul[s - 1, upper] = lower
-            self.lmul[s - 1, lower] = upper
+        self.length = np.repeat(np.arange(len(e.layers) - 1, dtype=np.int16), np.diff(e.layers))
+        self.lmul = lmul = _left_table(group, subset, e, self.length)
+        self.rmul = np.full_like(lmul, -1)
         gens = np.array(sorted(subset), dtype=np.intp) - 1
-        self.rmul[gens, 0] = self.lmul[gens, 0]
+        self.rmul[gens, 0] = lmul[gens, 0]
         for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
             below = self.rmul[gens[:, None], e.parent[lo:hi]]
-            self.rmul[gens, lo:hi] = self.lmul[e.first[lo:hi] - 1, below]
+            self.rmul[gens, lo:hi] = lmul[e.first[lo:hi] - 1, below]
 
-    def _fold(self, code: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        for col in cols.T:
-            code = code * self._base + col
-        return code
 
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """ShortLex positions (int32) of the elements of W_S whose images of
-        the simple roots of S, in ascending order of index, are the rows of
-        `keys`; GroupMismatch if some row is no such image.  Only the key
-        columns are read, so an element outside W_S that agrees with one of
-        W_S there is not detected: callers pass elements of W_S."""
-        code = np.zeros(len(keys), dtype=np.int64)
-        for cols, level in self._levels:
-            value = self._fold(code, keys[:, cols])
-            code = np.searchsorted(level, value)
-            if len(value) and not np.array_equal(
-                level[np.minimum(code, len(level) - 1)], value
-            ):
-                raise GroupMismatch(
-                    f"element outside the parabolic subgroup W_{sorted(self.subset)}"
-                )
-        return self._position[code]
+def _left_table(group: "CoxeterGroup", subset: frozenset[int], e: ShortLex,
+                length: np.ndarray) -> np.ndarray:
+    """The table ``lmul`` of W_S from its walk `e` and the lengths.
+
+    ``lmul[s - 1]`` is an involution pairing w with s w, and each pair
+    fills both of its ends.  The walk already pairs w with its parent when
+    s = f = ``first[w]``.  Any other left descent s of w is a second left
+    descent next to f, so w = w_0(s, f) v, reduced, with w_0(s, f) the
+    longest element of the rank-2 parabolic W_{s,f}, of order 2m for
+    m = m(s, f), and v without left descent in {s, f} (Bjorner-Brenti,
+    GTM 231, 2.4).  Then parent(w) = f w = (s f s ...) v and s w =
+    (f s f ...) v, each with m - 1 letters: s w is the braid chain that
+    strips s, f, s, ... from the parent down to v and multiplies back up
+    by the next alternating letters, 2(m - 1) left multiplications in all,
+    since (f s)^(m - 1) f w = s w.  Every element of the chain is shorter
+    than w, so each step is a gather through ``lmul`` on lower layers,
+    already filled.  The pairs (w, s) are taken one layer at a time,
+    ordered by m descending, so the chains of a layer still running are a
+    prefix of its pairs, and gathers read the table flat, at s n + x."""
+    n = len(e.first)
+    lmul = np.full((group.rank, n), -1, dtype=np.int32)
+    flat = lmul.reshape(-1)
+    # Per s: the walk's pairs (w, parent) with first[w] = s, and the w with
+    # left descent s and another first letter f, each packed into one int64
+    # that sorts by layer, then by m = m(s, f) descending.
+    cox = np.array(group._coxeter, dtype=np.int64)
+    s_bits = max(group.rank - 1, 1).bit_length()
+    w_bits = max(n - 1, 1).bit_length()
+    # every w but the identity has one first letter among its left descents
+    packed = np.empty(np.count_nonzero(e.left) - (n - 1), dtype=np.int64)
+    at = 0
+    for s in sorted(subset):
+        is_first = e.first == s
+        children = np.flatnonzero(is_first)
+        lmul[s - 1, children] = e.parent[children]
+        lmul[s - 1, e.parent[children]] = children
+        w = np.flatnonzero(e.left[:, s - 1] > is_first)
+        m = cox[s - 1, e.first[w] - 1]
+        packed[at:at + len(w)] = ((length[w] * 8 + 8 - m) << w_bits | w) << s_bits | (s - 1)
+        at += len(w)
+    packed.sort()
+    s_at = np.empty(len(packed), dtype=np.int32)  # the offsets s n
+    np.bitwise_and(packed, (1 << s_bits) - 1, out=s_at, casting="unsafe")
+    s_at *= n
+    packed >>= s_bits
+    # chain step pair j runs on the pairs with m >= j + 2 (8 > 6, the
+    # largest m of a Weyl group)
+    levels = np.arange(len(e.layers) - 1)[:, None] * 8
+    ends = np.searchsorted(packed, levels + 9 - np.arange(2, 7) << w_bits).tolist()
+    starts = np.searchsorted(packed, levels[:, 0] << w_bits).tolist()
+    w = packed
+    w &= (1 << w_bits) - 1
+    x = e.parent[w]  # the chains start at the parents
+    f_at = np.empty(len(w), dtype=np.int32)  # the offsets f n
+    np.subtract(e.first[w], 1, out=f_at, casting="unsafe")
+    f_at *= n
+    for lo, bounds in zip(starts, ends):
+        if bounds[0] == lo:
+            continue
+        for hi in bounds:
+            if hi == lo:
+                break
+            x[lo:hi] = flat[s_at[lo:hi] + x[lo:hi]]
+            x[lo:hi] = flat[f_at[lo:hi] + x[lo:hi]]
+        hi = bounds[0]
+        flat[s_at[lo:hi] + w[lo:hi]] = x[lo:hi]
+        flat[s_at[lo:hi] + x[lo:hi]] = w[lo:hi]
+    return lmul
 
 
 class CoxeterGroup:
@@ -439,7 +487,7 @@ class CoxeterGroup:
     only; the whole group is the case S = all simple indices.  Elements are
     built from it only where asked for: :meth:`elements_of_rows` for given
     rows, :meth:`parabolic_elements` for all of them.  :meth:`tables`
-    turns the same enumeration into integer left and right multiplication
+    turns the same walk into integer left and right multiplication
     tables.  Every enumeration is refused up front when |W_S| exceeds
     ``ENUMERATION_BOUND``.
     """
@@ -472,43 +520,64 @@ class CoxeterGroup:
     # -- construction of the root system --
 
     def _build_roots(self) -> None:
+        """The roots and the reflection table, from int arrays.
+
+        A positive root beta with <beta, alpha_j^vee> < 0 goes to the higher
+        positive root s_j beta = beta - <beta, alpha_j^vee> alpha_j, and every
+        positive root but the simple ones is such an image: some j has
+        <gamma, alpha_j^vee> > 0, and s_j lowers gamma.  So the positive
+        roots grow from the simple ones in rounds, each reflecting the roots
+        new in the round before by one product with the Cartan matrix, and
+        a dict of their bytes numbers them.  Each image records a pair (beta,
+        s_j beta) of the table of s_j; these are all its pairs on Phi^+ but
+        alpha_j <-> -alpha_j and the fixed points (pairing 0), and s_j
+        (-beta) = -s_j beta gives the rest.  The positive roots are listed
+        by height, then by coordinates, with the simple ones first in
+        Bourbaki order."""
         n = self.rank
-        C = self.cartan
-        simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-        def reflect(v: tuple[int, ...], j: int) -> tuple[int, ...]:
-            pairing = sum(v[i] * C[i][j] for i in range(n))
-            out = list(v)
-            out[j] -= pairing
-            return tuple(out)
-
-        roots = set(simples) | {tuple(-c for c in v) for v in simples}
-        frontier = list(roots)
-        while frontier:
-            new = []
-            for v in frontier:
-                for j in range(n):
-                    im = reflect(v, j)
-                    if im not in roots:
-                        roots.add(im)
-                        new.append(im)
-            frontier = new
-        positives = [v for v in roots if all(c >= 0 for c in v)]
-        positives.sort(key=lambda v: (sum(v), v))
-        # simple roots occupy indices 0..n-1 in Bourbaki order
-        assert positives[:n] == sorted(simples, key=lambda v: (sum(v), v))
-        positives[:n] = simples
-        self.num_positive = len(positives)
-        assert 2 * self.num_positive == cartan.root_count(self.factors)
-        self.roots = tuple(positives) + tuple(
-            tuple(-c for c in v) for v in positives
-        )
-        self._root_index = {v: r for r, v in enumerate(self.roots)}
+        pairing_matrix = np.array(self.cartan, dtype=np.int64)
+        front = np.eye(n, dtype=np.int64)
+        found = {bytes(row): i for i, row in enumerate(front)}
+        grown, pairs, front_ids = [front], [], np.arange(n)
+        while len(front):
+            # a broadcast product, not @: no other kernel of a CLI process runs the
+            # matmul loops, and paging them in raised its peak RSS
+            pairing = (front[:, :, None] * pairing_matrix).sum(axis=1)
+            b, j = np.nonzero(pairing < 0)
+            images = front[b]
+            images[np.arange(len(b)), j] -= pairing[b, j]
+            ids, new, start = [], [], len(found)
+            for k, key in enumerate(map(bytes, images)):
+                got = found.get(key)
+                if got is None:
+                    got = found[key] = len(found)
+                    new.append(k)
+                ids.append(got)
+            pairs.append((j, front_ids[b], np.array(ids, dtype=np.intp)))
+            front, front_ids = images[new], np.arange(start, len(found))
+            grown.append(front)
+        positive = np.concatenate(grown)
+        m = self.num_positive = len(positive)
+        assert 2 * m == cartan.root_count(self.factors)
+        order = np.lexsort((*positive.T[::-1], positive.sum(axis=1)))
+        order[:n] = np.arange(n)  # the simple roots, the roots of height 1
+        at = np.empty(m, dtype=np.intp)
+        at[order] = np.arange(m)
+        positive = positive[order]
+        self.roots = tuple(map(tuple, np.concatenate([positive, -positive]).tolist()))
         #: Root permutations of the simple reflections as a read-only intp
         #: array: ``reflections[i - 1, r]`` is the index of s_i(root r).
-        self.reflections = np.array([[self._root_index[reflect(v, j)] for v in self.roots]
-                                     for j in range(n)], dtype=np.intp)
+        refl = np.tile(np.arange(2 * m, dtype=np.intp), (n, 1))
+        j, src, dst = (np.concatenate(part) for part in zip(*pairs))
+        refl[j, at[src]] = at[dst]
+        refl[j, at[dst]] = at[src]
+        refl[np.arange(n), np.arange(n)] += m  # s_i(alpha_i) = -alpha_i
+        refl[:, m:] = (refl[:, :m] + m) % (2 * m)  # s_i(-beta) = -s_i(beta)
+        self.reflections = refl
         self.reflections.flags.writeable = False
+        #: The same table as int16, whose value gathers give int16 rows.
+        self.reflections16 = self.reflections.astype(np.int16)
+        self.reflections16.flags.writeable = False
         #: The identity root permutation as a read-only int16 row, shared by
         #: every row kernel that starts from it or inverts into it.
         self.identity_row = np.arange(2 * self.num_positive, dtype=np.int16)
@@ -663,14 +732,14 @@ class CoxeterGroup:
         key = frozenset(subset)
         got = self._enumerations.get(key)
         if got is None:
-            got, _ = self._shortlex(tuple(sorted(key)), self.enumerable_order(key))
+            got = self._shortlex(tuple(sorted(key)), self.enumerable_order(key))
             self._enumerations[key] = got
         return got
 
-    def coset_walk(self, subset: Iterable[int], J: Iterable[int]) -> tuple[ShortLex, np.ndarray]:
+    def coset_walk(self, subset: Iterable[int], J: Iterable[int]) -> ShortLex:
         """The ShortLex walk of W_S^J, the elements of W_S with no right
-        descent in J (J contained in S), and the rows of their inverses.
-        Not cached; J = () walks all of W_S.
+        descent in J (J contained in S).  Not cached; J = () walks all of
+        W_S.
 
         Raises TooLargeToEnumerate, before walking, when the number of rows
         it builds, |W_S| / |W_J|, exceeds ENUMERATION_BOUND."""
@@ -721,25 +790,24 @@ class CoxeterGroup:
     def parabolic_perms(self, subset: Iterable[int]) -> np.ndarray:
         """Root permutations of the elements of W_S in ShortLex order, one
         read-only int16 row per element: ``row[r]`` is the index of the
-        image of root r."""
+        image of root r.  Rebuilt from the walk on first read
+        (:attr:`ShortLex.perms`)."""
         return self.enumeration(subset).perms
 
-    def _shortlex(self, gens: tuple[int, ...], order: int,
-                  J: tuple[int, ...] = ()) -> tuple[ShortLex, np.ndarray]:
-        """The walk of W_gens^J, of the given order, in ShortLex order, and
-        the rows of the inverses of its elements.
+    def _shortlex(self, gens: tuple[int, ...], order: int, J: tuple[int, ...] = ()) -> ShortLex:
+        """The walk of W_gens^J, of the given order, in ShortLex order.
 
         The canonical word of w is (s,) + word(s w) with s the smallest left
         descent of w.  So layer k + 1 is, in ShortLex order: for s ascending,
         for u in layer k in order, s u whenever s is not a left descent of u
         and no t < s is a left descent of s u.  No set and no sort is needed,
-        and (s, position of u) is the walk.  Each step writes two rows into
-        arrays of ``order`` rows: the row of s u, the value gather
-        ``reflections[s - 1][u]``, and its inverse u^-1 s, the column gather
-        ``u^-1[reflections[s - 1]]``.  The inverse rows decide the descents,
-        since t is a left descent of u iff u^-1 sends alpha_t to a negative
-        root, and (s u)^-1 (alpha_t) = u^-1 (s alpha_t).  The left descent
-        masks are read off the inverse rows, the right ones off the rows.
+        and (s, position of u) is the walk.  Only one layer of rows is held:
+        the inverse rows, since t is a left descent of u iff u^-1 sends
+        alpha_t to a negative root, and (s u)^-1 = u^-1 s is the column
+        gather ``u^-1[reflections[s - 1]]``; and the simple-root columns of
+        the rows, since s u(alpha_i) = s(u(alpha_i)) decides the right
+        descents.  The left descent masks are read off the inverse rows,
+        the right ones off those columns.
 
         With J, s u is kept only when it has no right descent in J.  If
         w = u v is reduced, every right descent of v is one of w
@@ -750,49 +818,53 @@ class CoxeterGroup:
         positive root negative), i.e. iff u^-1(alpha_s) = alpha_j (Deodhar's
         lemma): so the test is the same read of u^-1 at alpha_s that asks
         whether s is a left descent of u."""
-        m = self.num_positive
-        refl = self.reflections
-        refl16 = refl.astype(np.int16)
-        perms = np.empty((order, 2 * m), dtype=np.int16)
-        inverses = np.empty_like(perms)
+        m, rank = self.num_positive, self.rank
+        refl, refl16 = self.reflections, self.reflections16
         first = np.zeros(order, dtype=np.int16)
         parent = np.zeros(order, dtype=np.int32)
-        perms[0] = inverses[0] = self.identity_row
+        left = np.zeros((order, rank), dtype=bool)
+        right = np.zeros((order, rank), dtype=bool)
         # s u keeps s as its smallest left descent iff u^-1 sends alpha_s and
         # every s alpha_t, t < s, to positive roots: the columns read for s
         tests = {s: [s - 1, *(refl[s - 1, t - 1] for t in gens if t < s)] for s in gens}
         in_J = np.zeros(2 * m, dtype=bool)
         in_J[[j - 1 for j in J]] = True  # alpha_j sits at index j - 1
-        start, end = 0, 1  # the current layer
+        # the current layer: its inverse rows and the simple-root columns
+        # (indices 0..rank-1) of its rows
+        inverses, simple = self.identity_row[None], self.identity_row[None, :rank]
+        start, end = 0, 1
         layers = [0]
         while start < end:
             layers.append(end)
-            layer, top = inverses[start:end], end
+            picks = []
             for s in gens:
-                keep = (layer[:, tests[s]] < m).all(axis=1)
+                keep = (inverses[:, tests[s]] < m).all(axis=1)
                 if J:  # and u^-1(alpha_s) is no alpha_j, j in J
-                    keep &= ~in_J[layer[:, s - 1]]
-                rows = start + np.flatnonzero(keep)
-                if not len(rows):
-                    continue
-                new = slice(top, top + len(rows))
-                refl16[s - 1].take(perms[rows], out=perms[new])
-                inverses[new] = inverses[rows][:, refl[s - 1]]
-                first[new] = s
-                parent[new] = rows
-                top += len(rows)
+                    keep &= ~in_J[inverses[:, s - 1]]
+                picks.append(np.flatnonzero(keep))
+            top = end + sum(map(len, picks))
+            if top == end:
+                break
+            grown = np.empty((top - end, 2 * m), dtype=np.int16)
+            grown_simple = np.empty((top - end, rank), dtype=np.int16)
+            at = 0
+            for s, rows in zip(gens, picks):
+                new = slice(at, at + len(rows))
+                grown[new] = inverses[rows][:, refl[s - 1]]
+                refl16[s - 1].take(simple[rows], out=grown_simple[new])
+                first[end + at:end + new.stop] = s
+                parent[end + at:end + new.stop] = start + rows
+                at = new.stop
+            inverses, simple = grown, grown_simple
+            left[end:top] = inverses[:, :rank] >= m
+            right[end:top] = simple >= m
             start, end = end, top
         assert end == order, f"the walk reached {end} of {order} elements"
-        simple = slice(0, self.rank)  # the simple roots sit at indices 0..rank-1
-        out = ShortLex(perms, inverses[:, simple] >= m, perms[:, simple] >= m, first, parent,
-                       np.array(layers, dtype=np.intp))
-        for array in out:
-            array.flags.writeable = False
-        return out, inverses
+        return ShortLex(self, first, parent, np.array(layers, dtype=np.intp), left, right)
 
     def tables(self, subset: Iterable[int] | None = None) -> GroupTables:
         """Integer multiplication tables of W_S (default: the whole group),
-        built from its enumeration and cached."""
+        built from its walk alone, which reads no row, and cached."""
         key = frozenset(self.simple_indices if subset is None else subset)
         got = self._tables.get(key)
         if got is None:

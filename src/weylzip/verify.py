@@ -94,6 +94,17 @@ def check_group_basics(group: CoxeterGroup) -> list[str]:
         for s in w.left_descents():
             if (group.simple(s) * w).length != w.length - 1:
                 bad.append(f"{group.label}: descent {s} does not shorten {word}")
+    # the tables, built from the walk alone, against Element products
+    t = group.tables()
+    position = {w: k for k, w in enumerate(elems)}
+    if t.length.tolist() != [w.length for w in elems]:
+        bad.append(f"{group.label}: table lengths differ from the element lengths")
+    for i in group.simple_indices:
+        s = group.simple(i)
+        if t.lmul[i - 1].tolist() != [position[s * w] for w in elems]:
+            bad.append(f"{group.label}: lmul of s_{i} differs from the products s_{i} w")
+        if t.rmul[i - 1].tolist() != [position[w * s] for w in elems]:
+            bad.append(f"{group.label}: rmul of s_{i} differs from the products w s_{i}")
     return bad
 
 
@@ -306,6 +317,28 @@ def check_closure_order(z: ZipDatum, side: str = "iw") -> list[str]:
     if not bottom.is_identity() or set(z.closure_set(bottom, side)) != {bottom}:
         bad.append(f"{z!r}: identity is not the unique minimum on side {side}")
     return bad
+
+
+def check_length_one_closure(z: ZipDatum, side: str) -> list[str]:
+    """The census property behind the poset's cover edges: the pairs D1 of
+    :meth:`ZipDatum._length_one_pairs` close, reflexively and
+    transitively, to the relation matrix.  The closure is taken by boolean
+    squaring, not by the layer walk of :func:`zipdata._cover_edges`.  A
+    datum that fails takes the product covers in hasse_poset, and is
+    named."""
+    rel = z._relation_matrix(side)
+    a, b = z._length_one_pairs(side)
+    closure = np.eye(len(rel), dtype=bool)
+    closure[a, b] = True
+    while True:
+        step = closure @ closure  # boolean semiring: no count to wrap
+        if (step == closure).all():
+            break
+        closure = step
+    if (closure != rel).any():
+        return [f"{z!r}: the length-one pairs do not close to the closure order on side "
+                f"{side}, so hasse_poset takes the product covers"]
+    return []
 
 
 def check_refined_length(z: ZipDatum) -> list[str]:
@@ -612,7 +645,8 @@ def group_suites(label: str, include_abstract_oracles: bool) -> list[SuiteResult
 def run_verify(level: str = "quick") -> list[SuiteResult]:
     """The invariant suites behind `verify`: quick covers ranks <= 2, full
     adds rank 3, the F4 Bruhat sample, the abstract catalog with its
-    brute-force oracles, and the reparametrization sweep."""
+    brute-force oracles, the reparametrization sweep, and the census of
+    the length-one pairs on every swept datum and side."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     results: list[SuiteResult] = []
@@ -649,6 +683,16 @@ def run_verify(level: str = "quick") -> list[SuiteResult]:
             return bad
 
         results.append(_run("reparametrized closures", lusztig_checks))
+
+        def census_checks():
+            bad = []
+            for label in SWEEP_TYPES:
+                for z in sweep_zip_data(build_group(label)):
+                    bad += check_length_one_closure(z, "iw")
+                    bad += check_length_one_closure(z, "wj")
+            return bad
+
+        results.append(_run("length-one pairs close to the closure order", census_checks))
         results.append(
             _run(
                 f"F4 Bruhat sample ({F4_SAMPLE_PAIRS} pairs)",

@@ -168,7 +168,7 @@ class ZipDatum:
         gather per length layer, parents before children."""
         g = self.group
         e = g.enumeration(self.I)
-        rows = np.empty_like(e.perms)
+        rows = np.empty((len(e.first), 2 * g.num_positive), dtype=np.int16)
         rows[0] = g.identity_row
         for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
             twist = g.reflections[self._psi_table[e.first[lo:hi]] - 1]
@@ -459,7 +459,7 @@ class ZipDatum:
             descents = e.left[:, self._I_cols] if side == "iw" else e.right[:, self._J_cols]
             params = np.flatnonzero(~descents.any(axis=1))
             w_I = g.enumeration(self.I)
-            got = np.empty((len(w_I.perms), len(params)), dtype=np.int32)
+            got = np.empty((len(w_I.first), len(params)), dtype=np.int32)
             got[0] = params
             for lo, hi in zip(w_I.layers[1:-1].tolist(), w_I.layers[2:].tolist()):
                 s = w_I.first[lo:hi, None]

@@ -55,6 +55,51 @@ def test_large_types_construct_without_enumeration():
     assert len(build_group("E8").roots) == 240
 
 
+def _roots_by_tuple_closure(g):
+    """The roots and reflection table by closing the simple roots and their
+    negatives under the simple reflections on tuples, one Python reflection
+    per root and letter: the positive roots sorted by height, then by
+    coordinates, with the simple roots first in Bourbaki order."""
+    n, C = g.rank, g.cartan
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+    def reflect(v, j):
+        pairing = sum(v[i] * C[i][j] for i in range(n))
+        out = list(v)
+        out[j] -= pairing
+        return tuple(out)
+
+    roots = set(simples) | {tuple(-c for c in v) for v in simples}
+    frontier = list(roots)
+    while frontier:
+        new = []
+        for v in frontier:
+            for j in range(n):
+                im = reflect(v, j)
+                if im not in roots:
+                    roots.add(im)
+                    new.append(im)
+        frontier = new
+    positives = sorted((v for v in roots if min(v) >= 0), key=lambda v: (sum(v), v))
+    positives[:n] = simples
+    listed = positives + [tuple(-c for c in v) for v in positives]
+    index = {v: r for r, v in enumerate(listed)}
+    return tuple(listed), [[index[reflect(v, j)] for v in listed] for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8", "B5", "C6", "D6", "A7",
+     "A1xB2", "A2xB2", "G2xA1", "B2xG2xA3", "x".join(["A1"] * 14)],
+)
+def test_root_system_matches_the_tuple_closure(label):
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+    roots, reflections = _roots_by_tuple_closure(g)
+    assert g.roots == roots
+    assert g.reflections.tolist() == reflections
+    assert g.reflections.dtype == np.intp and not g.reflections.flags.writeable
+
+
 def test_coxeter_matrix_input_classifies():
     b2 = build_group([[1, 4], [4, 1]])
     assert b2.order == 8 and b2.label == "B2"
@@ -337,7 +382,7 @@ def _assert_layers_step_at_lengths(e, words):
 
 def test_coset_walk_layers_step_at_lengths():
     g = build_group("F4")
-    e, _ = g.coset_walk(g.simple_indices, (2, 3))
+    e = g.coset_walk(g.simple_indices, (2, 3))
     words = e.words_at(np.arange(len(e.perms)))
     expect = [w for w in shortlex_oracle(g, g.simple_indices) if not w.right_descents() & {2, 3}]
     assert words == [w.canonical_word() for w in expect]
@@ -438,7 +483,10 @@ def test_automorphism_products_equal_validated_ones(label):
 @pytest.mark.parametrize(
     "label,S",
     [("A6", None), ("F4", None), ("D5", (1, 2, 4)), ("A3", None), ("B3", None),
-     ("G2", None), ("A6", (1, 3, 5)), ("D5", (2, 3, 5)), ("x".join(["A1"] * 14), None)],
+     ("G2", None), ("A6", (1, 3, 5)), ("D5", (2, 3, 5)), ("x".join(["A1"] * 14), None),
+     # braid chains with m = 4 and m = 6, in whole groups and in proper subsets
+     ("B2", None), ("C3", None), ("A2xB2", None), ("F4", (2, 3)), ("F4", (1, 2, 3)),
+     ("C3", (2, 3)), ("G2xA1", (1, 2)), ("A2xB2", (2, 3, 4))],
 )
 def test_tables_match_element_products(label, S):
     g = build_group(label)
@@ -455,19 +503,36 @@ def test_tables_match_element_products(label, S):
         x = g.simple(s)
         assert t.lmul[s - 1].tolist() == [position[(x * w).perm] for w in elems]
         assert t.rmul[s - 1].tolist() == [position[(w * x).perm] for w in elems]
-    rng = random.Random(7)
-    sample = rng.sample(elems, min(50, len(elems)))
-    assert [elems[i] for i in t.lookup(_keys(sample, S))] == sample
-    if g.coxeter_m(1, 2) > 2:  # else s_2 fixes alpha_1, the key of W_{1}
-        with pytest.raises(GroupMismatch):
-            g.tables((1,)).lookup(_keys([g.simple(2)], (1,)))
 
 
-def _keys(elements, S):
-    """The lookup keys of elements of W_S: the images of the simple roots
-    of S, ascending (alpha_i sits at root index i - 1)."""
-    return np.array([[w.perm[i - 1] for i in sorted(S)] for w in elements],
-                    dtype=np.int64).reshape(len(elements), len(S))
+def test_verify_checks_the_tables_against_products():
+    from weylzip.verify import check_group_basics
+
+    g = CoxeterGroup(*cartan.matrices_for_label("B3"), "B3")
+    assert check_group_basics(g) == []
+    t = g.tables()
+    t.lmul = t.lmul.copy()
+    t.lmul[1, [3, 4]] = t.lmul[1, [4, 3]]
+    t.length = t.length + (np.arange(len(t.length)) == 5)
+    assert check_group_basics(g) == [
+        "B3: table lengths differ from the element lengths",
+        "B3: lmul of s_2 differs from the products s_2 w",
+    ]
+
+
+def test_table_cases_take_every_braid_chain():
+    """The cases above fill lmul by braid chains of every m of a Weyl
+    group: some w has a left descent s other than its first letter f with
+    m(s, f) = 2, 3, 4 and 6, in a proper subset for m = 4 and m = 6."""
+    seen = set()
+    for label, S in [("F4", (2, 3)), ("G2xA1", (1, 2)), ("A6", None)]:
+        g = build_group(label)
+        e = g.enumeration(g.simple_indices if S is None else S)
+        for w, s in zip(*np.nonzero(e.left)):
+            f = e.first[w]
+            if s + 1 != f:
+                seen.add(g.coxeter_m(s + 1, int(f)))
+    assert seen == {2, 3, 4, 6}
 
 
 @pytest.mark.parametrize("label", ["D6", "E6"])
@@ -484,17 +549,6 @@ def test_whole_group_tables_on_a_seeded_sample(label):
         for s in g.simple_indices:
             assert row(t.lmul[s - 1, k]) == (g.simple(s) * w).perm
             assert row(t.rmul[s - 1, k]) == (w * g.simple(s)).perm
-
-
-def test_tables_keys_exceed_one_int64():
-    # A1^14: 14 key columns over 28 roots need more than 64 bits
-    g = build_group("x".join(["A1"] * 14))
-    t = g.tables()
-    elems = g.elements()
-    assert len(t._levels) > 1
-    assert list(t.lookup(_keys(elems, g.simple_indices))) == list(range(len(elems)))
-    for _, level in t._levels:  # each fold renumbers its distinct codes densely
-        assert (np.diff(level) > 0).all()
 
 
 def test_enumeration_bound_is_enforced_up_front(monkeypatch):

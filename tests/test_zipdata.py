@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weylzip import ZipDatum, build_group, cartan, zipdata
-from weylzip.coxeter import ENUMERATION_BOUND, CoxeterGroup, Element, GroupTables
+from weylzip.coxeter import ENUMERATION_BOUND, CoxeterGroup, Element, ShortLex
 from weylzip.errors import (
     NotDoubleCosetRep,
     NotMinimalRep,
@@ -670,31 +670,55 @@ def test_orbit_gather_matches_element_products(z):
 )
 def test_closure_path_reads_table_positions_only(monkeypatch, label, I, J, psi):
     """Closure sets and posets walk the twisted orbits on the positions of
-    the tables of W_U: with the tables built, a fresh datum gives the same
-    results when the position lookup and the orbit row gather refuse to
-    run, and builds no psi(y)^{-1} rows."""
-    g = build_group(label)
-    z = ZipDatum(g, I, J, psi)
-    g.tables(z.universe)
+    the tables of W_U: on a fresh group they give the same results when the
+    rebuild of the rows of W_U and the orbit row gather refuse to run, and
+    build no psi(y)^{-1} rows."""
 
     def results(datum):
         out = []
         for side in ("iw", "wj"):
             poset = datum.hasse_poset(side)
-            closures = [datum.closure_set(w, side) for w in datum.param_set(side)]
+            closures = [[w.perm for w in datum.closure_set(w, side)]
+                        for w in datum.param_set(side)]
             out.append((poset.leq.tolist(), poset.cover_edges, closures))
         return out
 
-    expect = results(z)
+    expect = results(ZipDatum(build_group(label), I, J, psi))
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+    fresh = ZipDatum(g, I, J, psi)
+    walk = g.enumeration(fresh.universe)
+    replay = ShortLex._replay
+
+    def guarded(e, inverse):
+        assert e is not walk, "the closure path rebuilt the rows of W_U"
+        return replay(e, inverse)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the closure path read root-permutation rows")
 
-    monkeypatch.setattr(GroupTables, "lookup", refuse)
+    monkeypatch.setattr(ShortLex, "_replay", guarded)
     monkeypatch.setattr(ZipDatum, "_orbit_rows", refuse)
-    fresh = ZipDatum(g, I, J, psi)
     assert results(fresh) == expect
     assert "_psi_inverse_rows" not in vars(fresh)
+    assert not {"perms", "inverses"} & set(vars(walk))
+
+
+def test_poset_memory_on_d6():
+    """The tables of W_U hold no rows: the traced peak of a D6 poset on a
+    fresh group, tables included, stays within 3 MB of its entry (7.7 MB
+    while the walk kept the rows of all 23 040 elements and their
+    inverses)."""
+    g = CoxeterGroup(*cartan.matrices_for_label("D6"), "D6")
+    I = {1, 2, 3, 4, 5}
+    z = ZipDatum(g, I, I, {i: i for i in I})
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        assert len(z.hasse_poset().cover_edges) == 50
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 3_000_000
 
 
 @pytest.mark.parametrize("label,I", [("F4", {1}), ("D5", {1, 2})])
@@ -744,6 +768,19 @@ def test_length_one_pairs_certify_every_census_poset(monkeypatch):
             assert poset.cover_edges == cover_edges_oracle(poset.leq), (z, side)
             count += 1
     assert count == 390
+
+
+def test_verify_census_names_a_datum_whose_pairs_do_not_close(monkeypatch):
+    from weylzip.verify import check_length_one_closure
+
+    z = ZipDatum(build_group("B3"), {1}, {1}, {1: 1})
+    assert check_length_one_closure(z, "iw") == check_length_one_closure(z, "wj") == []
+    a, b = z._length_one_pairs("iw")
+    monkeypatch.setattr(ZipDatum, "_length_one_pairs", lambda self, side: (a[1:], b[1:]))
+    assert check_length_one_closure(z, "iw") == [
+        f"{z!r}: the length-one pairs do not close to the closure order on side iw, "
+        "so hasse_poset takes the product covers"
+    ]
 
 
 def test_in_universe_is_a_support_test():
