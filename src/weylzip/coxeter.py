@@ -14,9 +14,10 @@ numpy arrays only (:class:`ShortLex`): the walk that reaches each element
 from its parent by one simple reflection, from which canonical words are
 read, its length layers, and the left and right descent masks of every
 element.  The walk holds the rows of one layer at a time; the int16 root
-permutations of all elements, and of their inverses, are rebuilt from the
-walk only when read.  The same walk, kept to the elements with no right
-descent in J, gives the minimal coset representatives W_S^J without
+permutations of all elements, and of their inverses, are rebuilt only when
+read, by :meth:`ShortLex.replay`, which carries any value along the walk
+from parents to children.  The same walk, kept to the elements with no
+right descent in J, gives the minimal coset representatives W_S^J without
 enumerating W_S (:meth:`CoxeterGroup.coset_walk`).  Elements are built
 only for the rows a caller asks for, as read-only views of them
 (:meth:`CoxeterGroup.elements_of_rows`).  The same walk gives the
@@ -316,8 +317,8 @@ class ShortLex:
     all the walk keeps, and all are read-only.
 
     The int16 root permutations of the elements (``perms``) and of their
-    inverses (``inverses``) are rebuilt from the walk on first read, one
-    gather per length layer, parents before children, and then cached."""
+    inverses (``inverses``) are carried along the walk on first read, by
+    :meth:`replay`, and then cached."""
 
     def __init__(self, group: "CoxeterGroup", first: np.ndarray, parent: np.ndarray,
                  layers: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -329,35 +330,36 @@ class ShortLex:
 
     @cached_property
     def perms(self) -> np.ndarray:
-        """The root permutation of each element, one int16 row each."""
-        return self._replay(inverse=False)
+        """The root permutation of each element, one int16 row each: the
+        row of s u is the value gather ``reflections[s - 1][u]``."""
+        refl16 = self.group.reflections16
+        return self.replay(self.group.identity_row, lambda s, u: refl16[s - 1].take(u))
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        """The root permutation of the inverse of each element."""
-        return self._replay(inverse=True)
+        """The root permutation of the inverse of each element: the row of
+        (s u)^-1 = u^-1 s is the column gather ``u^-1[reflections[s - 1]]``."""
+        refl = self.group.reflections
+        return self.replay(self.group.identity_row, lambda s, u: u[:, refl[s - 1]])
 
-    def _replay(self, inverse: bool) -> np.ndarray:
-        """The rows of the elements (of their inverses), read along the
-        walk: the row of s u is the value gather ``reflections[s - 1][u]``,
-        and its inverse u^-1 s the column gather ``u^-1[reflections[s - 1]]``.
-        A layer holds its children of each s in one run, s ascending, so
-        each run is one gather."""
-        g = self.group
-        rows = np.empty((len(self.first), 2 * g.num_positive), dtype=np.int16)
-        rows[0] = g.identity_row
+    def replay(self, start, step) -> np.ndarray:
+        """Values carried along the walk, one per position, stacked on a
+        new first axis: the identity's is `start`, and the children of each
+        run of equal first letter s in a layer get ``step(s, values of their
+        parents)``, parents before children.  A layer holds its children of
+        each s in one run, s ascending, so each run is one call.  The result
+        is read-only."""
+        start = np.asarray(start)
+        values = np.empty((len(self.first),) + start.shape, dtype=start.dtype)
+        values[0] = start
         cut = np.ones(len(self.first) + 1, dtype=bool)
         cut[1:-1] = self.first[1:] != self.first[:-1]
         cut[self.layers] = True
         cuts = np.flatnonzero(cut).tolist()
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            s, parents = self.first.item(lo) - 1, rows[self.parent[lo:hi]]
-            if inverse:
-                rows[lo:hi] = parents[:, g.reflections[s]]
-            else:
-                g.reflections16[s].take(parents, out=rows[lo:hi])
-        rows.flags.writeable = False
-        return rows
+            values[lo:hi] = step(self.first.item(lo), values[self.parent[lo:hi]])
+        values.flags.writeable = False
+        return values
 
     def words_at(self, positions) -> list[tuple[int, ...]]:
         """The canonical words of the elements at the given positions, as the
@@ -720,7 +722,7 @@ class CoxeterGroup:
         if order > ENUMERATION_BOUND:
             raise TooLargeToEnumerate(
                 f"|W_S| = {order} for S = {sorted(key)} exceeds the "
-                f"enumeration bound {ENUMERATION_BOUND}"
+                f"enumeration bound {ENUMERATION_BOUND} (coxeter.ENUMERATION_BOUND)"
             )
         return order
 

@@ -495,10 +495,10 @@ def check_lusztig_consistency(group: CoxeterGroup) -> list[str]:
     """The reparametrization by x is a bijection onto the target set, and
     each Lusztig closure, order included, is the set of "wj" parameters
     whose twisted orbit meets the Bruhat interval below w x^{-1}, carried
-    by x and sorted ShortLex: orbit rows from one gather per datum
-    (:meth:`ZipDatum._orbit_rows`, not the table walk of closure sets), one
-    lifting loop (:meth:`CoxeterGroup.bruhat_below`) per target, no closure
-    set."""
+    by x and sorted ShortLex: orbit rows from one replay of the walk of W_I
+    per datum (:meth:`ZipDatum._orbit_rows`, no row of W_I and not the table
+    positions of closure sets), one lifting loop
+    (:meth:`CoxeterGroup.bruhat_below`) per target, no closure set."""
     bad = []
     m2 = 2 * group.num_positive
     for iso in iter_isogeny_data(group):

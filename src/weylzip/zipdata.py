@@ -17,13 +17,14 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   with psi(s) = s_j, until it lies in W^J (the mirror, on inverse rows,
   for sigma_inverse); one row for sigma, all parameters at once for the
   pieces, and W_I is never enumerated for it,
-* the closure order from whole twisted orbits against Bruhat order:
-  point queries by the lifting loop on the orbit's root permutations,
-  one gather; closure sets and the Hasse poset's relation by down-set rows
-  in the integer multiplication tables of W_U, the orbits walked along W_I
-  on the same ShortLex positions; the poset's cover edges from the
-  related pairs one length apart, found through the Bruhat lower covers
-  of each parameter and certified by their transitive closure,
+* the closure order from whole twisted orbits against Bruhat order, each
+  orbit one replay of the walk of W_I: point queries by the lifting loop
+  on the orbit's root permutations; closure sets and the Hasse poset's
+  relation by down-set rows in the integer multiplication tables of W_U,
+  the orbits replayed on the same ShortLex positions; the poset's cover
+  edges from the related pairs one length apart, found through the
+  Bruhat lower covers of each parameter and certified by their
+  transitive closure,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Every kernel takes the int16 rows of its Elements as they are and wraps
@@ -83,11 +84,11 @@ class ZipDatum:
     `psi` maps 1-based simple indices of I to those of J.  All caches are
     internal; public methods are pure.
 
-    Whole W_I-twisted orbits y w psi(y)^{-1} are root permutations from
-    one gather for precedes (:meth:`_orbit_rows`), and ShortLex positions
-    in the tables of W_U, walked along W_I and cached per side, for
-    closure sets and posets (:meth:`_orbit_positions`).  sigma,
-    sigma_inverse and pieces reach their member of the orbit by one
+    Whole W_I-twisted orbits y w psi(y)^{-1} are replayed along the walk
+    of W_I (:meth:`ShortLex.replay`): root permutations for precedes
+    (:meth:`_orbit_rows`), and ShortLex positions in the tables of W_U,
+    cached per side, for closure sets and posets (:meth:`_orbit_positions`).
+    sigma, sigma_inverse and pieces reach their member of the orbit by one
     kernel, :meth:`_sigma_rows`, a walk of twisted conjugations by simple
     reflections that keeps the length and stops in W^J (in ^I W, on
     inverse rows, for sigma_inverse), after Pink-Wedhorn-Ziegler's
@@ -160,31 +161,18 @@ class ZipDatum:
     def w_I(self) -> tuple[Element, ...]:
         return self.group.parabolic_elements(self.I)
 
-    @cached_property
-    def _psi_inverse_rows(self) -> np.ndarray:
-        """Root permutations of psi(y)^{-1}, one int16 row per y in W_I in
-        ShortLex order: the enumeration reaches y as s y', and psi(y)^{-1} =
-        psi(y')^{-1} psi(s) reads the row of y' through that of psi(s), one
-        gather per length layer, parents before children."""
-        g = self.group
-        e = g.enumeration(self.I)
-        rows = np.empty((len(e.first), 2 * g.num_positive), dtype=np.int16)
-        rows[0] = g.identity_row
-        for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
-            twist = g.reflections[self._psi_table[e.first[lo:hi]] - 1]
-            rows[lo:hi] = rows[e.parent[lo:hi, None], twist]
-        return rows
-
     def _orbit_rows(self, X) -> np.ndarray:
         """The twisted orbits of a stack X of int16 root-permutation rows (or
-        one row) in one gather: ``images[y, p, r]`` is the image of root r
-        under y X[p] psi(y)^{-1}, from the rows of W_I and
-        :attr:`_psi_inverse_rows`."""
-        Y, P = self.group.parabolic_perms(self.I), self._psi_inverse_rows
+        one row): ``images[y, p, r]`` is the image of root r under
+        y X[p] psi(y)^{-1}.  The walk of W_I reaches y as s y', and
+        y x psi(y)^{-1} = s (y' x psi(y')^{-1}) psi(s), so each step is a
+        column gather by psi(s) and a value gather by s
+        (:meth:`ShortLex.replay`); no row of W_I is built."""
+        g, psi = self.group, self._psi_table
+        refl, refl16 = g.reflections, g.reflections16
         X = np.atleast_2d(np.asarray(X, dtype=np.int16))
-        # X[p][P[y][r]], moved to [y, p, r]
-        middle = X[:, P].swapaxes(0, 1)
-        return Y[np.arange(len(Y))[:, None, None], middle]
+        return g.enumeration(self.I).replay(
+            X, lambda s, x: refl16[s - 1].take(x[..., refl[psi[s] - 1]]))
 
     # -- parameter sets and membership --
 
@@ -236,7 +224,7 @@ class ZipDatum:
         if k > POSET_BOUND:
             raise PosetTooLarge(
                 f"the closure poset has k = {k} parameters, above the poset "
-                f"bound {POSET_BOUND}"
+                f"bound {POSET_BOUND} (zipdata.POSET_BOUND)"
             )
 
     # -- induction step --
@@ -410,9 +398,9 @@ class ZipDatum:
         """The closure partial order: wp precedes w iff some y in W_I has
         y wp psi(y)^{-1} below w in Bruhat order.
 
-        The twisted orbit of wp comes from one gather (:meth:`_orbit_rows`)
-        and goes through the Bruhat kernel as one stack; no tables of W_U
-        are built."""
+        The twisted orbit of wp is replayed along the walk of W_I
+        (:meth:`_orbit_rows`) and goes through the Bruhat kernel as one
+        stack; no tables of W_U and no row of W_I are built."""
         _check_side(side)
         self._require_param(wp, side)
         self._require_param(w, side)
@@ -433,13 +421,14 @@ class ZipDatum:
         (:meth:`_orbit_positions`).  Column b reads "some y params[a]
         psi(y)^{-1} lies in the Bruhat down-set of targets[b]" from one
         boolean row over W_U per target, so the cost is |targets| * |W_U|,
-        never |W_U|^2.  The whole matrix is refused above POSET_BOUND."""
+        never |W_U|^2; R is column-major, so each column is one contiguous
+        store.  The whole matrix is refused above POSET_BOUND."""
         if targets is None:
             self._check_poset_size(side)
         orbit = self._orbit_positions(side)
         params = self.param_set(side)
         targets = params if targets is None else targets
-        rel = np.zeros((len(params), len(targets)), dtype=bool)
+        rel = np.zeros((len(params), len(targets)), dtype=bool, order="F")
         words = [w.canonical_word() for w in targets]
         for b, down in _down_rows(self.group.tables(self.universe), words, side == "iw"):
             rel[:, b] = down[orbit].any(axis=0)
@@ -451,19 +440,18 @@ class ZipDatum:
         parameters are the positions in W_U with no left descent in I
         ("iw") or no right descent in J ("wj"), and the walk of W_I reaches
         y as s y', so y p psi(y)^{-1} = s (y' p psi(y')^{-1}) psi(s): two
-        table gathers per length layer of W_I, and no root permutation."""
+        table gathers per step of :meth:`ShortLex.replay`, and no root
+        permutation."""
         got = self._orbits.get(side)
         if got is None:
             g, U = self.group, self.universe
             t, e = g.tables(U), g.enumeration(U)
             descents = e.left[:, self._I_cols] if side == "iw" else e.right[:, self._J_cols]
             params = np.flatnonzero(~descents.any(axis=1))
-            w_I = g.enumeration(self.I)
-            got = np.empty((len(w_I.first), len(params)), dtype=np.int32)
-            got[0] = params
-            for lo, hi in zip(w_I.layers[1:-1].tolist(), w_I.layers[2:].tolist()):
-                s = w_I.first[lo:hi, None]
-                got[lo:hi] = t.rmul[self._psi_table[s] - 1, t.lmul[s - 1, got[w_I.parent[lo:hi]]]]
+            psi = self._psi_table
+            got = g.enumeration(self.I).replay(
+                params.astype(np.int32),
+                lambda s, x: t.rmul[psi[s] - 1].take(t.lmul[s - 1].take(x)))
             self._orbits[side] = got
         return got
 
@@ -654,33 +642,39 @@ def _cover_edges(rel: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarr
     holds the nondecreasing node lengths.  The order strictly raises length,
     so each pair is a cover; if the reflexive transitive closure of the
     pairs is rel, they are all of the covers.  The closure is checked one
-    length layer at a time from the top, on rows packed eight nodes to a
-    byte as by ``np.packbits`` and OR-ed as uint64 words: the up-set of a
-    node is itself and the up-sets of the upper ends of its pairs, which lie
-    in the layer just above, so two layers are held at once.  If the check
+    length layer at a time from the bottom, on the columns of rel (the
+    down-sets, contiguous in the column-major relation of
+    :meth:`ZipDatum._relation_matrix`) packed eight nodes to a byte as by
+    ``np.packbits`` and OR-ed as uint64 words: the down-set of a node is
+    itself and the down-sets of the lower ends of its pairs, which lie in
+    the layer just below, so two layers are held at once.  If the check
     fails, the covers come from :func:`_product_covers`, refused
     (PosetTooLarge) above PRODUCT_BOUND nodes."""
     k = len(length)
     bounds = np.searchsorted(length, np.arange(int(length[-1]) + 2))
-    above = None
-    for lo, hi in zip(bounds[-2::-1].tolist(), bounds[:0:-1].tolist()):
+    by_upper = np.argsort(b, kind="stable")
+    lower, upper = a[by_upper], b[by_upper]
+    below, base = None, 0
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         nodes = np.arange(lo, hi)
-        rows = np.zeros((hi - lo, (k + 63) // 64), dtype=np.uint64)
-        packed = rows.view(np.uint8)
+        cols = np.zeros((hi - lo, (k + 63) // 64), dtype=np.uint64)
+        packed = cols.view(np.uint8)
         packed[nodes - lo, nodes >> 3] = 0x80 >> (nodes & 7)
-        i, j = np.searchsorted(a, (lo, hi)).tolist()
+        i, j = np.searchsorted(upper, (lo, hi)).tolist()
         if i < j:
-            starts = np.flatnonzero(np.diff(a[i:j], prepend=-1))
-            rows[a[i:j][starts] - lo] |= np.bitwise_or.reduceat(above[b[i:j] - hi], starts)
-        if not np.array_equal(packed[:, :(k + 7) // 8], np.packbits(rel[lo:hi], axis=1)):
+            starts = np.flatnonzero(np.diff(upper[i:j], prepend=-1))
+            cols[upper[i:j][starts] - lo] |= np.bitwise_or.reduceat(
+                below[lower[i:j] - base], starts)
+        if not np.array_equal(packed[:, :(k + 7) // 8], np.packbits(rel[:, lo:hi].T, axis=1)):
             break
-        above = rows
+        below, base = cols, lo
     else:
         return tuple(zip(a.tolist(), b.tolist()))
     if k > PRODUCT_BOUND:
         raise PosetTooLarge(
             f"the length-one pairs of {where} do not close to its order, and "
-            f"its k = {k} parameters are above the product bound {PRODUCT_BOUND}"
+            f"its k = {k} parameters are above the product bound {PRODUCT_BOUND} "
+            "(zipdata.PRODUCT_BOUND)"
         )
     return _product_covers(rel)
 

@@ -395,11 +395,28 @@ def test_e7_pieces_beyond_the_enumeration_bound():
     assert product == _poincare([2, 6, 8, 10, 12, 14, 18])
 
 
-def test_coset_walk_bound_names_the_bound_and_the_rows(capsys):
+def test_coset_walk_bound_names_the_bound_and_the_rows(capsys, monkeypatch):
+    import numpy as np
+
+    from weylzip import zipdata
+    from weylzip.errors import PosetTooLarge
+
     assert main(["pieces", "--type", "E7", "--I", "1", "--psi", "1:1"]) == 2
     err = capsys.readouterr().err
     assert "|W_S| / |W_J| = 2903040 / 2 = 1451520" in err
     assert "enumeration bound 100000 (coxeter.ENUMERATION_BOUND)" in err
+    # the tables of all of E8 are refused by the bound on |W_S|
+    assert main(["closure", "--type", "E8", "--I", "1", "--psi", "1:1", "--w", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "|W_S| = 696729600 for S = [1, 2, 3, 4, 5, 6, 7, 8]" in err
+    assert "enumeration bound 100000 (coxeter.ENUMERATION_BOUND)" in err
+    assert main(["poset", "--type", "E6", "--I", "", "--psi", ""]) == 2
+    assert "poset bound 30000 (zipdata.POSET_BOUND)" in capsys.readouterr().err
+    # an order its length-one pairs do not close to, above the product bound
+    monkeypatch.setattr(zipdata, "PRODUCT_BOUND", 1)
+    none = np.array([], dtype=int)
+    with pytest.raises(PosetTooLarge, match=r"product bound 1 \(zipdata.PRODUCT_BOUND\)"):
+        zipdata._cover_edges(np.ones((2, 2), dtype=bool), none, none, np.array([0, 1]), "")
 
 
 def test_classify_on_e8_with_i_of_type_e7():

@@ -1,5 +1,7 @@
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,13 +401,21 @@ def test_sigma_of_canonical_reps_matches_oracle(label, I, psi, seed):
     ],
     ids=["E7rev", "D4tri", "A5flip"],
 )
-def test_psi_inverse_rows_match_the_psi_pairs(label, I, psi):
+def test_orbit_rows_match_the_psi_pairs(label, I, psi):
+    """The twisted orbit rows of a few parameters of each side are the
+    Element products y p psi(y)^{-1}, with psi(y) spelled out letter by
+    letter; E7 has no tables, so its rows are checked alone."""
     z = ZipDatum(build_group(label), I, set(psi.values()), psi)
     pairs = _psi_pairs(z)
-    assert len(z._psi_inverse_rows) == len(pairs)
-    for y_row, row, (y, py) in zip(z.group.parabolic_perms(I), z._psi_inverse_rows, pairs):
-        assert tuple(y_row.tolist()) == y.perm
-        assert tuple(row.tolist()) == py.inverse().perm
+    for side in ("iw", "wj"):
+        X, params = z._param_rows(side)
+        picks = sorted({0, 1, len(params) // 2, len(params) - 1})
+        orbit = z._orbit_rows(X[picks])
+        assert orbit.shape == (len(pairs), len(picks), 2 * z.group.num_positive)
+        assert orbit.dtype == np.int16
+        for row, (y, py) in zip(orbit, pairs):
+            assert [tuple(r.tolist()) for r in row] == [
+                (y * params[p] * py.inverse()).perm for p in picks]
 
 
 def test_pieces_sigma_in_chunks_equals_per_element_sigma():
@@ -659,9 +669,11 @@ def test_orbit_gather_matches_element_products(z):
         for y in shortlex_oracle(g, z.I)
     ]
     for side in ("iw", "wj"):
-        params = z.param_set(side)
-        expect = [[position[(y * p * py).perm] for p in params] for y, py in twists]
-        assert z._orbit_positions(side).tolist() == expect
+        X, params = z._param_rows(side)
+        products = [[(y * p * py).perm for p in params] for y, py in twists]
+        assert z._orbit_positions(side).tolist() == [
+            [position[perm] for perm in row] for row in products]
+        assert [[tuple(r) for r in row] for row in z._orbit_rows(X).tolist()] == products
 
 
 @pytest.mark.parametrize(
@@ -671,8 +683,8 @@ def test_orbit_gather_matches_element_products(z):
 def test_closure_path_reads_table_positions_only(monkeypatch, label, I, J, psi):
     """Closure sets and posets walk the twisted orbits on the positions of
     the tables of W_U: on a fresh group they give the same results when the
-    rebuild of the rows of W_U and the orbit row gather refuse to run, and
-    build no psi(y)^{-1} rows."""
+    orbit row gather and the rebuild of the rows of W_U and of W_I (and of
+    their inverses) refuse to run."""
 
     def results(datum):
         out = []
@@ -686,21 +698,35 @@ def test_closure_path_reads_table_positions_only(monkeypatch, label, I, J, psi):
     expect = results(ZipDatum(build_group(label), I, J, psi))
     g = CoxeterGroup(*cartan.matrices_for_label(label), label)
     fresh = ZipDatum(g, I, J, psi)
-    walk = g.enumeration(fresh.universe)
-    replay = ShortLex._replay
+    walks = {"W_U": g.enumeration(fresh.universe), "W_I": g.enumeration(fresh.I)}
 
-    def guarded(e, inverse):
-        assert e is not walk, "the closure path rebuilt the rows of W_U"
-        return replay(e, inverse)
+    for name in ("perms", "inverses"):
+        def guarded(e, build=getattr(ShortLex, name).func, name=name):
+            for which, walk in walks.items():
+                assert e is not walk, f"the closure path rebuilt the {name} of {which}"
+            return build(e)
+
+        monkeypatch.setattr(ShortLex, name, property(guarded))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the closure path read root-permutation rows")
 
-    monkeypatch.setattr(ShortLex, "_replay", guarded)
     monkeypatch.setattr(ZipDatum, "_orbit_rows", refuse)
     assert results(fresh) == expect
-    assert "_psi_inverse_rows" not in vars(fresh)
-    assert not {"perms", "inverses"} & set(vars(walk))
+    for walk in walks.values():
+        assert not {"perms", "inverses"} & set(vars(walk))
+
+
+def test_zipdata_reads_no_walk_layers():
+    """Every value that zipdata carries along a ShortLex walk goes through
+    ShortLex.replay, so the module never reads a walk's length layers."""
+    path = Path(zipdata.__file__)
+    reads = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "layers"
+    ]
+    assert not reads, f"zipdata.py reads .layers at lines {reads}"
 
 
 def test_poset_memory_on_d6():
@@ -809,8 +835,9 @@ def test_classify_beyond_the_enumeration_bound_builds_no_tables():
     assert sig.length == rep.length
     assert z.sigma_inverse(sig) == rep
     assert len(z.w_I()) == 120
-    assert z._psi_inverse_rows.shape == (120, 240)
-    assert z._psi_inverse_rows.dtype == e8.parabolic_perms(z.I).dtype == np.int16
+    orbit = z._orbit_rows(rep.row)
+    assert orbit.shape == (120, 1, 240)
+    assert orbit.dtype == np.int16
     assert not e8._tables
     assert all(len(elements) <= 120 for elements in e8._parabolic_cache.values())
 
@@ -835,6 +862,7 @@ def test_precedes_beyond_the_enumeration_bound_builds_no_tables():
                 assert z.precedes(a, b, side) == expect
     assert not e8._tables
     assert set(e8._enumerations) == {z.I}
+    assert not {"perms", "inverses"} & set(vars(e8.enumeration(z.I)))
 
 
 def _identity_datum(label, I):
