@@ -15,8 +15,9 @@ enumerates W_U.  An optional `universe` restricts every computation to
 the standard parabolic subgroup W_U; subsets must then be contained in U.
 
 The Howlett decomposition strips descents from the int16 row of an
-Element (:func:`howlett_rows`), one gather per letter, and enumerates
-nothing, so it runs in groups of any size.  The Element-product
+Element (:func:`howlett_rows`) by the strip loop that also spells
+canonical words (:meth:`CoxeterGroup.strip_row`), one gather per letter,
+and enumerates nothing, so it runs in groups of any size.  The Element-product
 stripping lives on only as :func:`weylzip.oracles.howlett_oracle`.
 """
 
@@ -38,13 +39,10 @@ def _universe(group: CoxeterGroup, universe) -> frozenset[int]:
 
 
 def in_min_left(w: Element, I) -> bool:
-    """True iff w has minimal length in W_I w, i.e. no left descent in I:
-    every alpha_s, s in I, lies in w(Phi^+), the first half of the row,
-    read from one mark of that half (no inverse is built)."""
-    g, m = w.group, w.group.num_positive
-    image = np.zeros(2 * m, dtype=bool)
-    image.put(w.row[:m], True)
-    return all(image.item(g.simple_root_index(i)) for i in I)
+    """True iff w has minimal length in W_I w, i.e. no left descent in I
+    (:meth:`Element.left_descents`, read from the row; no inverse is
+    built)."""
+    return w.left_descents().isdisjoint(I)
 
 
 def in_min_right(w: Element, J) -> bool:
@@ -176,31 +174,15 @@ def howlett_rows(group: CoxeterGroup, I, J, row: np.ndarray):
 
     Returns (left, x, right): l = s_1 ... s_k for the letters s_i of `left`,
     the row of x, and r = t_k ... t_1 for the letters t_i of `right`.
+    Both strips are :meth:`CoxeterGroup.strip_row`, smallest descent first.
     Left descents in I are stripped first, on the inverse row: s is a left
     descent of w iff w^{-1}(alpha_s) is negative, and (s w)^{-1} = w^{-1} s
     is one gather.  Then right descents in J are stripped on the row itself.
     Nothing is enumerated."""
-    left, inv = _strip(group.inverse_row(row), I, group)
+    left, inv = group.strip_row(group.inverse_row(row), I)
     x = group.inverse_row(inv) if left else row
-    right, x = _strip(x, J, group)
+    right, x = group.strip_row(x, J)
     return left, x, right
-
-
-def _strip(row: np.ndarray, S, group: CoxeterGroup) -> tuple[list[int], np.ndarray]:
-    """Strip right descents in S (ascending) from the element with root
-    permutation `row`, smallest first: w has right descent s iff
-    w(alpha_s) is negative, read as a Python int, and w s is
-    ``row[reflections[s - 1]]``."""
-    m, refl = group.num_positive, group.reflections
-    letters = []
-    while True:
-        for s in S:
-            if row.item(s - 1) >= m:  # the simple root alpha_s sits at index s - 1
-                break
-        else:
-            return letters, row
-        letters.append(s)
-        row = row[refl[s - 1]]
 
 
 def word_row(group: CoxeterGroup, word) -> np.ndarray:

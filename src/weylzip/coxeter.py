@@ -6,7 +6,9 @@ that every kernel of the package works on.  A product is one gather, the
 inverse one scatter, the length the count of positive roots sent
 negative, and descent tests are reads of the row.  Canonical words are
 ShortLex-minimal reduced words, derived on demand by stripping the
-smallest left descent.
+smallest left descent, one gather per letter
+(:meth:`CoxeterGroup.strip_row`, the strip loop of the Howlett
+decomposition too).
 
 A standard parabolic subgroup W_S (the whole group when S holds every
 simple index) is enumerated once, layer by layer in ShortLex order, as
@@ -138,22 +140,12 @@ class Element:
     def canonical_word(self) -> tuple[int, ...]:
         """ShortLex-minimal reduced word, as a tuple of 1-based indices.
 
-        Strips the smallest left descent s one letter at a time on the
-        inverse row: s is a left descent of w iff w^-1 sends alpha_s to a
-        negative root, and (s w)^-1 = w^-1 s is one gather through the
-        reflection table of s."""
+        The smallest left descent of w is the smallest right descent of
+        w^-1, so the word is the letters that :meth:`CoxeterGroup.strip_row`
+        takes off the inverse row, in order; no inverse Element is built."""
         if self._word is None:
             g = self.group
-            m, rank, refl = g.num_positive, g.rank, g.reflections
-            inv = self.inverse().row
-            word = []
-            while True:
-                s = next((i for i in range(rank) if inv.item(i) >= m), None)
-                if s is None:
-                    break
-                word.append(s + 1)
-                inv = inv[refl[s]]
-            self._word = tuple(word)
+            self._word = tuple(g.strip_row(g.inverse_row(self.row), g.simple_indices)[0])
         return self._word
 
     @property
@@ -168,7 +160,14 @@ class Element:
         return frozenset(i for i in g.simple_indices if self.row.item(i - 1) >= m)
 
     def left_descents(self) -> frozenset[int]:
-        return self.inverse().right_descents()
+        """s is a left descent of w iff alpha_s is missing from w(Phi^+),
+        the first half of the row, read from one mark of that half (no
+        inverse is built)."""
+        g, m = self.group, self.group.num_positive
+        image = np.zeros(2 * m, dtype=bool)
+        image.put(self.row[:m], True)
+        # the simple root alpha_i sits at index i - 1
+        return frozenset(i for i in g.simple_indices if not image.item(i - 1))
 
     def descents(self, side: str = "left") -> frozenset[int]:
         if side == "left":
@@ -515,7 +514,6 @@ class CoxeterGroup:
         self._tables: dict[frozenset[int], GroupTables] = {}
         #: Root permutations of the automorphisms by their images.
         self._automorphism_roots: dict[tuple[int, ...], tuple] = {}
-        self._longest: Element | None = None
         #: Induced zip data by (universe, twist), filled by weylzip.zipdata.
         self._induced: dict[tuple, object] = {}
 
@@ -658,6 +656,23 @@ class CoxeterGroup:
         inv = np.empty_like(row)
         inv.put(row, self.identity_row)
         return inv
+
+    def strip_row(self, row: np.ndarray, S: Sequence[int]) -> tuple[list[int], np.ndarray]:
+        """Strip right descents in S (ascending) from the element with root
+        permutation `row`, smallest first, until none is left: w has right
+        descent s iff w(alpha_s) is negative, read as a Python int, and w s
+        is ``row[reflections[s - 1]]``, one gather per letter.  Returns the
+        letters stripped, in order, and the row left over."""
+        m, refl = self.num_positive, self.reflections
+        letters = []
+        while True:
+            for s in S:
+                if row.item(s - 1) >= m:  # the simple root alpha_s sits at index s - 1
+                    break
+            else:
+                return letters, row
+            letters.append(s)
+            row = row[refl[s - 1]]
 
     def from_word(self, word: Iterable[int]) -> Element:
         out = self.identity
@@ -876,14 +891,12 @@ class CoxeterGroup:
 
     def longest_element(self) -> Element:
         """The longest element w0 (sends all positive roots negative)."""
-        if self._longest is None:
-            m = self.num_positive
-            w = self.identity
-            while w.length < m:
-                i = next(i for i in self.simple_indices if not w.has_right_descent(i))
-                w = w * self.simple(i)
-            self._longest = w
-        return self._longest
+        m = self.num_positive
+        w = self.identity
+        while w.length < m:
+            i = next(i for i in self.simple_indices if not w.has_right_descent(i))
+            w = w * self.simple(i)
+        return w
 
     # -- Bruhat order --
 

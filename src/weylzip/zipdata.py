@@ -81,8 +81,10 @@ def _check_side(side: str) -> None:
 class ZipDatum:
     """A validated Coxeter-type zip datum, immutable after construction.
 
-    `psi` maps 1-based simple indices of I to those of J.  All caches are
-    internal; public methods are pure.
+    `psi` maps 1-based simple indices of I to those of J.  Public methods
+    are pure; the only caches, internal, are the parameter rows and orbit
+    positions of each side, and canonical_rep, sigma and sigma_inverse
+    store nothing.
 
     Whole W_I-twisted orbits y w psi(y)^{-1} are replayed along the walk
     of W_I (:meth:`ShortLex.replay`): root permutations for precedes
@@ -125,8 +127,6 @@ class ZipDatum:
         #: the indices of the simple roots of I and J, ascending
         self._I_cols = np.array(self._I_sorted, dtype=np.intp) - 1
         self._J_cols = np.array(self._J_sorted, dtype=np.intp) - 1
-        self._canonical: dict[Element, Element] = {}
-        self._sigma: dict[Element, Element] = {}
         self._params: dict[str, tuple[np.ndarray, tuple[Element, ...]]] = {}
         self._orbits: dict[str, np.ndarray] = {}
 
@@ -303,18 +303,14 @@ class ZipDatum:
         level.  Only the result becomes an Element; nothing is enumerated."""
         if not self.in_universe(w):
             raise GroupMismatch("element lies outside the universe")
-        got = self._canonical.get(w)
-        if got is None:
-            g = self.group
-            rep, z, v = None, self, w.row
-            while z.I != z.universe:
-                left, x, right = cosets.howlett_rows(g, z._I_sorted, z._J_sorted, v)
-                rep = x if rep is None else rep[x]
-                v = cosets.word_row(g, [*right[::-1], *[z.psi[s] for s in left]])
-                z = z._induced_at_row(x)
-            got = g.identity if rep is None else Element(g, rep)
-            self._canonical[w] = got
-        return got
+        g = self.group
+        rep, z, v = None, self, w.row
+        while z.I != z.universe:
+            left, x, right = cosets.howlett_rows(g, z._I_sorted, z._J_sorted, v)
+            rep = x if rep is None else rep[x]
+            v = cosets.word_row(g, [*right[::-1], *[z.psi[s] for s in left]])
+            z = z._induced_at_row(x)
+        return g.identity if rep is None else Element(g, rep)
 
     # -- sigma --
 
@@ -324,11 +320,7 @@ class ZipDatum:
         member of the twisted orbit of w with no right descent in J, reached
         by the walk of :meth:`_sigma_rows`."""
         self._require_param(w, "iw")
-        got = self._sigma.get(w)
-        if got is None:
-            got = Element(self.group, self._sigma_rows("iw", w.row))
-            self._sigma[w] = got
-        return got
+        return Element(self.group, self._sigma_rows("iw", w.row))
 
     def sigma_inverse(self, wj: Element) -> Element:
         """Inverse of sigma: the unique w with sigma(w) = wj.

@@ -435,6 +435,22 @@ def test_classify_on_e8_with_i_of_type_e7():
     assert code == 0 and out.strip() == word_str(rep) == piece
 
 
+def test_python_m_weylzip_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    args = ["classify", "--type", "A3", "--I", "1", "--psi", "1:1", "--w"]
+    for word, code in [("3,2,1", 0), ("3,x", 2)]:
+        runs = [
+            subprocess.run([sys.executable, "-m", module, *args, word],
+                           env=env, capture_output=True, timeout=120)
+            for module in ("weylzip", "weylzip.cli")
+        ]
+        assert [r.returncode for r in runs] == [code, code], runs[0].stderr[-2000:]
+        assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.startswith(b"error: cannot parse word")
+
+
 def test_letter_zero_is_refused(capsys):
     code = main(["classify", "--type", "A3", "--I", "1", "--psi", "1:1", "--w", "0,1"])
     assert code == 2

@@ -199,6 +199,17 @@ def _a3_flip_datum(I, psi, psi_hat_is_flip):
     return ExtendedZipDatum(z, [flip], [flip], [image])
 
 
+@pytest.mark.parametrize("side", ["iw", "wj"])
+def test_ext_bruhat_leq_is_componentwise(side):
+    ext = _a3_flip_datum({2}, {2: 2}, True)
+    params = ext.param_set(side)
+    assert {a.omega for a in params} == set(ext.omega) and len(ext.omega) == 2
+    for a in params:
+        for b in params:
+            expect = a.omega == b.omega and bruhat_subword_oracle(a.w, b.w)
+            assert ext.ext_bruhat_leq(a, b) == expect, (a, b)
+
+
 CLOSURE_CASES = {
     "A3 flip": lambda: _a3_flip_datum({1, 3}, {1: 3, 3: 1}, True),
     # psi_hat(flip) = id, so the Omega_I action moves the Omega-part

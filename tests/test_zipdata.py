@@ -178,6 +178,33 @@ def test_contains_param_builds_no_inverse():
     assert not all(z.contains_param(w) for w in elements)
 
 
+def test_single_element_queries_keep_no_state():
+    # a group of its own, so that its caches start empty
+    e8 = CoxeterGroup(*cartan.matrices_for_label("E8"), "E8")
+    z = ZipDatum(e8, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
+
+    def sizes(obj, kinds):
+        return {k: len(v) for k, v in vars(obj).items() if isinstance(v, kinds)}
+
+    # one query of each kind first, for the per-datum tables they read once
+    z.sigma_inverse(z.sigma(z.canonical_rep(e8.identity)))
+    datum_before, group_before = sizes(z, (dict, list)), sizes(e8, dict)
+    elements = list(dict.fromkeys(seeded_elements(e8, 20241019, 520)))[:500]
+    assert len(elements) == 500
+    reps = list(dict.fromkeys(z.canonical_rep(w) for w in elements))
+    images = [z.sigma(rep) for rep in reps]
+    assert [z.sigma_inverse(v) for v in images] == reps
+    assert sizes(z, (dict, list)) == datum_before
+    grown = {k for k, n in sizes(e8, dict).items() if n > group_before.get(k, 0)}
+    assert "_induced" in grown
+    assert grown <= {"_induced", "_phi", "_phi_plus", "_outside", "_orders"}
+    for name in grown:
+        for key in getattr(e8, name):
+            # a subset, or an induced datum's (universe, twist)
+            assert isinstance(key, frozenset) or (
+                isinstance(key[0], frozenset) and isinstance(key[1], tuple)), (name, key)
+
+
 @pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA[3:], ids=["E8", "E7"])
 def test_induced_data_are_built_once_per_group(monkeypatch, label, I, psi, seed):
     g = CoxeterGroup(*cartan.matrices_for_label(label), label)
@@ -343,7 +370,7 @@ def test_sigma_walk_past_its_cap_raises_and_nothing_falls_back(monkeypatch):
         z.sigma_inverse(moving_wj)
     with pytest.raises(RuntimeError, match=named):
         z.pieces()
-    assert not z._sigma and not g._enumerations and not g._parabolic_cache
+    assert not g._enumerations and not g._parabolic_cache
     assert z.sigma(g.identity) == g.identity  # no step needed
 
 
