@@ -22,7 +22,7 @@ from .errors import WeylZipError
 from .extended import ExtendedZipDatum
 from .isogeny import zip_datum_from_isogeny
 from .serialize import parse_cycles, word_str
-from .zipdata import ZipDatum
+from .zipdata import ZipDatum, _down_rows
 
 QUICK_TYPES = ("A1", "A1xA1", "A2", "B2", "G2")
 FULL_EXTRA_TYPES = ("A3", "B3", "C3")
@@ -341,6 +341,33 @@ def check_length_one_closure(z: ZipDatum, side: str) -> list[str]:
     return []
 
 
+def check_owner_lemma(z: ZipDatum, side: str) -> list[str]:
+    """A lemma toward the gradedness of the closure order: for every orbit
+    member c with l(c) equal to the length of its owner a (the owner array
+    of :meth:`ZipDatum._owners`), the owners of the Bruhat down-set of c
+    are the owners of the down-set of w_a.  The down-sets are rows over
+    W_U from the canonical words the walk spells.  A datum that fails is
+    named, with its first counterexample."""
+    g = z.group
+    t, e = g.tables(z.universe), g.enumeration(z.universe)
+    orbit, owner = z._orbit_positions(side), z._owners(side)
+    params = orbit[0].tolist()
+    minimal = np.unique(orbit[t.length[orbit] == t.length[orbit[0]]]).tolist()
+    words = e.words_at(minimal)
+    owners = {}  # minimal member -> the owners of its down-set, as bytes
+    for i, down in _down_rows(t, words, True):
+        found = np.unique(owner[down])
+        owners[minimal[i]] = found[found >= 0].tobytes()
+    bad = [i for i, c in enumerate(minimal) if owners[c] != owners[params[owner[c]]]]
+    if not bad:
+        return []
+    c = minimal[bad[0]]
+    return [f"{z!r}: on side {side}, {len(bad)} orbit members as long as their owner "
+            f"have a down-set with other owners, first "
+            f"{word_str(g.from_word(words[bad[0]]))} (owner "
+            f"{word_str(z.param_set(side)[owner[c]])})"]
+
+
 def check_refined_length(z: ZipDatum) -> list[str]:
     from . import cosets
 
@@ -646,7 +673,8 @@ def run_verify(level: str = "quick") -> list[SuiteResult]:
     """The invariant suites behind `verify`: quick covers ranks <= 2, full
     adds rank 3, the F4 Bruhat sample, the abstract catalog with its
     brute-force oracles, the reparametrization sweep, and the census of
-    the length-one pairs on every swept datum and side."""
+    the length-one pairs and of the owner lemma on every swept datum and
+    side."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     results: list[SuiteResult] = []
@@ -684,15 +712,19 @@ def run_verify(level: str = "quick") -> list[SuiteResult]:
 
         results.append(_run("reparametrized closures", lusztig_checks))
 
-        def census_checks():
-            bad = []
-            for label in SWEEP_TYPES:
-                for z in sweep_zip_data(build_group(label)):
-                    bad += check_length_one_closure(z, "iw")
-                    bad += check_length_one_closure(z, "wj")
-            return bad
+        def census(check):
+            def checks():
+                bad = []
+                for label in SWEEP_TYPES:
+                    for z in sweep_zip_data(build_group(label)):
+                        bad += check(z, "iw") + check(z, "wj")
+                return bad
+            return checks
 
-        results.append(_run("length-one pairs close to the closure order", census_checks))
+        results.append(_run("length-one pairs close to the closure order",
+                            census(check_length_one_closure)))
+        results.append(_run("owner lemma on the minimal orbit members",
+                            census(check_owner_lemma)))
         results.append(
             _run(
                 f"F4 Bruhat sample ({F4_SAMPLE_PAIRS} pairs)",

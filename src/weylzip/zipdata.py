@@ -19,12 +19,10 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   pieces, and W_I is never enumerated for it,
 * the closure order from whole twisted orbits against Bruhat order, each
   orbit one replay of the walk of W_I: point queries by the lifting loop
-  on the orbit's root permutations; closure sets and the Hasse poset's
-  relation by down-set rows in the integer multiplication tables of W_U,
-  the orbits replayed on the same ShortLex positions; the poset's cover
-  edges from the related pairs one length apart, found through the
-  Bruhat lower covers of each parameter and certified by their
-  transitive closure,
+  on the orbit's root permutations; closure sets and the packed relation
+  by down-set rows in the tables of W_U; the poset's cover edges from the
+  related pairs one length apart, through the Bruhat lower covers of each
+  parameter, certified by their transitive closure unless I is empty,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Every kernel takes the int16 rows of its Elements as they are and wraps
@@ -62,9 +60,9 @@ if TYPE_CHECKING:
 
 SIDES = ("iw", "wj")
 
-#: Most parameters a closure poset may have.  Its largest array is the k x k
-#: boolean relation (k^2 bytes), so this caps it near 0.9 GB; E6 with
-#: I = {1} (k = 25 920) fits, E6 with I = {} (k = 51 840) does not.
+#: Most parameters whose whole relation may be built: packed (k^2 / 8 bytes)
+#: for the covers of a poset with I nonempty, dense (k^2 bytes, 0.9 GB here)
+#: for `ClosurePoset.leq`.  E6 with I = {} (k = 51 840) has a poset, no leq.
 POSET_BOUND = 30_000
 
 #: Most parameters whose cover edges, when the length-one pairs do not
@@ -406,25 +404,28 @@ class ZipDatum:
         return tuple(wp for wp, hit in zip(self.param_set(side), hits) if hit)
 
     def _relation_matrix(self, side: str, targets=None) -> np.ndarray:
-        """Boolean matrix R with R[a, b] = (params[a] precedes targets[b]),
-        the targets being parameters of the same side (default: all).
+        """R[a, b] = (params[a] precedes targets[b]), column-major: the rows
+        of :meth:`_down_sets`, unpacked."""
+        down = self._down_sets(side, targets)
+        return np.unpackbits(down, axis=1, count=len(self.param_set(side))).view(bool).T
 
-        Works on ShortLex positions in the tables of W_U, orbits included
-        (:meth:`_orbit_positions`).  Column b reads "some y params[a]
-        psi(y)^{-1} lies in the Bruhat down-set of targets[b]" from one
-        boolean row over W_U per target, so the cost is |targets| * |W_U|,
-        never |W_U|^2; R is column-major, so each column is one contiguous
-        store.  The whole matrix is refused above POSET_BOUND."""
+    def _down_sets(self, side: str, targets=None) -> np.ndarray:
+        """Row b packs (as ``np.packbits``) the a with params[a] preceding
+        targets[b], parameters of the same side (default: all, refused above
+        POSET_BOUND).  Works on ShortLex positions in the tables of W_U,
+        orbits included (:meth:`_orbit_positions`): bit a reads "some
+        y params[a] psi(y)^{-1} lies in the Bruhat down-set of targets[b]"
+        from one boolean row over W_U per target, |targets| * |W_U| work."""
         if targets is None:
             self._check_poset_size(side)
         orbit = self._orbit_positions(side)
         params = self.param_set(side)
         targets = params if targets is None else targets
-        rel = np.zeros((len(params), len(targets)), dtype=bool, order="F")
+        packed = np.empty((len(targets), (len(params) + 7) // 8), dtype=np.uint8)
         words = [w.canonical_word() for w in targets]
         for b, down in _down_rows(self.group.tables(self.universe), words, side == "iw"):
-            rel[:, b] = down[orbit].any(axis=0)
-        return rel
+            packed[b] = np.packbits(down[orbit].any(axis=0))
+        return packed
 
     def _orbit_positions(self, side: str) -> np.ndarray:
         """ShortLex positions in W_U of y p psi(y)^{-1}, one row per y in W_I
@@ -447,6 +448,16 @@ class ZipDatum:
             self._orbits[side] = got
         return got
 
+    def _owners(self, side: str) -> np.ndarray:
+        """The owner of each W_U position, the parameter whose orbit
+        (:meth:`_orbit_positions`) holds it, or -1.  The orbits are disjoint,
+        or two parameters would share a sigma."""
+        orbit = self._orbit_positions(side)
+        owner = np.full(len(self.group.enumeration(self.universe).parent), -1, dtype=np.int32)
+        owner[orbit] = np.arange(orbit.shape[1], dtype=np.int32)
+        assert (owner[orbit] == np.arange(orbit.shape[1])).all(), "two twisted orbits meet"
+        return owner
+
     def _length_one_pairs(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """D1, row-major: the pairs (a, b) of parameter indices with
         l(a) = l(b) - 1 whose orbit of a meets a lower cover of w_b.
@@ -457,18 +468,12 @@ class ZipDatum:
         canonical word of w_b spells every lower cover (Bjorner-Brenti,
         GTM 231, ch. 2): with w_b = s_0 ... s_{L-1}, deleting s_j leaves
         s_0 ... s_{j-1} times a suffix on the ShortLex walk, one ``lmul``
-        gather per letter for all (b, j) at once.  Each W_U position is owned
-        by the parameter whose orbit (:meth:`_orbit_positions`) holds it,
-        through one int32 array; the orbits are disjoint, as the twisted
-        action's orbits of two parameters would otherwise share a sigma."""
+        gather per letter for all (b, j) at once, owned by :meth:`_owners`."""
         g = self.group
         t, e = g.tables(self.universe), g.enumeration(self.universe)
-        orbit = self._orbit_positions(side)
-        params = orbit[0]
+        params = self._orbit_positions(side)[0]
         k = len(params)
-        owner = np.full(len(e.parent), -1, dtype=np.int32)
-        owner[orbit] = np.arange(k, dtype=np.int32)
-        assert (owner[orbit] == np.arange(k)).all(), "two twisted orbits meet"
+        owner = self._owners(side)
         length = t.length[params]
         top = int(length[-1])
         # suffix[:, j] is w_b with its first j letters removed, and letter j of
@@ -492,26 +497,22 @@ class ZipDatum:
 
     def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> "ClosurePoset":
         """The full closure poset on the chosen parameter set, with cover
-        edges (transitive reduction) and per-node piece data.  Refused
-        (PosetTooLarge) above POSET_BOUND parameters, by
-        :meth:`_relation_matrix`, before anything is built.
+        edges (transitive reduction) and per-node piece data.
 
-        The cover edges are the pairs D1 of :meth:`_length_one_pairs` when
-        their transitive closure is the relation, and otherwise come from a
-        float32 product of the relation, up to PRODUCT_BOUND parameters
-        (:func:`_cover_edges`)."""
+        The covers are the pairs D1 of :meth:`_length_one_pairs`.  For I = {}
+        each orbit is one element and the order is Bruhat order, graded by
+        length, whose lower covers of w are the one-letter deletions of a
+        reduced word of w of length l(w) - 1 (Bjorner-Brenti, GTM 231,
+        section 2.2): D1 is the cover set, and no relation is built.  Otherwise :func:`_cover_edges`
+        certifies D1 against the packed relation (:meth:`_down_sets`,
+        refused above POSET_BOUND before anything is built)."""
         _check_side(side)
-        rel = self._relation_matrix(side)
+        down = self._down_sets(side) if self.I else None
         a, b = self._length_one_pairs(side)
         nodes = self.pieces(side=side, central_rank=central_rank)
-        length = np.array([p.length for p in nodes])
-        return ClosurePoset(
-            datum=self,
-            side=side,
-            nodes=nodes,
-            leq=rel,
-            cover_edges=_cover_edges(rel, a, b, length, f"{self!r} ({side})"),
-        )
+        covers = tuple(zip(a.tolist(), b.tolist())) if down is None else _cover_edges(
+            down, a, b, np.array([p.length for p in nodes]), f"{self!r} ({side})")
+        return ClosurePoset(datum=self, side=side, nodes=nodes, cover_edges=covers)
 
     # -- numeric reports --
 
@@ -626,22 +627,20 @@ def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return order[np.searchsorted(keys[order], wanted)]
 
 
-def _cover_edges(rel: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarray,
+def _cover_edges(down: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarray,
                  where: str) -> tuple[tuple[int, int], ...]:
-    """The cover edges of the order rel (rel[x, y] = x <= y), row-major.
+    """The cover edges, row-major, of the order whose row y of `down` packs
+    the x <= y (as :meth:`ZipDatum._down_sets`).
 
-    (a, b) are pairs of rel one length apart, row-major, and `length`
+    (a, b) are pairs of the order one length apart, row-major, and `length`
     holds the nondecreasing node lengths.  The order strictly raises length,
     so each pair is a cover; if the reflexive transitive closure of the
-    pairs is rel, they are all of the covers.  The closure is checked one
-    length layer at a time from the bottom, on the columns of rel (the
-    down-sets, contiguous in the column-major relation of
-    :meth:`ZipDatum._relation_matrix`) packed eight nodes to a byte as by
-    ``np.packbits`` and OR-ed as uint64 words: the down-set of a node is
-    itself and the down-sets of the lower ends of its pairs, which lie in
-    the layer just below, so two layers are held at once.  If the check
-    fails, the covers come from :func:`_product_covers`, refused
-    (PosetTooLarge) above PRODUCT_BOUND nodes."""
+    pairs is the order, they are all of the covers.  The closure is checked
+    one length layer at a time from the bottom against `down`, packed alike
+    and OR-ed as uint64 words: the down-set of a node is itself and those
+    of the lower ends of its pairs, in the layer just below.  If the check
+    fails, the covers come from :func:`_product_covers` on the unpacked
+    order, refused (PosetTooLarge) above PRODUCT_BOUND nodes."""
     k = len(length)
     bounds = np.searchsorted(length, np.arange(int(length[-1]) + 2))
     by_upper = np.argsort(b, kind="stable")
@@ -657,7 +656,7 @@ def _cover_edges(rel: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarr
             starts = np.flatnonzero(np.diff(upper[i:j], prepend=-1))
             cols[upper[i:j][starts] - lo] |= np.bitwise_or.reduceat(
                 below[lower[i:j] - base], starts)
-        if not np.array_equal(packed[:, :(k + 7) // 8], np.packbits(rel[:, lo:hi].T, axis=1)):
+        if not np.array_equal(packed[:, :down.shape[1]], down[lo:hi]):
             break
         below, base = cols, lo
     else:
@@ -668,7 +667,7 @@ def _cover_edges(rel: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarr
             f"its k = {k} parameters are above the product bound {PRODUCT_BOUND} "
             "(zipdata.PRODUCT_BOUND)"
         )
-    return _product_covers(rel)
+    return _product_covers(np.unpackbits(down, axis=1, count=k).view(bool).T)
 
 
 def _product_covers(rel: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -728,16 +727,20 @@ class Piece:
 class ClosurePoset:
     """The closure order on a parameter set.
 
-    `leq[a, b]` says node a lies in the closure of node b; `cover_edges`
-    is the transitive reduction, each edge pointing from the smaller to
-    the larger piece.  Node order matches `nodes`.
+    `cover_edges` is the transitive reduction, each edge pointing from the
+    smaller to the larger piece.  Node order matches `nodes`.
     """
 
     datum: ZipDatum
     side: str
     nodes: tuple[Piece, ...]
-    leq: np.ndarray
     cover_edges: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def leq(self) -> np.ndarray:
+        """``leq[a, b]``: node a lies in the closure of node b.  Built on
+        first read, with no lock, and refused above POSET_BOUND nodes."""
+        return self.datum._relation_matrix(self.side)
 
     def label(self, k: int) -> Element:
         p = self.nodes[k]

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import importlib
 import io
 import json
@@ -325,17 +326,28 @@ def test_a_subcommand_builds_only_its_own_parser(monkeypatch):
         assert alone.format_help() == full.format_help()
 
 
-def test_poset_bound_fails_fast():
+@pytest.fixture(scope="module")
+def e6_bruhat_poset():
+    """The poset of E6 with I = {} (k = 51 840): Bruhat order, whose covers
+    need no relation; reading its relation is refused."""
+    from weylzip import ZipDatum, build_group
+
+    return ZipDatum(build_group("E6"), (), (), {}).hasse_poset()
+
+
+def test_poset_bound_fails_fast(e6_bruhat_poset):
     import time
 
     from weylzip import ZipDatum, build_group
+    from weylzip.errors import PosetTooLarge
     from weylzip.zipdata import POSET_BOUND
 
-    # E6 I={} (k = 51 840) is refused
+    # the relation of E6 I={} (k = 51 840) is refused
     start = time.perf_counter()
-    code = main(["poset", "--type", "E6", "--I", "", "--psi", ""])
-    assert code == 2
+    with pytest.raises(PosetTooLarge, match=rf"k = 51840 .*bound {POSET_BOUND} \(zipdata.POSET_BOUND\)"):
+        e6_bruhat_poset.leq
     assert time.perf_counter() - start < 1.0
+    assert "leq" not in vars(e6_bruhat_poset)
     e6 = build_group("E6")
     assert e6.order == 51_840 > POSET_BOUND
     # E6 I={1} (k = 25 920) and I={1,2} (k = 12 960) are admitted
@@ -346,17 +358,82 @@ def test_poset_bound_fails_fast():
     assert e6.order // e6.parabolic_order({1}) == 25_920 <= POSET_BOUND
 
 
-def test_poset_bound_error_names_the_bound_and_k(capsys):
+@functools.lru_cache
+def _bruhat_cover_count(group):
+    """The number of Bruhat covers of `group`, with neither the walk nor the
+    tables nor a reduced word: the pairs (w, t), t a reflection, with
+    l(wt) = l(w) - 1, over the root permutations of all w (grown by left
+    multiplication one length at a time) and of all t (the simple
+    reflections closed under conjugation by simple reflections)."""
+    import numpy as np
+
+    m, simple = group.num_positive, group.reflections.astype(np.int16)
+
+    def length(rows):
+        return (rows[:, :m] >= m).sum(axis=1)
+
+    def distinct(rows):
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        return rows[np.unique(keys, return_index=True)[1]]
+
+    layer, layers = np.arange(2 * m, dtype=np.int16)[None], []
+    while len(layer):
+        layers.append(layer)
+        grown = distinct(np.concatenate([s[layer] for s in simple]))
+        layer = grown[length(grown) == len(layers)]
+    W = np.concatenate(layers)
+    T = simple
+    while True:
+        conjugates = distinct(np.concatenate([T, *(s[T][:, s] for s in simple)]))
+        if len(conjugates) == len(T):
+            break
+        T = conjugates
+    assert (len(W), len(T)) == (group.order, m)
+    lw = length(W)
+    return sum(int((length(W[:, t[:m]]) == lw - 1).sum()) for t in T)
+
+
+@pytest.mark.parametrize("side", ["iw", "wj"])
+def test_e6_bruhat_poset_in_a_subprocess(side, tmp_path):
+    """E6 with I = {} is Bruhat order on all 51 840 elements: its poset takes
+    the one-letter deletions as covers, with no relation, and exits 0 in
+    under 5 s, start-up included; its covers are as many as the Bruhat
+    covers counted from the reflections."""
+    import time
+
+    from weylzip import build_group
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = tmp_path / "poset.json"
+    start = time.perf_counter()
+    with open(out, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylzip.cli", "poset", "--type", "E6", "--I", "",
+             "--psi", "", "--side", side, "--format", "json"],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+        )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert elapsed < 5.0
+    poset = json.loads(out.read_text())
+    assert len(poset["nodes"]) == 51_840
+    assert len(poset["cover_edges"]) == 459_588 == _bruhat_cover_count(build_group("E6"))
+
+
+def test_poset_bound_error_names_the_bound_and_k(e6_bruhat_poset):
     from weylzip import CoxeterGroup, ZipDatum, build_group
     from weylzip import cartan
     from weylzip.errors import PosetTooLarge
     from weylzip.zipdata import POSET_BOUND
 
+    named = rf"k = 51840 .*bound {POSET_BOUND} \(zipdata.POSET_BOUND\)"
+    with pytest.raises(PosetTooLarge, match=named):
+        e6_bruhat_poset.leq
     e6 = CoxeterGroup(*cartan.matrices_for_label("E6"), "E6")  # empty caches
     z = ZipDatum(e6, (), (), {})
-    with pytest.raises(PosetTooLarge, match=f"k = 51840 .*bound {POSET_BOUND}"):
-        z.hasse_poset()
-    with pytest.raises(PosetTooLarge):
+    with pytest.raises(PosetTooLarge, match=named):
         z._relation_matrix("wj")
     assert not e6._tables and not z._params
     # one closure set needs a k x 1 column only, and stays unbounded
@@ -395,7 +472,7 @@ def test_e7_pieces_beyond_the_enumeration_bound():
     assert product == _poincare([2, 6, 8, 10, 12, 14, 18])
 
 
-def test_coset_walk_bound_names_the_bound_and_the_rows(capsys, monkeypatch):
+def test_coset_walk_bound_names_the_bound_and_the_rows(capsys, monkeypatch, e6_bruhat_poset):
     import numpy as np
 
     from weylzip import zipdata
@@ -410,13 +487,16 @@ def test_coset_walk_bound_names_the_bound_and_the_rows(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "|W_S| = 696729600 for S = [1, 2, 3, 4, 5, 6, 7, 8]" in err
     assert "enumeration bound 100000 (coxeter.ENUMERATION_BOUND)" in err
-    assert main(["poset", "--type", "E6", "--I", "", "--psi", ""]) == 2
-    assert "poset bound 30000 (zipdata.POSET_BOUND)" in capsys.readouterr().err
+    with pytest.raises(PosetTooLarge) as refused:
+        e6_bruhat_poset.leq
+    assert "k = 51840 parameters" in str(refused.value)
+    assert "poset bound 30000 (zipdata.POSET_BOUND)" in str(refused.value)
     # an order its length-one pairs do not close to, above the product bound
     monkeypatch.setattr(zipdata, "PRODUCT_BOUND", 1)
     none = np.array([], dtype=int)
+    down = np.packbits(np.ones((2, 2), dtype=bool), axis=1)
     with pytest.raises(PosetTooLarge, match=r"product bound 1 \(zipdata.PRODUCT_BOUND\)"):
-        zipdata._cover_edges(np.ones((2, 2), dtype=bool), none, none, np.array([0, 1]), "")
+        zipdata._cover_edges(down, none, none, np.array([0, 1]), "")
 
 
 def test_classify_on_e8_with_i_of_type_e7():

@@ -783,6 +783,12 @@ def test_cover_edges_match_oracle(label, I):
     assert poset.cover_edges == cover_edges_oracle(poset.leq)
 
 
+def _packed(rel):
+    """The down-sets of rel (rel[x, y] = x <= y) packed as _cover_edges reads
+    them: row y holds column y of rel."""
+    return np.packbits(rel.T, axis=1)
+
+
 def test_uncertified_order_takes_the_product_covers():
     # 0 < 1 < 2 and 0 < 3, with l = 0, 1, 2, 2: the cover 0 < 3 skips a
     # length, so the length-one pairs (0, 1) and (1, 2) do not close to rel
@@ -790,11 +796,11 @@ def test_uncertified_order_takes_the_product_covers():
     for a, b in [(0, 1), (1, 2), (0, 2), (0, 3)]:
         rel[a, b] = True
     a, b, length = np.array([0, 1]), np.array([1, 2]), np.array([0, 1, 2, 2])
-    edges = zipdata._cover_edges(rel, a, b, length, "a hand-built order")
+    edges = zipdata._cover_edges(_packed(rel), a, b, length, "a hand-built order")
     assert edges == cover_edges_oracle(rel) == ((0, 1), (0, 3), (1, 2))
     # the same pairs certify the graded order without 0 < 3
     rel[0, 3] = False
-    assert zipdata._cover_edges(rel, a, b, length, "") == ((0, 1), (1, 2))
+    assert zipdata._cover_edges(_packed(rel), a, b, length, "") == ((0, 1), (1, 2))
 
 
 def test_uncertified_order_above_the_product_bound_is_refused(monkeypatch):
@@ -802,8 +808,58 @@ def test_uncertified_order_above_the_product_bound_is_refused(monkeypatch):
     rel[0, 3] = True
     monkeypatch.setattr(zipdata, "PRODUCT_BOUND", 3)
     with pytest.raises(PosetTooLarge, match="a hand-built order .*k = 4 .*bound 3"):
-        zipdata._cover_edges(rel, np.array([], dtype=int), np.array([], dtype=int),
+        zipdata._cover_edges(_packed(rel), np.array([], dtype=int), np.array([], dtype=int),
                              np.array([0, 1, 2, 2]), "a hand-built order")
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "D4", "F4", "G2", "A1xA2"])
+def test_bruhat_posets_take_the_length_one_pairs_as_covers(monkeypatch, label):
+    """With I = {} the order is Bruhat order: hasse_poset builds no relation
+    and takes the one-letter deletions as covers, on both sides, and they
+    are the oracle's covers of the relation read afterwards."""
+    z = ZipDatum(build_group(label), (), (), {})
+    oracle = {}
+    for side in ("iw", "wj"):
+        with monkeypatch.context() as m:
+            m.setattr(ZipDatum, "_down_sets", None)
+            poset = z.hasse_poset(side)
+        key = poset.leq.tobytes()
+        if key not in oracle:
+            oracle[key] = cover_edges_oracle(poset.leq)
+        assert poset.cover_edges == oracle[key], (label, side)
+        assert len(poset.nodes) == z.group.order
+
+
+def test_closure_posets_compare_and_hash_by_their_fields():
+    z = ZipDatum(build_group("A3"), {1, 2}, {2, 3}, {1: 2, 2: 3})
+    first, again = z.hasse_poset("iw"), z.hasse_poset("iw")
+    assert first == again and hash(first) == hash(again)
+    first.leq  # the relation, cached on first read, is no field
+    assert first == again and hash(first) == hash(again)
+    assert {first, again} == {first}
+    other = z.hasse_poset("wj")
+    assert first != other and other == z.hasse_poset("wj")
+
+
+def test_d6_poset_builds_no_dense_relation(monkeypatch):
+    """hasse_poset, to_json and to_dot on D6 I={1,2} (k = 3 840) never
+    build the k x k relation, and leq is built only when it is read."""
+    z = _identity_datum("D6", {1, 2})
+    relation = ZipDatum._relation_matrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense relation was built")
+
+    monkeypatch.setattr(ZipDatum, "_relation_matrix", refuse)
+    poset = z.hasse_poset()
+    assert len(poset.nodes) == 3_840
+    assert poset.to_json().count("\n") > 3_840 and poset.to_dot().startswith("digraph")
+    assert "leq" not in vars(poset)
+    with pytest.raises(AssertionError, match="dense relation"):
+        poset.leq
+    monkeypatch.setattr(ZipDatum, "_relation_matrix", relation)
+    assert poset.leq.shape == (3_840, 3_840) and poset.leq.diagonal().all()
+    assert "leq" in vars(poset)
 
 
 def test_length_one_pairs_certify_every_census_poset(monkeypatch):
@@ -821,6 +877,25 @@ def test_length_one_pairs_certify_every_census_poset(monkeypatch):
             assert poset.cover_edges == cover_edges_oracle(poset.leq), (z, side)
             count += 1
     assert count == 390
+
+
+def test_verify_owner_lemma_names_a_datum_where_it_fails(monkeypatch):
+    from weylzip.verify import check_owner_lemma
+
+    z = ZipDatum(build_group("B3"), {1}, {1}, {1: 1})
+    assert check_owner_lemma(z, "iw") == check_owner_lemma(z, "wj") == []
+    owners = ZipDatum._owners
+
+    def swapped(self, side):
+        # the orbits of parameters 1 and 2 trade owners
+        owner = owners(self, side).copy()
+        one, two = owner == 1, owner == 2
+        owner[one], owner[two] = 2, 1
+        return owner
+
+    monkeypatch.setattr(ZipDatum, "_owners", swapped)
+    bad = check_owner_lemma(z, "iw")
+    assert len(bad) == 1 and bad[0].startswith(f"{z!r}: on side iw, ")
 
 
 def test_verify_census_names_a_datum_whose_pairs_do_not_close(monkeypatch):
