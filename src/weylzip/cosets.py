@@ -14,7 +14,7 @@ descent from a whole stack of rows at once.  No set of representatives
 enumerates W_U.  An optional `universe` restricts every computation to
 the standard parabolic subgroup W_U; subsets must then be contained in U.
 
-The Howlett decomposition strips descents from the int16 row of an
+The Howlett decomposition strips descents from the intp row of an
 Element (:func:`howlett_rows`) by the strip loop that also spells
 canonical words (:meth:`CoxeterGroup.strip_row`), one gather per letter,
 and enumerates nothing, so it runs in groups of any size.  The Element-product
@@ -160,7 +160,7 @@ class HowlettDecomposition:
 
 def howlett_decompose(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposition:
     """Decompose w = w_I * x * w_J by :func:`howlett_rows`."""
-    left, x, right = howlett_rows(group, sorted(I), sorted(J), w.row)
+    left, x, right = howlett_rows(group, sorted(I), sorted(J), w.row.astype(np.intp))
     return HowlettDecomposition(
         Element(group, word_row(group, left)),
         Element(group, x),
@@ -169,7 +169,7 @@ def howlett_decompose(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposi
 
 
 def howlett_rows(group: CoxeterGroup, I, J, row: np.ndarray):
-    """The Howlett decomposition w = l * x * r on int16 root-permutation rows,
+    """The Howlett decomposition w = l * x * r on intp root-permutation rows,
     for I and J given as ascending sequences.
 
     Returns (left, x, right): l = s_1 ... s_k for the letters s_i of `left`,
@@ -186,10 +186,10 @@ def howlett_rows(group: CoxeterGroup, I, J, row: np.ndarray):
 
 
 def word_row(group: CoxeterGroup, word) -> np.ndarray:
-    """Int16 root-permutation row of the product of the simple reflections
+    """Intp root-permutation row of the product of the simple reflections
     in `word`, one gather per letter (the shared, read-only identity row
     for the empty word)."""
-    row, refl = group.identity_row, group.reflections
+    row, refl = group.identity_index, group.reflections
     for s in word:
         row = row[refl[s - 1]]
     return row

@@ -1,8 +1,8 @@
 """Finite Weyl groups acting on their root systems.
 
 A group element (:class:`Element`) is one read-only int16 row: the
-permutation of the root list by which it acts on the left, the same row
-that every kernel of the package works on.  A product is one gather, the
+permutation of the root list by which it acts on the left, which a kernel
+indexing with it widens to intp once.  A product is one gather, the
 inverse one scatter, the length the count of positive roots sent
 negative, and descent tests are reads of the row.  Canonical words are
 ShortLex-minimal reduced words, derived on demand by stripping the
@@ -97,7 +97,7 @@ class Element:
 
     def inverse(self) -> "Element":
         if self._inverse is None:
-            w = Element(self.group, self.group.inverse_row(self.row))
+            w = Element(self.group, self.group.inverse_row(self.row.astype(np.intp)))
             w._inverse = self
             self._inverse = w
         return self._inverse
@@ -145,7 +145,8 @@ class Element:
         takes off the inverse row, in order; no inverse Element is built."""
         if self._word is None:
             g = self.group
-            self._word = tuple(g.strip_row(g.inverse_row(self.row), g.simple_indices)[0])
+            inv = g.inverse_row(self.row.astype(np.intp))
+            self._word = tuple(g.strip_row(inv, g.simple_indices)[0])
         return self._word
 
     @property
@@ -246,8 +247,8 @@ class CoxeterAutomorphism:
                 sigma[r] = refl[self.images[j] - 1][sigma[refl[j][r]]]
             for r in range(m):
                 sigma[r + m] = g.negate_root(sigma[r])
-            row = np.array(sigma, dtype=np.int16)
-            got = (row, g.inverse_row(row).astype(np.intp))
+            row = np.array(sigma, dtype=np.intp)
+            got = (row.astype(np.int16), g.inverse_row(row))
             for array in got:
                 array.flags.writeable = False
             g._automorphism_roots[self.images] = got
@@ -578,10 +579,12 @@ class CoxeterGroup:
         #: The same table as int16, whose value gathers give int16 rows.
         self.reflections16 = self.reflections.astype(np.int16)
         self.reflections16.flags.writeable = False
-        #: The identity root permutation as a read-only int16 row, shared by
-        #: every row kernel that starts from it or inverts into it.
+        #: The identity root permutation as read-only int16 and intp rows,
+        #: shared by every row kernel that starts from it or inverts into it.
         self.identity_row = np.arange(2 * self.num_positive, dtype=np.int16)
-        self.identity_row.flags.writeable = False
+        self.identity_index = np.arange(2 * self.num_positive, dtype=np.intp)
+        for row in (self.identity_row, self.identity_index):
+            row.flags.writeable = False
         # root index -> 1-based simple index when the root is +-alpha_i, else 0
         self._simple_of_root = np.zeros(2 * self.num_positive, dtype=np.intp)
         for i in range(n):
@@ -652,9 +655,9 @@ class CoxeterGroup:
         return psi[self._simple_of_root[np.asarray(rows)[..., : self.rank]]]
 
     def inverse_row(self, row: np.ndarray) -> np.ndarray:
-        """The int16 root permutation of w^{-1} from that of w, one scatter."""
+        """The intp root permutation of w^{-1} from that of w, one scatter."""
         inv = np.empty_like(row)
-        inv.put(row, self.identity_row)
+        inv[row] = self.identity_index
         return inv
 
     def strip_row(self, row: np.ndarray, S: Sequence[int]) -> tuple[list[int], np.ndarray]:

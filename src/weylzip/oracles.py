@@ -7,7 +7,9 @@ nothing with the fast implementations beyond element arithmetic:
 * parabolic subgroups by closure under products, sorted by canonical word
   (the fast path enumerates ShortLex layers and never sorts),
 * minimal coset representatives by exhaustive coset minimum search,
-* cover edges of a finite order by testing every third node,
+* cover edges of a finite order as the successors of each node above none
+  of its other successors, by an OR of packed rows (the fast path
+  certifies length-one pairs or counts the nodes between by a product),
 * the largest twist-stable subgroup by filtering the full subgroup
   lattice (enumerated by closing single-element extensions; the fast path
   enumerates no subgroups, it takes a fixpoint and iterated images),
@@ -209,14 +211,18 @@ def kw_bruteforce(z: ZipDatum, w: Element) -> frozenset[int]:
 
 def cover_edges_oracle(rel: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Cover edges of the order rel[a, b] = (a <= b): the pairs a < b with
-    no third node c such that a < c < b, in row-major order."""
+    no third node c such that a < c < b, in row-major order.  Per node a,
+    the b above some c above a are the OR of the rows of its successors c,
+    packed 8 to a byte; the covers of a are its other successors."""
     k = rel.shape[0]
     strict = rel & ~np.eye(k, dtype=bool)
-    return tuple(
-        (int(a), int(b))
-        for a, b in zip(*np.nonzero(strict))
-        if not (strict[a] & strict[:, b]).any()
-    )
+    above = np.packbits(strict, axis=1)
+    edges = []
+    for a in range(k):
+        beyond = np.bitwise_or.reduce(above[strict[a]], axis=0)
+        covers = np.unpackbits(above[a] & ~beyond, count=k)
+        edges += [(a, b) for b in np.flatnonzero(covers).tolist()]
+    return tuple(edges)
 
 
 def sigma_oracle(z: ZipDatum, w: Element, side: str = "iw") -> Element:

@@ -25,9 +25,8 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   parameter, certified by their transitive closure unless I is empty,
 * dimension and infinitesimal-stabilizer counts from root data.
 
-Every kernel takes the int16 rows of its Elements as they are and wraps
-the rows it returns, so no method converts an element between two
-representations.
+Single-element kernels widen the int16 row of their Element to intp once
+and narrow the row they return once, building its Element.
 
 Data may carry a `universe` subset U, in which case everything lives in
 the standard parabolic W_U; this is how the induction step to a smaller
@@ -191,8 +190,19 @@ class ZipDatum:
 
     def _require_param(self, w: Element, side: str) -> None:
         if not self.contains_param(w, side):
-            kind = "minimal left-coset" if side == "iw" else "minimal right-coset"
-            raise NotMinimalRep(f"element is not a {kind} representative in the universe")
+            raise _not_param(side)
+
+    def _walk_start(self, w: Element, side: str) -> np.ndarray:
+        """The intp row of w ("iw") or w^{-1} ("wj") where sigma walks, once
+        w passes :meth:`_require_param` by |I| reads of w^{-1} or |J| of w."""
+        g, m = self.group, self.group.num_positive
+        row = w.row.astype(np.intp)
+        inv = g.inverse_row(row)
+        read, D = (inv, self._I_sorted) if side == "iw" else (row, self._J_sorted)
+        # alpha_d sits at index d - 1
+        if not self.in_universe(w) or any(read.item(d - 1) >= m for d in D):
+            raise _not_param(side)
+        return row if side == "iw" else inv
 
     def param_set(self, side: str = "iw") -> tuple[Element, ...]:
         """The piece parameter set: minimal left reps of W_I (side "iw") or
@@ -295,14 +305,14 @@ class ZipDatum:
         x, whose universe is strictly smaller unless I equals the whole
         universe (then the class is everything and e is returned).
 
-        The recursion runs on int16 root-permutation rows: Howlett stripping
+        The recursion runs on intp root-permutation rows: Howlett stripping
         by :func:`cosets.howlett_rows`, w_J * psi(w_I) by one reflection
         gather per letter, and the product of the x parts by one gather per
         level.  Only the result becomes an Element; nothing is enumerated."""
         if not self.in_universe(w):
             raise GroupMismatch("element lies outside the universe")
         g = self.group
-        rep, z, v = None, self, w.row
+        rep, z, v = None, self, w.row.astype(np.intp)
         while z.I != z.universe:
             left, x, right = cosets.howlett_rows(g, z._I_sorted, z._J_sorted, v)
             rep = x if rep is None else rep[x]
@@ -317,8 +327,7 @@ class ZipDatum:
         "wj" parameter set of the form y w psi(y)^{-1}, y in W_I: the
         member of the twisted orbit of w with no right descent in J, reached
         by the walk of :meth:`_sigma_rows`."""
-        self._require_param(w, "iw")
-        return Element(self.group, self._sigma_rows("iw", w.row))
+        return Element(self.group, self._sigma_rows("iw", self._walk_start(w, "iw")))
 
     def sigma_inverse(self, wj: Element) -> Element:
         """Inverse of sigma: the unique w with sigma(w) = wj.
@@ -326,9 +335,8 @@ class ZipDatum:
         The mirror of :meth:`sigma`: the member w of the twisted orbit of
         wj with no left descent in I, walked on the inverse rows, on which
         a left descent of w is a right descent."""
-        self._require_param(wj, "wj")
         g = self.group
-        return Element(g, g.inverse_row(self._sigma_rows("wj", g.inverse_row(wj.row))))
+        return Element(g, g.inverse_row(self._sigma_rows("wj", self._walk_start(wj, "wj"))))
 
     @cached_property
     def _sigma_cap(self) -> int:
@@ -363,7 +371,7 @@ class ZipDatum:
                         break
                 else:
                     return row
-                row = g.simple(twist[d]).row.take(row.take(refl[d - 1]))
+                row = refl[twist[d] - 1][row[refl[d - 1]]]
         else:
             X = np.array(X, dtype=np.int16)
             cols = np.array(D, dtype=np.intp) - 1
@@ -434,7 +442,7 @@ class ZipDatum:
         ("iw") or no right descent in J ("wj"), and the walk of W_I reaches
         y as s y', so y p psi(y)^{-1} = s (y' p psi(y')^{-1}) psi(s): two
         table gathers per step of :meth:`ShortLex.replay`, and no root
-        permutation."""
+        permutation.  Kept as intp, so no gather that reads them casts."""
         got = self._orbits.get(side)
         if got is None:
             g, U = self.group, self.universe
@@ -443,7 +451,7 @@ class ZipDatum:
             params = np.flatnonzero(~descents.any(axis=1))
             psi = self._psi_table
             got = g.enumeration(self.I).replay(
-                params.astype(np.int32),
+                params,
                 lambda s, x: t.rmul[psi[s] - 1].take(t.lmul[s - 1].take(x)))
             self._orbits[side] = got
         return got
@@ -614,6 +622,11 @@ class ZipDatum:
             gamma, [simple[i - 1] for i in self._I_sorted],
             [simple[self.psi[i] - 1] for i in self._I_sorted],
         )
+
+
+def _not_param(side: str) -> NotMinimalRep:
+    kind = "minimal left-coset" if side == "iw" else "minimal right-coset"
+    return NotMinimalRep(f"element is not a {kind} representative in the universe")
 
 
 def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:

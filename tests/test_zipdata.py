@@ -16,7 +16,7 @@ from weylzip.errors import (
     PsiNotCoxeter,
     SubsetMismatch,
 )
-from weylzip.cosets import howlett_decompose, min_double_coset_reps
+from weylzip.cosets import howlett_decompose, in_min_right, min_double_coset_reps
 from weylzip.oracles import (
     _psi_pairs,
     bruhat_subword_oracle,
@@ -514,6 +514,78 @@ def test_one_element_however_built(way):
         got.row[0] = got.row[1]
     assert got.perm == tuple(t.row.tolist())
     assert Element(g, got.perm) == got
+
+
+def _stored_form(got):
+    """got keeps the stored form: one read-only int16 row, equal and hashed
+    like the Element of the same element built by products."""
+    assert got.row.dtype == np.int16 and not got.row.flags.writeable
+    twin = got.group.from_word(got.canonical_word())
+    assert got == twin and hash(got) == hash(twin)
+
+
+@pytest.mark.parametrize("label,I,psi,seed", [ORACLE_DATA[0], *ORACLE_DATA[3:]],
+                         ids=["A3", "E8", "E7"])
+def test_single_element_kernels_return_int16_elements(label, I, psi, seed):
+    """canonical_rep, sigma, sigma_inverse and howlett_decompose run on intp
+    rows; no intp row may reach an Element they return."""
+    z, elements = oracle_inputs(label, I, psi, seed)
+    for w in elements:
+        rep = z.canonical_rep(w)
+        image = z.sigma(rep)
+        for got in (rep, image, z.sigma_inverse(image), *vars(
+                howlett_decompose(z.group, z.I, z.J, w)).values()):
+            _stored_form(got)
+    if seed is None:  # both parameter sets, whole
+        for side, kernel in (("iw", z.sigma), ("wj", z.sigma_inverse)):
+            for p in z.param_set(side):
+                _stored_form(kernel(p))
+
+
+def _param_check_data(label):
+    g = build_group(label)
+    yield from sweep_zip_data(g)
+    # universes smaller than the group, so that the universe test counts
+    yield ZipDatum(g, {1}, {2}, {1: 2}, universe={1, 2})
+    yield ZipDatum(g, (), (), {}, universe={2, 3})
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "E8"])
+def test_sigma_parameter_check_reads_the_rows(monkeypatch, label):
+    """sigma and sigma_inverse accept exactly the parameters of their side
+    in the universe, as the descent mask (iw) and in_min_right (wj) tell,
+    without building the mask, and refuse the rest with the message of
+    _require_param."""
+    if label == "E8":
+        z = ZipDatum(build_group("E8"), {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
+        sample = seeded_elements(z.group, 20241020, 60)
+        reps = [z.canonical_rep(w) for w in sample[:30]]
+        data = [(z, sample + reps + [z.sigma(rep) for rep in reps])]
+    else:
+        data = [(z, z.group.elements()) for z in _param_check_data(label)]
+    expected = {
+        (z, w, side): z.in_universe(w) and (w.left_descents().isdisjoint(z.I) if side == "iw"
+                                            else in_min_right(w, z.J))
+        for z, elements in data for w in elements for side in ("iw", "wj")
+    }
+    assert any(expected.values()) and not all(expected.values())
+    monkeypatch.setattr(Element, "left_descents", None)
+    for (z, w, side), ok in expected.items():
+        try:
+            row = z._walk_start(w, side)
+        except NotMinimalRep as exc:
+            assert not ok, (z, w, side)
+            kind = "left" if side == "iw" else "right"
+            assert str(exc) == (
+                f"element is not a minimal {kind}-coset representative in the universe")
+        else:
+            assert ok, (z, w, side)
+            want = w.row if side == "iw" else w.inverse().row
+            assert row.dtype == np.intp and np.array_equal(row, want)
+    z, elements = data[-1]
+    for side, kernel in (("iw", z.sigma), ("wj", z.sigma_inverse)):
+        with pytest.raises(NotMinimalRep):
+            kernel(next(w for w in elements if not expected[z, w, side]))
 
 
 def test_precedes_and_closure(z_a2, a2):
