@@ -14,10 +14,12 @@ descent from a whole stack of rows at once.  No set of representatives
 enumerates W_U.  An optional `universe` restricts every computation to
 the standard parabolic subgroup W_U; subsets must then be contained in U.
 
-The Howlett decomposition strips descents from the intp row of an
-Element (:func:`howlett_rows`) by the strip loop that also spells
-canonical words (:meth:`CoxeterGroup.strip_row`), one gather per letter,
-and enumerates nothing, so it runs in groups of any size.  The Element-product
+The Howlett decomposition w = w_I x w_J is one routine on the intp row
+of an Element, :meth:`CoxeterGroup.howlett_row`, which holds the one
+strip loop: the left descents in I come off the inverse row, one scatter
+turns it back, and the right descents in J come off the row, one read
+and one gather per letter.  The same loop spells canonical words.  It
+enumerates nothing, so it runs in groups of any size.  The Element-product
 stripping lives on only as :func:`weylzip.oracles.howlett_oracle`.
 """
 
@@ -107,7 +109,7 @@ def strip_rows(group: CoxeterGroup, rows, S) -> tuple[np.ndarray, np.ndarray]:
         for t in S:  # row p becomes row p * s_p: one column gather per letter
             hit = np.flatnonzero(s == t)
             if len(hit):
-                active[hit] = active[hit].take(group.reflections[t - 1], axis=1)
+                active[hit] = active[hit].take(group.reflection_rows[t - 1], axis=1)
     out, rest = np.empty_like(letters), np.empty_like(rows)
     out[order], rest[order] = letters, rows
     return out, rest
@@ -159,40 +161,12 @@ class HowlettDecomposition:
 
 
 def howlett_decompose(group: CoxeterGroup, I, J, w: Element) -> HowlettDecomposition:
-    """Decompose w = w_I * x * w_J by :func:`howlett_rows`."""
-    left, x, right = howlett_rows(group, sorted(I), sorted(J), w.row.astype(np.intp))
+    """Decompose w = w_I * x * w_J by :meth:`CoxeterGroup.howlett_row` on
+    the intp row of w."""
+    left, x, right = group.howlett_row(w.row.astype(np.intp), sorted(I), sorted(J))
     return HowlettDecomposition(
-        Element(group, word_row(group, left)),
-        Element(group, x),
-        Element(group, word_row(group, right[::-1])),
+        group.from_word(left), Element(group, x), group.from_word(right[::-1])
     )
-
-
-def howlett_rows(group: CoxeterGroup, I, J, row: np.ndarray):
-    """The Howlett decomposition w = l * x * r on intp root-permutation rows,
-    for I and J given as ascending sequences.
-
-    Returns (left, x, right): l = s_1 ... s_k for the letters s_i of `left`,
-    the row of x, and r = t_k ... t_1 for the letters t_i of `right`.
-    Both strips are :meth:`CoxeterGroup.strip_row`, smallest descent first.
-    Left descents in I are stripped first, on the inverse row: s is a left
-    descent of w iff w^{-1}(alpha_s) is negative, and (s w)^{-1} = w^{-1} s
-    is one gather.  Then right descents in J are stripped on the row itself.
-    Nothing is enumerated."""
-    left, inv = group.strip_row(group.inverse_row(row), I)
-    x = group.inverse_row(inv) if left else row
-    right, x = group.strip_row(x, J)
-    return left, x, right
-
-
-def word_row(group: CoxeterGroup, word) -> np.ndarray:
-    """Intp root-permutation row of the product of the simple reflections
-    in `word`, one gather per letter (the shared, read-only identity row
-    for the empty word)."""
-    row, refl = group.identity_index, group.reflections
-    for s in word:
-        row = row[refl[s - 1]]
-    return row
 
 
 def refined_length_count(group: CoxeterGroup, I, J, w: Element) -> int:

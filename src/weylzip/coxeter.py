@@ -6,9 +6,12 @@ indexing with it widens to intp once.  A product is one gather, the
 inverse one scatter, the length the count of positive roots sent
 negative, and descent tests are reads of the row.  Canonical words are
 ShortLex-minimal reduced words, derived on demand by stripping the
-smallest left descent, one gather per letter
-(:meth:`CoxeterGroup.strip_row`, the strip loop of the Howlett
-decomposition too).
+smallest left descent, one gather per letter, by the one strip loop,
+that of the Howlett decomposition (:meth:`CoxeterGroup.howlett_row`).
+The simple reflections are kept once, as read-only intp row views of the
+reflection table (``reflection_rows``), which every single-row gather
+reads.  A root system is refused before it is built when its roots
+exceed ``ROOT_BOUND``, the most that int16 rows can index.
 
 A standard parabolic subgroup W_S (the whole group when S holds every
 simple index) is enumerated once, layer by layer in ShortLex order, as
@@ -54,10 +57,15 @@ from .errors import (
     IndexOutOfRange,
     InvalidAutomorphism,
     TooLargeToEnumerate,
+    TooManyRoots,
 )
 
 #: Largest group order for which full element enumeration is allowed.
 ENUMERATION_BOUND = 100_000
+
+#: Most roots a root system may have: Element rows are int16, and the
+#: largest root index, 2 |Phi^+| - 1, must fit.
+ROOT_BOUND = 2 ** 15
 
 #: The dtype of Element rows; np.asarray resolves a dtype object faster
 #: than the scalar type.
@@ -140,13 +148,13 @@ class Element:
     def canonical_word(self) -> tuple[int, ...]:
         """ShortLex-minimal reduced word, as a tuple of 1-based indices.
 
-        The smallest left descent of w is the smallest right descent of
-        w^-1, so the word is the letters that :meth:`CoxeterGroup.strip_row`
-        takes off the inverse row, in order; no inverse Element is built."""
+        The word is the left part of the Howlett decomposition of w with
+        I every simple index and J empty (:meth:`CoxeterGroup.howlett_row`):
+        its smallest left descent first, stripped from the inverse row; no
+        inverse Element is built."""
         if self._word is None:
             g = self.group
-            inv = g.inverse_row(self.row.astype(np.intp))
-            self._word = tuple(g.strip_row(inv, g.simple_indices)[0])
+            self._word = tuple(g.howlett_row(self.row.astype(np.intp), g.simple_indices, ())[0])
         return self._word
 
     @property
@@ -339,7 +347,7 @@ class ShortLex:
     def inverses(self) -> np.ndarray:
         """The root permutation of the inverse of each element: the row of
         (s u)^-1 = u^-1 s is the column gather ``u^-1[reflections[s - 1]]``."""
-        refl = self.group.reflections
+        refl = self.group.reflection_rows
         return self.replay(self.group.identity_row, lambda s, u: u[:, refl[s - 1]])
 
     def replay(self, start, step) -> np.ndarray:
@@ -503,6 +511,12 @@ class CoxeterGroup:
         self.order = cartan.weyl_order(self.factors)
         self.simple_indices = tuple(range(1, self.rank + 1))
 
+        roots = cartan.root_count(self.factors)
+        if roots > ROOT_BOUND:
+            raise TooManyRoots(
+                f"{label} has {roots} roots, above the root bound {ROOT_BOUND} "
+                "(coxeter.ROOT_BOUND) of the int16 root-permutation rows"
+            )
         self._build_roots()
         self._build_simple_reflections()
 
@@ -576,6 +590,11 @@ class CoxeterGroup:
         refl[:, m:] = (refl[:, :m] + m) % (2 * m)  # s_i(-beta) = -s_i(beta)
         self.reflections = refl
         self.reflections.flags.writeable = False
+        #: The rows of that table, ``reflection_rows[i - 1]`` for s_i, built
+        #: once as read-only views: every single-row strip, walk and word
+        #: gather reads them, and indexing the table would build a view per
+        #: letter.
+        self.reflection_rows = tuple(refl)
         #: The same table as int16, whose value gathers give int16 rows.
         self.reflections16 = self.reflections.astype(np.int16)
         self.reflections16.flags.writeable = False
@@ -660,22 +679,35 @@ class CoxeterGroup:
         inv[row] = self.identity_index
         return inv
 
-    def strip_row(self, row: np.ndarray, S: Sequence[int]) -> tuple[list[int], np.ndarray]:
-        """Strip right descents in S (ascending) from the element with root
-        permutation `row`, smallest first, until none is left: w has right
-        descent s iff w(alpha_s) is negative, read as a Python int, and w s
-        is ``row[reflections[s - 1]]``, one gather per letter.  Returns the
-        letters stripped, in order, and the row left over."""
-        m, refl = self.num_positive, self.reflections
-        letters = []
+    def howlett_row(self, row: np.ndarray, I: Sequence[int],
+                    J: Sequence[int]) -> tuple[list[int], np.ndarray, list[int]]:
+        """The Howlett decomposition w = l x r of the element with intp root
+        permutation `row`, for I and J ascending, by the one strip loop.
+
+        Returns (left, x, right): l = s_1 ... s_k for the letters s_i of
+        `left`, the intp row of x, and r = t_k ... t_1 for the letters t_i of
+        `right`.  The smallest descent goes first.  Left descents in I are
+        stripped from the inverse row (built only for I nonempty): s is a
+        left descent of w iff w^{-1}(alpha_s) is negative, read as a Python
+        int, and (s w)^{-1} = w^{-1} s is one gather through
+        ``reflection_rows[s - 1]``.  One scatter turns the row back (none if
+        nothing was stripped), and the right descents in J are stripped from
+        it alike.  With I every simple index and J empty, `left` is the
+        canonical word of w.  Nothing is enumerated."""
+        m, refl = self.num_positive, self.reflection_rows
+        left, right = [], []
+        x, S, letters = self.inverse_row(row) if I else row, I, left
         while True:
             for s in S:
-                if row.item(s - 1) >= m:  # the simple root alpha_s sits at index s - 1
+                if x.item(s - 1) >= m:  # the simple root alpha_s sits at index s - 1
                     break
             else:
-                return letters, row
+                if letters is right:
+                    return left, x, right
+                x, S, letters = self.inverse_row(x) if left else row, J, right
+                continue
             letters.append(s)
-            row = row[refl[s - 1]]
+            x = x[refl[s - 1]]
 
     def from_word(self, word: Iterable[int]) -> Element:
         out = self.identity
@@ -916,7 +948,7 @@ class CoxeterGroup:
         x = np.atleast_2d(np.asarray(rows))
         for s in reversed(word):
             down = x[:, s - 1] >= m
-            x = np.where(down[:, None], x[:, self.reflections[s - 1]], x)
+            x = np.where(down[:, None], x[:, self.reflection_rows[s - 1]], x)
         return (x[:, : self.rank] < m).all(axis=1)
 
     def bruhat_leq(self, x: Element, w: Element) -> bool:

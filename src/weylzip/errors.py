@@ -19,6 +19,10 @@ class IndexOutOfRange(WeylZipError):
     """A simple-reflection index is outside 1..rank."""
 
 
+class TooManyRoots(WeylZipError):
+    """A root system has more roots than int16 root-permutation rows index."""
+
+
 class GroupMismatch(WeylZipError):
     """Elements of different groups were combined."""
 

@@ -4,6 +4,8 @@ Each oracle transcribes a definition as literally as practical and shares
 nothing with the fast implementations beyond element arithmetic:
 
 * Bruhat order via the subword property of one fixed reduced word,
+* canonical words by taking the smallest left descent off one Element
+  product at a time (the fast path strips the inverse row),
 * parabolic subgroups by closure under products, sorted by canonical word
   (the fast path enumerates ShortLex layers and never sorts),
 * minimal coset representatives by exhaustive coset minimum search,
@@ -72,6 +74,19 @@ def apply_element_oracle(a: CoxeterAutomorphism, w: Element) -> Element:
     for i in w.canonical_word():
         out = out * g.simple(a.apply_index(i))
     return out
+
+
+def canonical_word_oracle(w: Element) -> tuple[int, ...]:
+    """The ShortLex-minimal reduced word of w: its smallest left descent s,
+    found by :meth:`Element.has_left_descent`, then the word of s * w, one
+    Element product per letter."""
+    g = w.group
+    word = []
+    while not w.is_identity():
+        s = next(i for i in g.simple_indices if w.has_left_descent(i))
+        word.append(s)
+        w = g.simple(s) * w
+    return tuple(word)
 
 
 def shortlex_oracle(group: CoxeterGroup, subset) -> tuple[Element, ...]:

@@ -173,12 +173,21 @@ class ZipDatum:
 
     # -- parameter sets and membership --
 
+    @cached_property
+    def _outside_roots(self) -> tuple[int, ...]:
+        """The positive roots outside Phi_U^+, read on first use: an induced
+        datum, on which canonical_rep never asks, does not build them."""
+        return self.group.positive_roots_outside(self.universe)
+
     def in_universe(self, w: Element) -> bool:
         """w lies in W_U iff every positive root it sends negative lies in
-        Phi_U^+, i.e. it keeps every positive root outside Phi_U^+ positive."""
-        g = self.group
-        m = g.num_positive
-        return all(w.row.item(r) < m for r in g.positive_roots_outside(self.universe))
+        Phi_U^+, i.e. it keeps every positive root outside Phi_U^+ positive:
+        one read of the row per root of :attr:`_outside_roots`."""
+        row, m = w.row, self.group.num_positive
+        for r in self._outside_roots:
+            if row.item(r) >= m:
+                return False
+        return True
 
     def contains_param(self, w: Element, side: str = "iw") -> bool:
         _check_side(side)
@@ -195,13 +204,15 @@ class ZipDatum:
     def _walk_start(self, w: Element, side: str) -> np.ndarray:
         """The intp row of w ("iw") or w^{-1} ("wj") where sigma walks, once
         w passes :meth:`_require_param` by |I| reads of w^{-1} or |J| of w."""
+        if not self.in_universe(w):
+            raise _not_param(side)
         g, m = self.group, self.group.num_positive
         row = w.row.astype(np.intp)
         inv = g.inverse_row(row)
         read, D = (inv, self._I_sorted) if side == "iw" else (row, self._J_sorted)
-        # alpha_d sits at index d - 1
-        if not self.in_universe(w) or any(read.item(d - 1) >= m for d in D):
-            raise _not_param(side)
+        for d in D:
+            if read.item(d - 1) >= m:  # alpha_d sits at index d - 1
+                raise _not_param(side)
         return row if side == "iw" else inv
 
     def param_set(self, side: str = "iw") -> tuple[Element, ...]:
@@ -305,18 +316,29 @@ class ZipDatum:
         x, whose universe is strictly smaller unless I equals the whole
         universe (then the class is everything and e is returned).
 
-        The recursion runs on intp root-permutation rows: Howlett stripping
-        by :func:`cosets.howlett_rows`, w_J * psi(w_I) by one reflection
-        gather per letter, and the product of the x parts by one gather per
-        level.  Only the result becomes an Element; nothing is enumerated."""
+        The recursion runs on intp root-permutation rows, one call of
+        :meth:`CoxeterGroup.howlett_row` per level; w_J * psi(w_I) is one
+        reflection gather per letter, and the product of the x parts one
+        gather per level.  A level that strips nothing from its element has
+        x equal to it and passes on w_J psi(w_I) = e, so every later level
+        has x = e: the recursion stops there, exactly, and builds no datum
+        induced further down.  Only the result becomes an Element; nothing
+        is enumerated."""
         if not self.in_universe(w):
             raise GroupMismatch("element lies outside the universe")
         g = self.group
+        refl = g.reflection_rows
         rep, z, v = None, self, w.row.astype(np.intp)
         while z.I != z.universe:
-            left, x, right = cosets.howlett_rows(g, z._I_sorted, z._J_sorted, v)
+            left, x, right = g.howlett_row(v, z._I_sorted, z._J_sorted)
             rep = x if rep is None else rep[x]
-            v = cosets.word_row(g, [*right[::-1], *[z.psi[s] for s in left]])
+            if not left and not right:
+                break
+            v = g.identity_index
+            for t in reversed(right):
+                v = v[refl[t - 1]]
+            for s in left:
+                v = v[refl[z.psi[s] - 1]]
             z = z._induced_at_row(x)
         return g.identity if rep is None else Element(g, rep)
 
@@ -360,7 +382,7 @@ class ZipDatum:
         RuntimeError.  One row is walked by ``row.item`` reads and one
         product per step, a stack in rounds of one column gather and one
         value gather per letter on the rows still moving."""
-        g, m, refl = self.group, self.group.num_positive, self.group.reflections
+        g, m, refl = self.group, self.group.num_positive, self.group.reflection_rows
         D, twist = (self._J_sorted, self._psi_preimage) if side == "iw" else (self._I_sorted, self.psi)
         cap = self._sigma_cap
         if X.ndim == 1:

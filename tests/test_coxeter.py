@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from itertools import permutations
 from pathlib import Path
 
@@ -18,8 +19,14 @@ from weylzip.errors import (
     MalformedMatrix,
     NonFiniteType,
     TooLargeToEnumerate,
+    TooManyRoots,
 )
-from weylzip.oracles import apply_element_oracle, bruhat_subword_oracle, shortlex_oracle
+from weylzip.oracles import (
+    apply_element_oracle,
+    bruhat_subword_oracle,
+    canonical_word_oracle,
+    shortlex_oracle,
+)
 from weylzip.serialize import parse_automorphism
 
 
@@ -577,6 +584,43 @@ def test_parabolic_order_from_coxeter_type():
         e8.parabolic_elements((1, 2, 3, 4, 5, 6, 7))
     e7 = build_group("E7")
     assert len(e7.parabolic_elements((1, 3, 4, 5, 6))) == 720  # A5
+
+
+def test_root_systems_beyond_the_int16_rows_are_refused(capsys):
+    # A181 has 32 942 roots: its root indices would wrap in int16 rows
+    assert coxeter.ROOT_BOUND == np.iinfo(np.int16).max + 1
+    start = time.perf_counter()
+    with pytest.raises(TooManyRoots, match=r"A181 has 32942 roots, above the root bound "
+                                           r"32768 \(coxeter.ROOT_BOUND\)"):
+        build_group("A181")
+    code = main(["classify", "--type", "A181", "--I", "1", "--J", "1", "--psi", "1:1",
+                 "--w", "1,2"])
+    assert code == 2
+    assert "A181 has 32942 roots" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+
+
+def test_root_bound_admits_a_system_of_exactly_its_size(monkeypatch):
+    monkeypatch.setattr(coxeter, "ROOT_BOUND", 12)
+    assert CoxeterGroup(*cartan.matrices_for_label("A3"), "A3").num_positive == 6
+    with pytest.raises(TooManyRoots, match="B3 has 18 roots, above the root bound 12"):
+        CoxeterGroup(*cartan.matrices_for_label("B3"), "B3")
+
+
+@pytest.mark.parametrize("label,seed", [("E8", 20241020), ("E7", 20241021)])
+def test_canonical_words_beyond_the_enumeration_bound_match_the_oracle(label, seed):
+    g = build_group(label)
+    assert g.order > coxeter.ENUMERATION_BOUND
+    rng = random.Random(seed)
+    elements = [g.longest_element()] + [
+        g.from_word([rng.choice(g.simple_indices) for _ in range(rng.randint(0, g.num_positive))])
+        for _ in range(60)
+    ]
+    for w in elements:
+        # spelled below, not by the product that built it
+        assert w._word is None or w is g.identity
+        assert w.canonical_word() == canonical_word_oracle(w)
+    assert len(elements[0].canonical_word()) == g.num_positive
 
 
 def test_large_enumeration_fails_fast_on_the_command_line():

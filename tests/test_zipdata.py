@@ -164,6 +164,20 @@ def test_canonical_rep_beyond_the_bound_enumerates_nothing():
     assert not e8._parabolic_cache
 
 
+def test_canonical_rep_stops_at_the_first_level_that_strips_nothing():
+    # a group of its own, so that no other test has filled its caches
+    e8 = CoxeterGroup(*cartan.matrices_for_label("E8"), "E8")
+    z = ZipDatum(e8, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
+    # minimal double-coset representatives: the first level strips nothing
+    middles = list(dict.fromkeys(
+        howlett_decompose(e8, z.I, z.J, w).middle for w in seeded_elements(e8, 20241022, 40)))
+    assert len(middles) > 20
+    reps = [z.canonical_rep(x) for x in middles]
+    assert not e8._induced  # no level below the first was reached
+    for x, rep in zip(middles, reps):
+        assert rep == x == canonical_rep_oracle(z, x)
+
+
 def test_contains_param_builds_no_inverse():
     e8 = build_group("E8")
     z = ZipDatum(e8, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
