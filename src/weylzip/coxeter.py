@@ -27,14 +27,16 @@ enumerating W_S (:meth:`CoxeterGroup.coset_walk`).  Elements are built
 only for the rows a caller asks for, as read-only views of them
 (:meth:`CoxeterGroup.elements_of_rows`).  The same walk gives the
 integer multiplication tables of W_S (:class:`GroupTables`), built on
-first use from the walk alone: left multiplication by braid chains in the
-rank-2 parabolic subgroups, right multiplication by recursion on the walk,
-and no row of W_S.  Every enumeration and walk is refused before it
-starts when the number of rows it builds (|W_S|, or |W_S| / |W_J| for the
-walk of W_S^J) exceeds ``ENUMERATION_BOUND``.  The root system and the
-reflection table are built from int arrays (:meth:`CoxeterGroup._build_roots`).
-Root subsets Phi_S, Phi_S^+ and the positive roots outside Phi_S are
-cached per subset.  Bruhat order is one lifting loop on root permutations
+first use from the walk alone, one length layer at a time: left
+multiplication by braid chains in the rank-2 parabolic subgroups, right
+multiplication by recursion on the walk, and no row of W_S.  They store
+positions at the width |W_S| needs (:func:`position_dtype`).  Every
+enumeration and walk is refused before it starts when the number of rows
+it builds (|W_S|, or |W_S| / |W_J| for the walk of W_S^J) exceeds
+``ENUMERATION_BOUND``.  The root system and the reflection table are
+built from int arrays (:meth:`CoxeterGroup._build_roots`).  Root subsets
+Phi_S, Phi_S^+ and the positive roots outside Phi_S are read off the
+support of the roots by one reduction and cached per subset.  Bruhat order is one lifting loop on root permutations
 (:meth:`CoxeterGroup.bruhat_below`), which enumerates nothing.  The
 diagram automorphisms are the isomorphisms of the Coxeter matrix onto
 itself, found by the one search of :func:`cartan.isomorphisms`.
@@ -394,8 +396,10 @@ class GroupTables:
     ``lmul[s - 1, k]`` and ``rmul[s - 1, k]`` are the positions of
     ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
     and ``length[k]`` is ``l(w_k)``, read off the walk's length layers.
+    Both tables are stored at the width the positions need
+    (:func:`position_dtype`): int16 up to |W_S| = 2^15, else int32.
 
-    Both tables are read off the walk, with no root permutation and no
+    They are read off the walk, with no root permutation and no
     search: ``lmul`` by :func:`_left_table`, from the walk's pairs and
     braid chains, and then ``w_k s = first[k] (w_parent s)`` gives
     ``rmul``, one gather through ``lmul`` per length layer, parents before
@@ -405,7 +409,7 @@ class GroupTables:
     def __init__(self, group: "CoxeterGroup", subset: frozenset[int], e: ShortLex):
         self.subset = subset
         self.length = np.repeat(np.arange(len(e.layers) - 1, dtype=np.int16), np.diff(e.layers))
-        self.lmul = lmul = _left_table(group, subset, e, self.length)
+        self.lmul = lmul = _left_table(group, subset, e)
         self.rmul = np.full_like(lmul, -1)
         gens = np.array(sorted(subset), dtype=np.intp) - 1
         self.rmul[gens, 0] = lmul[gens, 0]
@@ -414,9 +418,16 @@ class GroupTables:
             self.rmul[gens, lo:hi] = lmul[e.first[lo:hi] - 1, below]
 
 
-def _left_table(group: "CoxeterGroup", subset: frozenset[int], e: ShortLex,
-                length: np.ndarray) -> np.ndarray:
-    """The table ``lmul`` of W_S from its walk `e` and the lengths.
+def position_dtype(n: int) -> np.dtype:
+    """The dtype of the tables of a group of order n: the narrowest signed
+    integer, at least int16, that holds the positions 0..n-1 and the -1 of
+    rows outside S."""
+    return np.promote_types(np.min_scalar_type(-n), np.int16)
+
+
+def _left_table(group: "CoxeterGroup", subset: frozenset[int], e: ShortLex) -> np.ndarray:
+    """The table ``lmul`` of W_S from its walk `e`, one length layer at a
+    time.
 
     ``lmul[s - 1]`` is an involution pairing w with s w, and each pair
     fills both of its ends.  The walk already pairs w with its parent when
@@ -429,58 +440,30 @@ def _left_table(group: "CoxeterGroup", subset: frozenset[int], e: ShortLex,
     strips s, f, s, ... from the parent down to v and multiplies back up
     by the next alternating letters, 2(m - 1) left multiplications in all,
     since (f s)^(m - 1) f w = s w.  Every element of the chain is shorter
-    than w, so each step is a gather through ``lmul`` on lower layers,
-    already filled.  The pairs (w, s) are taken one layer at a time,
-    ordered by m descending, so the chains of a layer still running are a
-    prefix of its pairs, and gathers read the table flat, at s n + x."""
+    than w, so each step is a gather ``lmul[s - 1, x]`` on lower layers,
+    already filled.  A layer's pairs (w, s) are taken from its slice of
+    the descent masks, one group per value of m, so nothing outlives the
+    layer but the table."""
     n = len(e.first)
-    lmul = np.full((group.rank, n), -1, dtype=np.int32)
-    flat = lmul.reshape(-1)
-    # Per s: the walk's pairs (w, parent) with first[w] = s, and the w with
-    # left descent s and another first letter f, each packed into one int64
-    # that sorts by layer, then by m = m(s, f) descending.
-    cox = np.array(group._coxeter, dtype=np.int64)
-    s_bits = max(group.rank - 1, 1).bit_length()
-    w_bits = max(n - 1, 1).bit_length()
-    # every w but the identity has one first letter among its left descents
-    packed = np.empty(np.count_nonzero(e.left) - (n - 1), dtype=np.int64)
-    at = 0
-    for s in sorted(subset):
-        is_first = e.first == s
-        children = np.flatnonzero(is_first)
-        lmul[s - 1, children] = e.parent[children]
-        lmul[s - 1, e.parent[children]] = children
-        w = np.flatnonzero(e.left[:, s - 1] > is_first)
-        m = cox[s - 1, e.first[w] - 1]
-        packed[at:at + len(w)] = ((length[w] * 8 + 8 - m) << w_bits | w) << s_bits | (s - 1)
-        at += len(w)
-    packed.sort()
-    s_at = np.empty(len(packed), dtype=np.int32)  # the offsets s n
-    np.bitwise_and(packed, (1 << s_bits) - 1, out=s_at, casting="unsafe")
-    s_at *= n
-    packed >>= s_bits
-    # chain step pair j runs on the pairs with m >= j + 2 (8 > 6, the
-    # largest m of a Weyl group)
-    levels = np.arange(len(e.layers) - 1)[:, None] * 8
-    ends = np.searchsorted(packed, levels + 9 - np.arange(2, 7) << w_bits).tolist()
-    starts = np.searchsorted(packed, levels[:, 0] << w_bits).tolist()
-    w = packed
-    w &= (1 << w_bits) - 1
-    x = e.parent[w]  # the chains start at the parents
-    f_at = np.empty(len(w), dtype=np.int32)  # the offsets f n
-    np.subtract(e.first[w], 1, out=f_at, casting="unsafe")
-    f_at *= n
-    for lo, bounds in zip(starts, ends):
-        if bounds[0] == lo:
-            continue
-        for hi in bounds:
-            if hi == lo:
-                break
-            x[lo:hi] = flat[s_at[lo:hi] + x[lo:hi]]
-            x[lo:hi] = flat[f_at[lo:hi] + x[lo:hi]]
-        hi = bounds[0]
-        flat[s_at[lo:hi] + w[lo:hi]] = x[lo:hi]
-        flat[s_at[lo:hi] + x[lo:hi]] = w[lo:hi]
+    lmul = np.full((group.rank, n), -1, dtype=position_dtype(n))
+    # m(s, f) by first letter f and column s; m(f, f) = 1 drops the walk's pair
+    cox = np.array(group._coxeter, dtype=np.int8)
+    ms = {cox[s - 1, t - 1] for s in subset for t in subset if s != t}
+    for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
+        f, parent = e.first[lo:hi] - 1, e.parent[lo:hi]
+        k = np.arange(lo, hi)
+        lmul[f, k] = parent
+        lmul[f, parent] = k
+        m_of = cox[f]
+        descents = e.left[lo:hi]
+        for m in ms:
+            at, s = np.nonzero(descents & (m_of == m))
+            w, f_w, x = at + lo, f[at], parent[at]
+            for _ in range(m - 1):
+                x = lmul[s, x]
+                x = lmul[f_w, x]
+            lmul[s, w] = x
+            lmul[s, x] = w
     return lmul
 
 
@@ -580,6 +563,9 @@ class CoxeterGroup:
         at[order] = np.arange(m)
         positive = positive[order]
         self.roots = tuple(map(tuple, np.concatenate([positive, -positive]).tolist()))
+        #: Where each positive root has a nonzero coordinate, read-only.
+        self._support = positive != 0
+        self._support.flags.writeable = False
         #: Root permutations of the simple reflections as a read-only intp
         #: array: ``reflections[i - 1, r]`` is the index of s_i(root r).
         refl = np.tile(np.arange(2 * m, dtype=np.intp), (n, 1))
@@ -716,17 +702,17 @@ class CoxeterGroup:
         return out
 
     def phi(self, subset: Iterable[int]) -> frozenset[int]:
-        """Indices of all roots supported on the given simple subset
-        (cached per subset)."""
+        """Indices of all roots supported on the given simple subset, those
+        with no nonzero coordinate outside it: one reduction over the
+        support of the positive roots, and their negatives (cached per
+        subset)."""
         key = frozenset(subset)
         got = self._phi.get(key)
         if got is None:
-            cols = {self.simple_root_index(i) for i in key}
-            got = frozenset(
-                r
-                for r, v in enumerate(self.roots)
-                if all(c == 0 or k in cols for k, c in enumerate(v))
-            )
+            outside = np.ones(self.rank, dtype=bool)
+            outside[[self.simple_root_index(i) for i in key]] = False
+            inside = np.flatnonzero(~self._support[:, outside].any(axis=1))
+            got = frozenset(inside.tolist() + (inside + self.num_positive).tolist())
             self._phi[key] = got
         return got
 
@@ -911,7 +897,9 @@ class CoxeterGroup:
             left[end:top] = inverses[:, :rank] >= m
             right[end:top] = simple >= m
             start, end = end, top
-        assert end == order, f"the walk reached {end} of {order} elements"
+        if end != order:
+            raise RuntimeError(f"the walk of {self.label} on S = {list(gens)}, J = {list(J)} "
+                               f"reached {end} of {order} elements")
         return ShortLex(self, first, parent, np.array(layers, dtype=np.intp), left, right)
 
     def tables(self, subset: Iterable[int] | None = None) -> GroupTables:

@@ -94,8 +94,16 @@ def check_group_basics(group: CoxeterGroup) -> list[str]:
         for s in w.left_descents():
             if (group.simple(s) * w).length != w.length - 1:
                 bad.append(f"{group.label}: descent {s} does not shorten {word}")
-    # the tables, built from the walk alone, against Element products
+    # the tables, built from the walk alone, against Element products; their
+    # dtype must hold the positions 0..n-1 and the -1 of rows outside S
     t = group.tables()
+    n = len(elems)
+    for name, table in (("lmul", t.lmul), ("rmul", t.rmul)):
+        info = np.iinfo(table.dtype)
+        if info.min > -1 or info.max < n - 1:
+            bad.append(f"{group.label}: {name} of dtype {table.dtype} cannot hold {n - 1} and -1")
+        if table.min() < 0 or table.max() >= n:
+            bad.append(f"{group.label}: {name} holds entries outside [0, {n})")
     position = {w: k for k, w in enumerate(elems)}
     if t.length.tolist() != [w.length for w in elems]:
         bad.append(f"{group.label}: table lengths differ from the element lengths")

@@ -481,11 +481,12 @@ class ZipDatum:
     def _owners(self, side: str) -> np.ndarray:
         """The owner of each W_U position, the parameter whose orbit
         (:meth:`_orbit_positions`) holds it, or -1.  The orbits are disjoint,
-        or two parameters would share a sigma."""
+        or two parameters would share a sigma: RuntimeError if two meet."""
         orbit = self._orbit_positions(side)
         owner = np.full(len(self.group.enumeration(self.universe).parent), -1, dtype=np.int32)
         owner[orbit] = np.arange(orbit.shape[1], dtype=np.int32)
-        assert (owner[orbit] == np.arange(orbit.shape[1])).all(), "two twisted orbits meet"
+        if not (owner[orbit] == np.arange(orbit.shape[1])).all():
+            raise RuntimeError(f"two twisted orbits of {self!r} ({side}) meet")
         return owner
 
     def _length_one_pairs(self, side: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 import ast
 import random
 import time
-from itertools import permutations
+import tracemalloc
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -556,6 +557,117 @@ def test_whole_group_tables_on_a_seeded_sample(label):
         for s in g.simple_indices:
             assert row(t.lmul[s - 1, k]) == (g.simple(s) * w).perm
             assert row(t.rmul[s - 1, k]) == (w * g.simple(s)).perm
+
+
+def test_tables_at_the_int16_boundary():
+    """A1^15 has n = 2^15 = 32 768 elements, the most whose positions
+    0..n-1 and the -1 of rows outside S fit int16; A7 (n = 40 320) needs
+    int32."""
+    label = "x".join(["A1"] * 15)
+    g = build_group(label)
+    t, perms = g.tables(), g.enumeration(g.simple_indices).perms
+    assert len(perms) == 2 ** 15
+    assert t.lmul.dtype == t.rmul.dtype == np.int16
+
+    def row(k):
+        return tuple(perms[k].tolist())
+
+    for k in random.Random(15).sample(range(len(perms)), 200):
+        w = Element(g, row(k))
+        assert t.length[k] == w.length
+        for s in g.simple_indices:
+            assert row(t.lmul[s - 1, k]) == (g.simple(s) * w).perm
+            assert row(t.rmul[s - 1, k]) == (w * g.simple(s)).perm
+    a7 = build_group("A7").tables()
+    assert a7.lmul.dtype == a7.rmul.dtype == np.int32
+
+
+@pytest.mark.parametrize(
+    "label,S",
+    [("A3", None), ("G2", None), ("F4", None), ("D5", None), ("A6", None), ("D6", None),
+     ("B6", None), ("E6", None), ("E6", (1, 3, 4, 5)), ("E7", (1, 3, 4, 5, 6, 7))],
+)
+def test_table_dtype_is_int16_iff_the_positions_fit(label, S):
+    g = build_group(label)
+    t = g.tables(S)
+    assert t.rmul.dtype == t.lmul.dtype
+    assert (t.lmul.dtype == np.int16) == (len(t.length) <= 2 ** 15)
+    assert t.lmul.dtype in (np.int16, np.int32)
+
+
+def test_position_dtype_holds_every_position_and_minus_one():
+    for n in [1, 2, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 31, 2 ** 31 + 1]:
+        info = np.iinfo(coxeter.position_dtype(n))
+        assert info.min <= -1 and info.max >= n - 1
+    assert coxeter.position_dtype(2 ** 15) == np.int16
+    assert coxeter.position_dtype(2 ** 15 + 1) == np.int32
+    assert coxeter.position_dtype(2 ** 31) == np.int32
+
+
+def test_table_memory_on_e6():
+    """The braid chains run one length layer at a time, with no key or
+    offset over all of W: on a fresh E6 whose walk is built, the traced
+    peak of tables() stays within 1.25 x the bytes the tables hold
+    (1.5 x with sort keys and flat offsets for every pair of W)."""
+    g = CoxeterGroup(*cartan.matrices_for_label("E6"), "E6")
+    g.enumeration(g.simple_indices)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        t = g.tables()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = t.lmul.nbytes + t.rmul.nbytes + t.length.nbytes
+    assert peak - entry <= 1.25 * held
+
+
+def test_verify_checks_the_table_width():
+    from weylzip.verify import check_group_basics
+
+    g = CoxeterGroup(*cartan.matrices_for_label("B3"), "B3")
+    t = g.tables()
+    rmul = t.rmul
+    t.rmul = rmul.copy()
+    t.rmul[2, 7] = g.order
+    assert check_group_basics(g) == [
+        "B3: rmul holds entries outside [0, 48)",
+        "B3: rmul of s_3 differs from the products w s_3",
+    ]
+    t.rmul = rmul.astype(np.uint16)
+    assert check_group_basics(g) == ["B3: rmul of dtype uint16 cannot hold 47 and -1"]
+
+
+def _root_subsets_oracle(g, S):
+    """Phi_S, Phi_S^+ and the positive roots outside it, by a plain loop
+    over the coordinates of every root."""
+    phi = {r for r, v in enumerate(g.roots) if all(c == 0 or k + 1 in S for k, c in enumerate(v))}
+    plus = {r for r in phi if r < g.num_positive}
+    return phi, plus, tuple(r for r in range(g.num_positive) if r not in plus)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2xA1", "F4", "E7", "E8"])
+def test_root_subsets_match_a_plain_loop(label):
+    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+    simple = g.simple_indices
+    if g.rank <= 4:
+        subsets = [set(c) for k in range(g.rank + 1) for c in combinations(simple, k)]
+    else:
+        rng = random.Random(20261020 + g.rank)
+        subsets = [{i for i in simple if rng.random() < 0.5} for _ in range(20)]
+    for S in subsets:
+        phi, plus, outside = _root_subsets_oracle(g, S)
+        assert g.phi(S) == phi
+        assert g.phi_plus(S) == plus
+        assert g.positive_roots_outside(S) == outside
+        assert g.phi(S) is g.phi(frozenset(S))  # cached per subset
+
+
+def test_a_walk_short_of_its_order_raises():
+    g = CoxeterGroup(*cartan.matrices_for_label("B3"), "B3")
+    with pytest.raises(RuntimeError, match=r"walk of B3 on S = \[1, 2, 3\], J = \[\] "
+                                           r"reached 48 of 49 elements"):
+        g._shortlex(g.simple_indices, g.order + 1)
 
 
 def test_enumeration_bound_is_enforced_up_front(monkeypatch):

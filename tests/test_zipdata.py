@@ -860,6 +860,32 @@ def test_poset_memory_on_d6():
     assert peak - entry <= 3_000_000
 
 
+def test_poset_traced_peak_on_d6():
+    """The tables of W_U are int16 when |W_U| <= 2^15: the traced peak of
+    the D6 I={1,...,5} poset on a fresh group is at most 1.9 MB (2.2 MB
+    with int32 tables)."""
+    g = CoxeterGroup(*cartan.matrices_for_label("D6"), "D6")
+    I = {1, 2, 3, 4, 5}
+    z = ZipDatum(g, I, I, {i: i for i in I})
+    tracemalloc.start()
+    try:
+        z.hasse_poset()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_900_000
+
+
+def test_meeting_orbits_raise(monkeypatch):
+    g = CoxeterGroup(*cartan.matrices_for_label("A3"), "A3")
+    z = ZipDatum(g, {1}, {1}, {1: 1})
+    orbit = z._orbit_positions("iw").copy()
+    orbit[:, 1] = orbit[:, 0]
+    monkeypatch.setattr(z, "_orbit_positions", lambda side: orbit)
+    with pytest.raises(RuntimeError, match=r"two twisted orbits of .* \(iw\) meet"):
+        z.hasse_poset()
+
+
 @pytest.mark.parametrize("label,I", [("F4", {1}), ("D5", {1, 2})])
 def test_cover_edges_match_oracle(label, I):
     # F4 I={1} has 576 parameters and D5 I={1,2} has 320: some pairs have a
