@@ -109,12 +109,12 @@ class FiniteGroup:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
 
 
-def extend_homomorphism(identity: Hashable, image_identity: Hashable, gens: Sequence,
-                        images: Sequence, mul: Callable) -> dict:
-    """Extend generator images to the whole generated group, by
-    breadth-first search over products; NotAHomomorphism if two words for
-    the same element get different images."""
-    table = {identity: image_identity}
+def extend_homomorphism(identity: Hashable, gens: Sequence, images: Sequence,
+                        mul: Callable) -> dict:
+    """Extend generator images (and identity -> identity) to the whole
+    generated group by breadth-first search over products;
+    NotAHomomorphism if two words for one element get different images."""
+    table = {identity: identity}
     frontier = [identity]
     while frontier:
         new = []
@@ -156,7 +156,7 @@ class AbstractZipDatum:
         for g in gens:
             if g not in group:
                 raise ElementNotInGroup(f"Delta generator {g} lies outside Gamma")
-        psi = extend_homomorphism(group.identity, group.identity, gens, images, mult)
+        psi = extend_homomorphism(group.identity, gens, images, mult)
         return cls(group, frozenset(psi), psi)
 
     def _validate(self) -> None:
@@ -169,7 +169,10 @@ class AbstractZipDatum:
             raise ElementNotInGroup("psi image leaves Gamma")
         for a in self.delta:
             for b in self.delta:
-                if self.psi[mult(a, b)] != mult(self.psi[a], self.psi[b]):
+                ab = mult(a, b)
+                if ab not in self.delta:
+                    raise NotAHomomorphism(f"Delta is not closed under products: {a} * {b} = {ab}")
+                if self.psi[ab] != mult(self.psi[a], self.psi[b]):
                     raise NotAHomomorphism("psi fails on the multiplication table")
 
     def __repr__(self) -> str:

@@ -512,8 +512,6 @@ class CoxeterGroup:
         self._tables: dict[frozenset[int], GroupTables] = {}
         #: Root permutations of the automorphisms by their images.
         self._automorphism_roots: dict[tuple[int, ...], tuple] = {}
-        #: Induced zip data by (universe, twist), filled by weylzip.zipdata.
-        self._induced: dict[tuple, object] = {}
 
     # -- construction of the root system --
 
@@ -652,12 +650,17 @@ class CoxeterGroup:
         index: psi(i) at each i of its domain, 0 elsewhere (and at 0)."""
         return np.array([psi.get(i, 0) for i in range(self.rank + 1)], dtype=np.int16)
 
-    def partial_map(self, rows, psi: np.ndarray) -> np.ndarray:
+    def partial_map(self, rows: np.ndarray, psi):
         """The partial maps s -> psi(w s w^{-1}) of a stack of root
-        permutation rows w (or of one row), psi defined on I and given as
-        its :meth:`psi_table`: ``out[..., s - 1]`` is psi(i) when
-        w(alpha_s) = +-alpha_i with i in I, and 0 where s has no image."""
-        return psi[self._simple_of_root[np.asarray(rows)[..., : self.rank]]]
+        permutation rows w, or of one row, psi defined on I and given as a
+        table indexed by simple index, 0 off I (as :meth:`psi_table`):
+        ``out[..., s - 1]`` is psi(i) when w(alpha_s) = +-alpha_i with i in
+        I, and 0 where s has no image.  A stack is one gather into an array;
+        one row is read as Python ints into a list of psi's entries."""
+        if rows.ndim == 1:
+            simple = self._simple_of_root
+            return [psi[simple.item(r)] for r in rows[: self.rank].tolist()]
+        return psi[self._simple_of_root[rows[..., : self.rank]]]
 
     def inverse_row(self, row: np.ndarray) -> np.ndarray:
         """The intp root permutation of w^{-1} from that of w, one scatter."""

@@ -96,7 +96,7 @@ class ExtendedZipDatum:
             raise NotAHomomorphism("psi_hat needs one image per Omega_I generator")
         ident = self.group.identity_automorphism()
         try:
-            table = extend_homomorphism(ident, ident, gens, images, operator.mul)
+            table = extend_homomorphism(ident, gens, images, operator.mul)
         except NotAHomomorphism:
             raise NotAHomomorphism("psi_hat images are inconsistent") from None
         if set(table) != self._omega_I_set:

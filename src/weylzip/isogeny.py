@@ -61,22 +61,28 @@ class IsogenyDatum:
 
     def reparam(self, w: Element, direction: str = "forward") -> Element:
         """Right multiplication by x (forward: from the minimal right reps
-        of J onto those of delta(phi_bar(I))) or by x^{-1} (backward)."""
+        of J onto those of delta(phi_bar(I))) or by x^{-1} (backward).  A
+        product outside its target set means that x does not carry the
+        simple roots of delta(phi_bar(I)) onto those of J: NonSimpleConjugate."""
         if direction == "forward":
             if not self.zip.contains_param(w, "wj"):
                 raise NotMinimalRep("w is not a minimal right-coset representative of J")
             out = w * self.x
-            assert self.in_target_set(out)
-            return out
-        if direction == "backward":
+            ok = self.in_target_set(out)
+        elif direction == "backward":
             if not self.in_target_set(w):
                 raise NotMinimalRep(
                     "w is not a minimal right-coset representative of delta(phi_bar(I))"
                 )
             out = w * self.x.inverse()
-            assert self.zip.contains_param(out, "wj")
-            return out
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+            ok = self.zip.contains_param(out, "wj")
+        else:
+            raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+        if not ok:
+            raise NonSimpleConjugate(
+                f"x = {self.x!r} does not carry delta(phi_bar(I)) = {sorted(self.source_subset)} "
+                f"onto J = {sorted(self.zip.J)}: {w!r} went to {out!r}, outside the target set")
+        return out
 
     def lusztig_closure(self, w: Element) -> tuple[Element, ...]:
         """Closure of the piece labeled w in the W^{delta(I)} parametrization
@@ -123,7 +129,8 @@ def zip_datum_from_isogeny(group: CoxeterGroup,
     if any(x.has_left_descent(j) for j in J):
         raise NotDoubleCosetRep("x has a left descent in J")
     # positivity of x on Phi_K^+, not just on the simples of K
-    assert {x.act_on_root(r) for r in group.phi_plus(K)} == group.phi_plus(J)
+    if {x.act_on_root(r) for r in group.phi_plus(K)} != group.phi_plus(J):
+        raise NotDoubleCosetRep(f"x = {x!r} does not carry Phi^+ of {sorted(K)} onto that of J")
     try:
         datum = ZipDatum(group, I, frozenset(J), psi)
     except PsiNotCoxeter as exc:

@@ -295,17 +295,23 @@ def canonical_rep_oracle(z: ZipDatum, w: Element) -> Element:
     """The canonical representative by the induction of the source paper:
     w = w_I x w_J (:func:`howlett_oracle`) is equivalent to x w_J psi(w_I),
     with psi(w_I) spelled out letter by letter, and the class of w_J psi(w_I)
-    is decided in the datum induced at x, built here from its definition:
-    universe J and twist t -> psi(i) where x(alpha_t) = alpha_i, i in I."""
+    is decided in the datum induced at x, built from its definition
+    (:func:`induced_oracle`)."""
     g = z.group
     if z.I == z.universe:
         return g.identity
     hd = howlett_oracle(g, z.I, z.J, w)
     v = hd.right * g.from_word([z.psi[i] for i in hd.left.canonical_word()])
+    return hd.middle * canonical_rep_oracle(induced_oracle(z, hd.middle), v)
+
+
+def induced_oracle(z: ZipDatum, x: Element) -> ZipDatum:
+    """The datum induced at x, built from its definition: universe J and
+    twist t -> psi(i) where x(alpha_t) = alpha_i, i in I."""
+    g = z.group
     twist = {}
     for t in z.J:
-        i = g.simple_index_of_root(hd.middle.act_on_root(g.simple_root_index(t)))
+        i = g.simple_index_of_root(x.act_on_root(g.simple_root_index(t)))
         if i in z.I:
             twist[t] = z.psi[i]
-    sub = ZipDatum(g, set(twist), set(twist.values()), twist, universe=z.J)
-    return hd.middle * canonical_rep_oracle(sub, v)
+    return ZipDatum(g, set(twist), set(twist.values()), twist, universe=z.J)

@@ -92,8 +92,8 @@ class ZipDatum:
     reflections that keeps the length and stops in W^J (in ^I W, on
     inverse rows, for sigma_inverse), after Pink-Wedhorn-Ziegler's
     length-preserving bijection and X. He, Adv. Math. 215 (2007); it
-    enumerates nothing of W_I.  Induced data, valid by construction, skip
-    :meth:`_validate` (:meth:`_trusted`).
+    enumerates nothing of W_I.  :meth:`canonical_rep` carries the data
+    induced along its recursion as plain (I, J, twist), building no datum.
     """
 
     def __init__(self, group: CoxeterGroup, I, J, psi: dict, universe=None):
@@ -105,25 +105,9 @@ class ZipDatum:
             universe = group.simple_indices
         self.universe = frozenset(int(u) for u in universe)
         self._validate()
-        self._setup()
-
-    @classmethod
-    def _trusted(cls, group: CoxeterGroup, I, J, psi: dict, universe) -> "ZipDatum":
-        """A datum valid by construction (an induced datum), from normalized
-        fields, built without :meth:`_validate`."""
-        z = cls.__new__(cls)
-        z.group, z.I, z.J, z.psi, z.universe = group, I, J, psi, universe
-        z._setup()
-        return z
-
-    def _setup(self) -> None:
-        """The tables and empty caches of a validated datum."""
-        self._psi_table = self.group.psi_table(self.psi)
+        self._psi_table = group.psi_table(self.psi)
         #: I and J ascending, as the Howlett stripping reads them
         self._I_sorted, self._J_sorted = tuple(sorted(self.I)), tuple(sorted(self.J))
-        #: the indices of the simple roots of I and J, ascending
-        self._I_cols = np.array(self._I_sorted, dtype=np.intp) - 1
-        self._J_cols = np.array(self._J_sorted, dtype=np.intp) - 1
         self._params: dict[str, tuple[np.ndarray, tuple[Element, ...]]] = {}
         self._orbits: dict[str, np.ndarray] = {}
 
@@ -175,8 +159,7 @@ class ZipDatum:
 
     @cached_property
     def _outside_roots(self) -> tuple[int, ...]:
-        """The positive roots outside Phi_U^+, read on first use: an induced
-        datum, on which canonical_rep never asks, does not build them."""
+        """The positive roots outside Phi_U^+, read on first use."""
         return self.group.positive_roots_outside(self.universe)
 
     def in_universe(self, w: Element) -> bool:
@@ -190,20 +173,20 @@ class ZipDatum:
         return True
 
     def contains_param(self, w: Element, side: str = "iw") -> bool:
-        _check_side(side)
-        if not self.in_universe(w):
+        try:
+            self._require_param(w, side)
+        except NotMinimalRep:
             return False
-        if side == "iw":
-            return cosets.in_min_left(w, self.I)
-        return cosets.in_min_right(w, self.J)
+        return True
 
     def _require_param(self, w: Element, side: str) -> None:
-        if not self.contains_param(w, side):
-            raise _not_param(side)
+        _check_side(side)
+        self._walk_start(w, side)
 
     def _walk_start(self, w: Element, side: str) -> np.ndarray:
         """The intp row of w ("iw") or w^{-1} ("wj") where sigma walks, once
-        w passes :meth:`_require_param` by |I| reads of w^{-1} or |J| of w."""
+        w is found a parameter of the side by |I| reads of w^{-1} or |J| of
+        w; :func:`_not_param` if it is not."""
         if not self.in_universe(w):
             raise _not_param(side)
         g, m = self.group, self.group.num_positive
@@ -250,29 +233,13 @@ class ZipDatum:
 
     def induced_at(self, x: Element) -> "ZipDatum":
         """The induced datum at a minimal double-coset representative x:
-        universe J, subsets I_x and J_x = psi(I n xJx^{-1}), twist psi*inn(x)."""
-        if not (
-            cosets.in_min_left(x, self.I)
-            and cosets.in_min_right(x, self.J)
-            and self.in_universe(x)
-        ):
+        universe J, subsets I_x and J_x = psi(I n xJx^{-1}), twist psi*inn(x),
+        read on J as the partial map of x (:meth:`CoxeterGroup.partial_map`)."""
+        if not (self.contains_param(x, "iw") and self.contains_param(x, "wj")):
             raise NotDoubleCosetRep("x is not minimal in W_I x W_J")
-        return self._induced_at_row(x.row)
-
-    def _induced_at_row(self, x) -> "ZipDatum":
-        """The induced datum at x (a root permutation), with universe J and
-        twist psi*inn(x).  It depends on (J, twist) alone and is cached on
-        the group by that key, shared by every datum that reaches it."""
-        images = self.group.partial_map(x, self._psi_table)[self._J_cols].tolist()
-        key = (self.J, tuple(images))
-        got = self.group._induced.get(key)
-        if got is None:
-            psi_x = {j: i for j, i in zip(self._J_sorted, images) if i}
-            got = ZipDatum._trusted(
-                self.group, frozenset(psi_x), frozenset(psi_x.values()), psi_x, self.J
-            )
-            self.group._induced[key] = got
-        return got
+        images = self.group.partial_map(x.row, self._psi_table)
+        psi_x = {t: images[t - 1] for t in self._J_sorted if images[t - 1]}
+        return ZipDatum(self.group, psi_x, psi_x.values(), psi_x, universe=self.J)
 
     # -- the stable subset K_w --
 
@@ -312,25 +279,30 @@ class ZipDatum:
         """The unique parameter-set element equivalent to w.
 
         Algorithm: write w = w_I * x * w_J (Howlett), replace it by the
-        equivalent x * w_J * psi(w_I), and recurse in the induced datum at
-        x, whose universe is strictly smaller unless I equals the whole
-        universe (then the class is everything and e is returned).
+        equivalent x * w_J * psi(w_I), and recurse in the datum induced at
+        x (:meth:`induced_at`), whose universe J is strictly smaller unless I
+        equals the whole universe (then the class is everything and e is
+        returned).
 
         The recursion runs on intp root-permutation rows, one call of
         :meth:`CoxeterGroup.howlett_row` per level; w_J * psi(w_I) is one
         reflection gather per letter, and the product of the x parts one
-        gather per level.  A level that strips nothing from its element has
-        x equal to it and passes on w_J psi(w_I) = e, so every later level
-        has x = e: the recursion stops there, exactly, and builds no datum
-        induced further down.  Only the result becomes an Element; nothing
-        is enumerated."""
+        gather per level.  A level is plain data: I and J ascending, the
+        size of the universe (I equals it iff it has its size, as I lies in
+        it) and the twist as a table indexed by simple index; the next
+        twist is the partial map of x on J.  A level that strips nothing
+        from its element has x equal to it and passes on w_J psi(w_I) = e,
+        so every later level has x = e: the recursion stops there, exactly.
+        Only the result becomes an Element; nothing is enumerated, and no
+        datum is built."""
         if not self.in_universe(w):
             raise GroupMismatch("element lies outside the universe")
         g = self.group
         refl = g.reflection_rows
-        rep, z, v = None, self, w.row.astype(np.intp)
-        while z.I != z.universe:
-            left, x, right = g.howlett_row(v, z._I_sorted, z._J_sorted)
+        I, J, size = self._I_sorted, self._J_sorted, len(self.universe)
+        rep, v, twist = None, w.row.astype(np.intp), self._psi_table.tolist()
+        while len(I) != size:
+            left, x, right = g.howlett_row(v, I, J)
             rep = x if rep is None else rep[x]
             if not left and not right:
                 break
@@ -338,8 +310,11 @@ class ZipDatum:
             for t in reversed(right):
                 v = v[refl[t - 1]]
             for s in left:
-                v = v[refl[z.psi[s] - 1]]
-            z = z._induced_at_row(x)
+                v = v[refl[twist[s] - 1]]
+            images = g.partial_map(x, twist)
+            twist = [images[t - 1] if t in J else 0 for t in range(len(twist))]
+            size, I = len(J), tuple(t for t in J if twist[t])
+            J = tuple(sorted(twist[t] for t in I))
         return g.identity if rep is None else Element(g, rep)
 
     # -- sigma --
@@ -469,7 +444,8 @@ class ZipDatum:
         if got is None:
             g, U = self.group, self.universe
             t, e = g.tables(U), g.enumeration(U)
-            descents = e.left[:, self._I_cols] if side == "iw" else e.right[:, self._J_cols]
+            D, marks = (self._I_sorted, e.left) if side == "iw" else (self._J_sorted, e.right)
+            descents = marks[:, [d - 1 for d in D]]
             params = np.flatnonzero(~descents.any(axis=1))
             psi = self._psi_table
             got = g.enumeration(self.I).replay(

@@ -146,6 +146,14 @@ def test_homomorphism_validation():
         )
 
 
+def test_delta_not_closed_under_products_is_refused():
+    group = FiniteGroup(3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
+    e, c = group.identity, (1, 2, 0)
+    # {e, c} misses c * c = (2, 0, 1), so psi cannot be read at that product
+    with pytest.raises(NotAHomomorphism, match="Delta is not closed under products"):
+        AbstractZipDatum(group, [e, c], {e: e, c: c})
+
+
 def test_twisted_conjugation_of_stable_subgroups():
     a = s3_datum()
     for gamma in a.group.elements():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from weylzip import ZipDatum, build_group, frobenius_report, zip_datum_from_isogeny
@@ -53,6 +58,37 @@ def test_reparam_examples(a3):
         assert iso.reparam(iso.reparam(w, "forward"), "backward") == w
     with pytest.raises(NotMinimalRep):
         iso.reparam(a3.simple(2), "forward")  # has a right descent in J
+
+
+# A hand-built IsogenyDatum whose x = s2 does not carry {1} onto J = {1}: both
+# directions take s1 s2 to s1, outside their target set.
+_BAD_X = """
+from weylzip import ZipDatum, build_group
+from weylzip.errors import NonSimpleConjugate
+from weylzip.isogeny import IsogenyDatum
+
+g = build_group("A2")
+ident = g.identity_automorphism()
+iso = IsogenyDatum(ZipDatum(g, {1}, {1}, {1: 1}), g.simple(2), ident, ident)
+for direction in ("forward", "backward"):
+    try:
+        iso.reparam(g.from_word([1, 2]), direction)
+    except NonSimpleConjugate as exc:
+        print(direction, exc)
+"""
+
+
+def test_reparam_refuses_a_bad_x_under_optimization():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_X], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["forward", "backward"]
+    for line in lines:
+        assert "x = Element(A2: 2) does not carry" in line
 
 
 def test_reparam_identity_x(a2):

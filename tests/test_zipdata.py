@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +27,7 @@ from weylzip.oracles import (
     canonical_rep_oracle,
     cover_edges_oracle,
     howlett_oracle,
+    induced_oracle,
     iw_oracle,
     kw_bruteforce,
     shortlex_oracle,
@@ -164,7 +169,7 @@ def test_canonical_rep_beyond_the_bound_enumerates_nothing():
     assert not e8._parabolic_cache
 
 
-def test_canonical_rep_stops_at_the_first_level_that_strips_nothing():
+def test_canonical_rep_stops_at_the_first_level_that_strips_nothing(monkeypatch):
     # a group of its own, so that no other test has filled its caches
     e8 = CoxeterGroup(*cartan.matrices_for_label("E8"), "E8")
     z = ZipDatum(e8, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
@@ -172,8 +177,17 @@ def test_canonical_rep_stops_at_the_first_level_that_strips_nothing():
     middles = list(dict.fromkeys(
         howlett_decompose(e8, z.I, z.J, w).middle for w in seeded_elements(e8, 20241022, 40)))
     assert len(middles) > 20
+    calls = []
+    howlett_row = e8.howlett_row
+
+    def counting(*args):
+        calls.append(args)
+        return howlett_row(*args)
+
+    monkeypatch.setattr(e8, "howlett_row", counting)
     reps = [z.canonical_rep(x) for x in middles]
-    assert not e8._induced  # no level below the first was reached
+    monkeypatch.undo()
+    assert len(calls) == len(middles)  # no level below the first was reached
     for x, rep in zip(middles, reps):
         assert rep == x == canonical_rep_oracle(z, x)
 
@@ -192,6 +206,26 @@ def test_contains_param_builds_no_inverse():
     assert not all(z.contains_param(w) for w in elements)
 
 
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_contains_param_reads_the_rows(monkeypatch, label):
+    """contains_param, and every check of a parameter, is the row read of
+    the walk's start: it agrees with the descent sets and never reads them."""
+    data = [(z, z.group.elements()) for z in _param_check_data(label)]
+    expected = {
+        (z, w, side): z.in_universe(w) and (w.left_descents().isdisjoint(z.I) if side == "iw"
+                                            else in_min_right(w, z.J))
+        for z, elements in data for w in elements for side in ("iw", "wj")
+    }
+    assert any(expected.values()) and not all(expected.values())
+    monkeypatch.setattr(Element, "left_descents", None)
+    monkeypatch.setattr(Element, "has_right_descent", None)
+    for (z, w, side), ok in expected.items():
+        assert z.contains_param(w, side) == ok, (z, w, side)
+        if not ok:
+            with pytest.raises(NotMinimalRep):
+                z.closure_set(w, side)
+
+
 def test_single_element_queries_keep_no_state():
     # a group of its own, so that its caches start empty
     e8 = CoxeterGroup(*cartan.matrices_for_label("E8"), "E8")
@@ -202,60 +236,69 @@ def test_single_element_queries_keep_no_state():
 
     # one query of each kind first, for the per-datum tables they read once
     z.sigma_inverse(z.sigma(z.canonical_rep(e8.identity)))
-    datum_before, group_before = sizes(z, (dict, list)), sizes(e8, dict)
+    datum_before, group_before = sizes(z, (dict, list)), sizes(e8, (dict, list))
     elements = list(dict.fromkeys(seeded_elements(e8, 20241019, 520)))[:500]
     assert len(elements) == 500
     reps = list(dict.fromkeys(z.canonical_rep(w) for w in elements))
     images = [z.sigma(rep) for rep in reps]
     assert [z.sigma_inverse(v) for v in images] == reps
     assert sizes(z, (dict, list)) == datum_before
-    grown = {k for k, n in sizes(e8, dict).items() if n > group_before.get(k, 0)}
-    assert "_induced" in grown
-    assert grown <= {"_induced", "_phi", "_phi_plus", "_outside", "_orders"}
-    for name in grown:
-        for key in getattr(e8, name):
-            # a subset, or an induced datum's (universe, twist)
-            assert isinstance(key, frozenset) or (
-                isinstance(key[0], frozenset) and isinstance(key[1], tuple)), (name, key)
+    assert sizes(e8, (dict, list)) == group_before
+
+
+# Counts the ZipDatum objects that canonical_rep and sigma create, in a
+# process of its own: CPython cannot put back a class's inherited __new__
+# once it has been set, so the patch may not outlive the count.
+_COUNT_DATA = """
+import json, sys
+from weylzip import ZipDatum, build_group
+
+label, I, psi, words = json.load(sys.stdin)
+g = build_group(label)
+z = ZipDatum(g, I, psi.values(), {int(s): t for s, t in psi.items()})
+built = []
+ZipDatum.__new__ = lambda cls, *args, **kwargs: built.append(cls) or object.__new__(cls)
+reps = [z.canonical_rep(g.from_word(w)) for w in words]
+sigmas = [z.sigma(rep) for rep in reps]
+print(json.dumps([len(built), [r.canonical_word() for r in reps],
+                  [v.canonical_word() for v in sigmas]]))
+"""
 
 
 @pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA[3:], ids=["E8", "E7"])
-def test_induced_data_are_built_once_per_group(monkeypatch, label, I, psi, seed):
-    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+def test_classify_queries_build_no_datum(label, I, psi, seed):
+    g = build_group(label)
     z = ZipDatum(g, I, set(psi.values()), psi)
-    built = []
-    setup = ZipDatum._setup
-
-    # every datum, validated or built as an induced one, is set up once
-    def counting_setup(self):
-        setup(self)
-        built.append((self.universe, tuple(sorted(self.psi.items()))))
-
-    monkeypatch.setattr(ZipDatum, "_setup", counting_setup)
     elements = seeded_elements(g, seed + 10, 150)
-    reps = [z.canonical_rep(w) for w in elements]
-    sigmas = [z.sigma(rep) for rep in reps]
-    monkeypatch.undo()
-    assert built and len(built) == len(set(built))
-    assert len(g._induced) == len(built)
-    assert reps == [canonical_rep_oracle(z, w) for w in elements]
-    assert sigmas == [sigma_oracle(z, rep, "iw") for rep in reps]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_DATA], env=env, capture_output=True, text=True,
+        timeout=120, input=json.dumps([label, sorted(I), psi, words(elements)]),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    built, reps, sigmas = json.loads(proc.stdout)
+    assert built == 0
+    want = [canonical_rep_oracle(z, w) for w in elements]
+    assert reps == [list(rep.canonical_word()) for rep in want]
+    assert sigmas == [list(sigma_oracle(z, rep, "iw").canonical_word()) for rep in want]
 
 
 @pytest.mark.parametrize("label,I,psi,seed", ORACLE_DATA[3:], ids=["E8", "E7"])
-def test_induced_data_pass_the_validation_they_skip(label, I, psi, seed):
-    g = CoxeterGroup(*cartan.matrices_for_label(label), label)
+def test_induced_at_follows_the_definition(label, I, psi, seed):
+    g = build_group(label)
     z = ZipDatum(g, I, set(psi.values()), psi)
-    for w in seeded_elements(g, seed + 30, 60):
-        z.sigma(z.canonical_rep(w))
-    assert len(g._induced) > 10
-    for sub in g._induced.values():
-        sub._validate()
-        public = ZipDatum(g, sub.I, sub.J, sub.psi, universe=sub.universe)
+    middles = dict.fromkeys(
+        howlett_decompose(g, z.I, z.J, w).middle for w in seeded_elements(g, seed + 30, 60))
+    twisted = 0
+    for x in middles:
+        sub, want = z.induced_at(x), induced_oracle(z, x)
         for name in ("I", "J", "psi", "universe", "_I_sorted", "_J_sorted"):
-            assert getattr(sub, name) == getattr(public, name)
-        assert np.array_equal(sub._psi_table, public._psi_table)
-        assert np.array_equal(sub._J_cols, public._J_cols)
+            assert getattr(sub, name) == getattr(want, name), (x, name)
+        assert np.array_equal(sub._psi_table, want._psi_table)
+        twisted += sub.psi != {t: t for t in sub.I}
+    assert len(middles) > 10 and twisted
 
 
 def test_poset_on_d6_builds_elements_for_the_parameters_only(monkeypatch):
