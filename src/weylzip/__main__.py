@@ -1,6 +1,4 @@
 """``python -m weylzip``: the command line of :mod:`weylzip.cli`."""
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

@@ -77,7 +77,6 @@ class FiniteGroup:
         elems = frozenset(tuple(e) for e in elements)
         group = cls(degree, tuple(generators) if generators else tuple(elems))
         group._element_set = elems
-        group._elements = tuple(sorted(elems))
         return group
 
     @property
@@ -86,20 +85,18 @@ class FiniteGroup:
 
     def elements(self) -> tuple[Perm, ...]:
         if self._elements is None:
+            self._elements = tuple(sorted(self.element_set()))
+        return self._elements
+
+    def element_set(self) -> frozenset[Perm]:
+        if self._element_set is None:
             try:
-                closed = closure(self.identity, self.generators, mult, ORDER_BOUND)
+                self._element_set = closure(self.identity, self.generators, mult, ORDER_BOUND)
             except TooLargeToEnumerate:
                 raise TooLargeToEnumerate(
                     f"the group generated on {self.degree} points has more than "
                     f"abstract.ORDER_BOUND = {ORDER_BOUND} elements"
                 ) from None
-            self._element_set = closed
-            self._elements = tuple(sorted(closed))
-        return self._elements
-
-    def element_set(self) -> frozenset[Perm]:
-        self.elements()
-        assert self._element_set is not None
         return self._element_set
 
     def __contains__(self, perm: Perm) -> bool:

@@ -13,8 +13,10 @@ request beyond a size bound (enumeration, poset).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from typing import NoReturn
 
 from . import serialize
 from .coxeter import build_group
@@ -328,5 +330,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry of ``weylzip``, ``python -m weylzip`` and ``python
+    -m weylzip.cli``: :func:`main` between two ``gc.freeze()`` calls, then
+    ``sys.exit`` with its code.  The first freeze, once this module's
+    imports are done, keeps the full collections of the work from walking
+    the objects numpy and weylzip built at import; the second keeps the
+    collections of interpreter shutdown from walking the work's, whose
+    reference cycles (a group, its tables and its Elements) only a
+    collection would free before the process ends.  :func:`main` itself
+    leaves the collector as it was, for callers in the same process."""
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -554,7 +554,9 @@ class CoxeterGroup:
             grown.append(front)
         positive = np.concatenate(grown)
         m = self.num_positive = len(positive)
-        assert 2 * m == cartan.root_count(self.factors)
+        if 2 * m != cartan.root_count(self.factors):
+            raise RuntimeError(f"the root walk of {self.label} found {m} positive roots, "
+                               f"not {cartan.root_count(self.factors) // 2}")
         order = np.lexsort((*positive.T[::-1], positive.sum(axis=1)))
         order[:n] = np.arange(n)  # the simple roots, the roots of height 1
         at = np.empty(m, dtype=np.intp)

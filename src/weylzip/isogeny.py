@@ -30,13 +30,23 @@ from .zipdata import Piece, ZipDatum
 
 @dataclass(frozen=True)
 class IsogenyDatum:
-    """A zip datum remembering the isogeny data it was built from."""
+    """A zip datum remembering the isogeny data it was built from.  x is
+    checked once, at construction, by the test of
+    :func:`zip_datum_from_isogeny`, and the datum's twist must be inn(x) *
+    delta * phi_bar: NonSimpleConjugate or NotDoubleCosetRep otherwise."""
 
     zip: ZipDatum
     x: Element
     phi_bar: CoxeterAutomorphism
     delta: CoxeterAutomorphism
     frobenius_mode: bool = False
+
+    def __post_init__(self):
+        psi = _isogeny_twist(self.group, self.phi_bar, self.delta, self.zip.I, self.x)
+        if psi != self.zip.psi:
+            raise NonSimpleConjugate(
+                f"x = {self.x!r} carries delta(phi_bar(I)) = {sorted(self.source_subset)} "
+                f"by inn(x) * delta * phi_bar = {psi}, not by the datum's psi = {self.zip.psi}")
 
     @property
     def group(self) -> CoxeterGroup:
@@ -61,28 +71,20 @@ class IsogenyDatum:
 
     def reparam(self, w: Element, direction: str = "forward") -> Element:
         """Right multiplication by x (forward: from the minimal right reps
-        of J onto those of delta(phi_bar(I))) or by x^{-1} (backward).  A
-        product outside its target set means that x does not carry the
-        simple roots of delta(phi_bar(I)) onto those of J: NonSimpleConjugate."""
+        of J onto those of delta(phi_bar(I))) or by x^{-1} (backward).  The
+        product lies in its target set, as x carries the simple roots of
+        delta(phi_bar(I)) onto those of J (checked at construction)."""
         if direction == "forward":
             if not self.zip.contains_param(w, "wj"):
                 raise NotMinimalRep("w is not a minimal right-coset representative of J")
-            out = w * self.x
-            ok = self.in_target_set(out)
-        elif direction == "backward":
+            return w * self.x
+        if direction == "backward":
             if not self.in_target_set(w):
                 raise NotMinimalRep(
                     "w is not a minimal right-coset representative of delta(phi_bar(I))"
                 )
-            out = w * self.x.inverse()
-            ok = self.zip.contains_param(out, "wj")
-        else:
-            raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-        if not ok:
-            raise NonSimpleConjugate(
-                f"x = {self.x!r} does not carry delta(phi_bar(I)) = {sorted(self.source_subset)} "
-                f"onto J = {sorted(self.zip.J)}: {w!r} went to {out!r}, outside the target set")
-        return out
+            return w * self.x.inverse()
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
     def lusztig_closure(self, w: Element) -> tuple[Element, ...]:
         """Closure of the piece labeled w in the W^{delta(I)} parametrization
@@ -108,9 +110,22 @@ def zip_datum_from_isogeny(group: CoxeterGroup,
     and is the minimal representative of its (J, delta(phi_bar(I)))-double
     coset."""
     I = frozenset(int(i) for i in I)
+    psi = _isogeny_twist(group, phi_bar, delta, I, x)
+    try:
+        datum = ZipDatum(group, I, frozenset(psi.values()), psi)
+    except PsiNotCoxeter as exc:
+        raise MatrixViolation(str(exc)) from exc
+    return IsogenyDatum(datum, x, phi_bar, delta, frobenius_mode)
+
+
+def _isogeny_twist(group: CoxeterGroup, phi_bar: CoxeterAutomorphism,
+                   delta: CoxeterAutomorphism, I: frozenset[int], x: Element) -> dict[int, int]:
+    """inn(x) * delta * phi_bar on I, once x is checked to carry the simple
+    roots of K = delta(phi_bar(I)) onto simple roots, those of a set J
+    (NonSimpleConjugate otherwise), and to be the minimal representative
+    of its (J, K)-double coset (NotDoubleCosetRep otherwise)."""
     K = delta.apply_subset(phi_bar.apply_subset(I))
     psi: dict[int, int] = {}
-    J = set()
     for s in sorted(I):
         k = delta.apply_index(phi_bar.apply_index(s))
         image_root = x.act_on_root(group.simple_root_index(k))
@@ -125,17 +140,13 @@ def zip_datum_from_isogeny(group: CoxeterGroup,
                 f"on the right for {sorted(K)}"
             )
         psi[s] = j
-        J.add(j)
+    J = frozenset(psi.values())
     if any(x.has_left_descent(j) for j in J):
         raise NotDoubleCosetRep("x has a left descent in J")
     # positivity of x on Phi_K^+, not just on the simples of K
     if {x.act_on_root(r) for r in group.phi_plus(K)} != group.phi_plus(J):
         raise NotDoubleCosetRep(f"x = {x!r} does not carry Phi^+ of {sorted(K)} onto that of J")
-    try:
-        datum = ZipDatum(group, I, frozenset(J), psi)
-    except PsiNotCoxeter as exc:
-        raise MatrixViolation(str(exc)) from exc
-    return IsogenyDatum(datum, x, phi_bar, delta, frobenius_mode)
+    return psi
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,9 @@ def e_gamma_bruteforce(a: AbstractZipDatum, gamma: Perm, bound: int = 48) -> fro
         H for H in _all_subgroups_by_extension(conj) if {twist(h) for h in H} == H
     ]
     generated = closure(a.group.identity, chain.from_iterable(fixed), mult)
-    assert {twist(h) for h in generated} == generated
+    if {twist(h) for h in generated} != generated:
+        raise RuntimeError(f"the subgroup generated by the twist-fixed subgroups at "
+                           f"gamma = {gamma} is not fixed by the twist")
     return generated
 
 
@@ -220,7 +222,9 @@ def kw_bruteforce(z: ZipDatum, w: Element) -> frozenset[int]:
             if {domain[s] for s in K} == set(K):
                 passing.append(set(K))
     union = set().union(*passing) if passing else set()
-    assert {domain[s] for s in union} == union
+    if {domain[s] for s in union} != union:
+        raise RuntimeError(f"the union {sorted(union)} of the stable subsets of {w!r} "
+                           f"is not stable")
     return frozenset(union)
 
 

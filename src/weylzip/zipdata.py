@@ -553,9 +553,11 @@ class ZipDatum:
         the infinitesimal stabilizer in the vanishing-differential case."""
         self._require_param(w, "iw")
         hd = cosets.howlett_decompose(self.group, self.I, self.J, w)
-        out = self.dim_levi_deficit() - hd.middle.length
-        assert out >= 0
-        return out
+        dim_v, length = self.dim_levi_deficit(), hd.middle.length
+        if length > dim_v:
+            raise RuntimeError(f"{self!r}: the x part of {w!r} has length {length} > "
+                               f"dim V = {dim_v}")
+        return dim_v - length
 
     def pieces(self, side: str = "iw", central_rank: int = 0) -> tuple["Piece", ...]:
         """One Piece per parameter, ordered ShortLex by the chosen side's

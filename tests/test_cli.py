@@ -1,9 +1,11 @@
 import argparse
 import functools
+import gc
 import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -515,20 +517,62 @@ def test_classify_on_e8_with_i_of_type_e7():
     assert code == 0 and out.strip() == word_str(rep) == piece
 
 
-def test_python_m_weylzip_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _src_env():
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+
+
+def _console_script():
+    """The `python -c` source of the wrapper an installer writes for the
+    `weylzip` entry of [project.scripts] in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^weylzip = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import sys; from {module} import {func}; sys.exit({func}())"
+
+
+def test_python_m_weylzip_runs_the_cli():
     args = ["classify", "--type", "A3", "--I", "1", "--psi", "1:1", "--w"]
+    entries = [["-m", "weylzip"], ["-m", "weylzip.cli"], ["-c", _console_script()]]
     for word, code in [("3,2,1", 0), ("3,x", 2)]:
         runs = [
-            subprocess.run([sys.executable, "-m", module, *args, word],
-                           env=env, capture_output=True, timeout=120)
-            for module in ("weylzip", "weylzip.cli")
+            subprocess.run([sys.executable, *entry, *args, word],
+                           env=_src_env(), capture_output=True, timeout=120)
+            for entry in entries
         ]
-        assert [r.returncode for r in runs] == [code, code], runs[0].stderr[-2000:]
-        assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr
+        assert [r.returncode for r in runs] == [code] * 3, runs[0].stderr[-2000:]
+        for r in runs[1:]:
+            assert r.stdout == runs[0].stdout and r.stderr == runs[0].stderr
     assert runs[0].stderr.startswith(b"error: cannot parse word")
+
+
+def test_main_leaves_the_collector_unfrozen():
+    before = gc.get_freeze_count()
+    assert run_cli(["classify", "--type", "A3", "--I", "1", "--psi", "1:1", "--w", "3,2,1"])[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+_FREEZE_PROBE = """
+import atexit, gc
+before = gc.get_freeze_count()
+atexit.register(lambda: print("frozen", before, gc.get_freeze_count() > 0))
+"""
+
+
+@pytest.mark.parametrize("entry", ["weylzip", "weylzip.cli", "console script"])
+def test_every_process_entry_freezes_the_heap(entry):
+    if entry == "console script":
+        code = _console_script()
+    else:
+        code = f"import runpy; runpy.run_module({entry!r}, run_name='__main__', alter_sys=True)"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE + code, "classify", "--type", "A3", "--I", "1",
+         "--psi", "1:1", "--w", "3,2,1"],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["piece 3,2,1", "sigma 1,3,2", "frozen 0 True"]
 
 
 def test_letter_zero_is_refused(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from weylzip import ZipDatum, build_group, frobenius_report, zip_datum_from_isogeny
 from weylzip.errors import NonSimpleConjugate, NotDoubleCosetRep, NotMinimalRep, WrongMode
+from weylzip.isogeny import IsogenyDatum
 from weylzip.serialize import parse_automorphism, word_str
 from weylzip.verify import check_lusztig_consistency, iter_isogeny_data
 
@@ -60,8 +61,23 @@ def test_reparam_examples(a3):
         iso.reparam(a3.simple(2), "forward")  # has a right descent in J
 
 
-# A hand-built IsogenyDatum whose x = s2 does not carry {1} onto J = {1}: both
-# directions take s1 s2 to s1, outside their target set.
+def test_isogeny_datum_refuses_an_x_that_does_not_carry_I_onto_J(a2):
+    # x = s2 sends alpha_1 to alpha_1 + alpha_2; unchecked, lusztig_closure(e)
+    # returned [e, s2]
+    ident = a2.identity_automorphism()
+    with pytest.raises(NonSimpleConjugate, match="not a simple reflection"):
+        IsogenyDatum(ZipDatum(a2, {1}, {1}, {1: 1}), a2.simple(2), ident, ident)
+
+
+def test_isogeny_datum_refuses_a_twist_other_than_that_of_x(a2):
+    # inn(e) * flip sends 1 to 2, the datum's psi sends 1 to 1
+    flip = parse_automorphism(a2, "flip")
+    ident = a2.identity_automorphism()
+    with pytest.raises(NonSimpleConjugate, match="not by the datum's psi"):
+        IsogenyDatum(ZipDatum(a2, {1}, {1}, {1: 1}), a2.identity, flip, ident)
+
+
+# A hand-built IsogenyDatum whose x = s2 does not carry {1} onto J = {1}.
 _BAD_X = """
 from weylzip import ZipDatum, build_group
 from weylzip.errors import NonSimpleConjugate
@@ -69,26 +85,21 @@ from weylzip.isogeny import IsogenyDatum
 
 g = build_group("A2")
 ident = g.identity_automorphism()
-iso = IsogenyDatum(ZipDatum(g, {1}, {1}, {1: 1}), g.simple(2), ident, ident)
-for direction in ("forward", "backward"):
-    try:
-        iso.reparam(g.from_word([1, 2]), direction)
-    except NonSimpleConjugate as exc:
-        print(direction, exc)
+try:
+    IsogenyDatum(ZipDatum(g, {1}, {1}, {1: 1}), g.simple(2), ident, ident)
+except NonSimpleConjugate as exc:
+    print(exc)
 """
 
 
-def test_reparam_refuses_a_bad_x_under_optimization():
+def test_isogeny_datum_refuses_a_bad_x_under_optimization():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-O", "-c", _BAD_X], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["forward", "backward"]
-    for line in lines:
-        assert "x = Element(A2: 2) does not carry" in line
+    assert proc.stdout == "x s_1 x^-1 is not a simple reflection (root image not simple)\n"
 
 
 def test_reparam_identity_x(a2):
