@@ -164,28 +164,27 @@ class AbstractZipDatum:
             raise NotAHomomorphism("psi must be defined on exactly Delta")
         if not set(self.psi.values()) <= gamma_set:
             raise ElementNotInGroup("psi image leaves Gamma")
-        for a in self.delta:
-            for b in self.delta:
-                ab = mult(a, b)
-                if ab not in self.delta:
-                    raise NotAHomomorphism(f"Delta is not closed under products: {a} * {b} = {ab}")
-                if self.psi[ab] != mult(self.psi[a], self.psi[b]):
-                    raise NotAHomomorphism("psi fails on the multiplication table")
+        # psi(a g) = psi(a) psi(g) for greedy generators g and all a in their span
+        e = self.group.identity
+        gens, span = [], {e: e}
+        for d in sorted(self.delta):
+            if d in span:
+                continue
+            gens.append(d)
+            try:
+                span = extend_homomorphism(e, gens, [self.psi[g] for g in gens], mult)
+            except NotAHomomorphism:
+                raise NotAHomomorphism("psi fails on the multiplication table") from None
+            if not span.keys() <= self.delta:
+                raise NotAHomomorphism("Delta is not closed under products")
+        if span != self.psi:
+            raise NotAHomomorphism("psi fails on the multiplication table")
 
     def __repr__(self) -> str:
         return (
             f"AbstractZipDatum(|Gamma|={self.group.order}, |Delta|={len(self.delta)}, "
             f"injective={self.psi_injective})"
         )
-
-    def _conjugate_with_twist(self, gamma: Perm):
-        """The subgroup gamma^{-1} Delta gamma together with the twist map
-        theta(gamma^{-1} d gamma) = psi(d)."""
-        gi = inverse(gamma)
-        theta = {}
-        for d in self.delta:
-            theta[mult(mult(gi, d), gamma)] = self.psi[d]
-        return theta
 
     def stable_subgroup(self, gamma: Perm) -> frozenset[Perm]:
         """The largest subgroup E of H = gamma^{-1} Delta gamma with
@@ -204,7 +203,8 @@ class AbstractZipDatum:
         got = self._stable.get(gamma)
         if got is not None:
             return got
-        theta = self._conjugate_with_twist(gamma)
+        gi = inverse(gamma)
+        theta = {mult(mult(gi, d), gamma): self.psi[d] for d in self.delta}
         E = frozenset(theta)
         while True:
             smaller = frozenset(c for c in E if theta[c] in E)

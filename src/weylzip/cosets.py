@@ -16,10 +16,11 @@ the standard parabolic subgroup W_U; subsets must then be contained in U.
 
 The Howlett decomposition w = w_I x w_J is one routine on the intp row
 of an Element, :meth:`CoxeterGroup.howlett_row`, which holds the one
-strip loop: the left descents in I come off the inverse row, one scatter
-turns it back, and the right descents in J come off the row, one read
-and one gather per letter.  The same loop spells canonical words.  It
-enumerates nothing, so it runs in groups of any size.  The Element-product
+single-row strip loop (:func:`strip_rows` is the one on stacks): the
+left descents in I come off the inverse row, one scatter turns it back,
+and the right descents in J come off the row, one read and one gather
+per letter.  The same loop spells canonical words.  It enumerates
+nothing, so it runs in groups of any size.  The Element-product
 stripping lives on only as :func:`weylzip.oracles.howlett_oracle`.
 """
 

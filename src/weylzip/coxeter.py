@@ -6,8 +6,9 @@ indexing with it widens to intp once.  A product is one gather, the
 inverse one scatter, the length the count of positive roots sent
 negative, and descent tests are reads of the row.  Canonical words are
 ShortLex-minimal reduced words, derived on demand by stripping the
-smallest left descent, one gather per letter, by the one strip loop,
-that of the Howlett decomposition (:meth:`CoxeterGroup.howlett_row`).
+smallest left descent, one gather per letter, by the one single-row strip
+loop, that of the Howlett decomposition (:meth:`CoxeterGroup.howlett_row`);
+a stack of rows is stripped by :func:`weylzip.cosets.strip_rows`.
 The simple reflections are kept once, as read-only intp row views of the
 reflection table (``reflection_rows``), which every single-row gather
 reads.  A root system is refused before it is built when its roots
@@ -472,8 +473,8 @@ class CoxeterGroup:
 
     Construct through :func:`build_group`; instances are immutable after
     construction apart from internal caches.  Caches (enumerations, Element
-    lists, tables, the root permutations of automorphisms, induced zip
-    data) are filled without locking.
+    lists, tables, automorphism root permutations) are filled without
+    locking.
 
     Each standard parabolic subgroup W_S is enumerated at most once, by
     :meth:`enumeration`, in ShortLex order of canonical words, as arrays
@@ -673,7 +674,7 @@ class CoxeterGroup:
     def howlett_row(self, row: np.ndarray, I: Sequence[int],
                     J: Sequence[int]) -> tuple[list[int], np.ndarray, list[int]]:
         """The Howlett decomposition w = l x r of the element with intp root
-        permutation `row`, for I and J ascending, by the one strip loop.
+        permutation `row`, for I and J ascending, by the one single-row strip loop.
 
         Returns (left, x, right): l = s_1 ... s_k for the letters s_i of
         `left`, the intp row of x, and r = t_k ... t_1 for the letters t_i of
@@ -795,15 +796,13 @@ class CoxeterGroup:
                 "(coxeter.ENUMERATION_BOUND)")
         return self._shortlex(tuple(sorted(key)), whole // part, J)
 
-    def elements_of_rows(self, rows: np.ndarray, words=None) -> tuple[Element, ...]:
+    def elements_of_rows(self, rows: np.ndarray, words) -> tuple[Element, ...]:
         """Elements for a stack of int16 root-permutation rows of this
-        group, each a read-only view of its row of the stack; with `words`,
-        their canonical words, each is given its word and length (and an
-        empty word gives the identity itself)."""
+        group and their canonical words, each a read-only view of its row
+        of the stack given its word and length (an empty word gives the
+        identity itself)."""
         rows = np.asarray(rows, dtype=np.int16).view()
         rows.setflags(write=False)
-        if words is None:
-            return tuple(Element(self, row) for row in rows)
         elems = []
         for row, word in zip(rows, words):
             if not word:

@@ -10,6 +10,7 @@ from weylzip.cli import main
 from weylzip.errors import ElementNotInGroup, NotAHomomorphism, TooLargeToEnumerate
 from weylzip.oracles import e_gamma_bruteforce
 from weylzip.serialize import cycles_str, parse_cycles
+from weylzip.verify import abstract_catalog
 
 
 def s3_datum():
@@ -152,6 +153,88 @@ def test_delta_not_closed_under_products_is_refused():
     # {e, c} misses c * c = (2, 0, 1), so psi cannot be read at that product
     with pytest.raises(NotAHomomorphism, match="Delta is not closed under products"):
         AbstractZipDatum(group, [e, c], {e: e, c: c})
+
+
+def product_table_verdict(group, delta, psi):
+    """The |Delta|^2 check that psi is a homomorphism on a subgroup Delta,
+    kept as the reference for the check on generators: the class of the
+    error it raises, or None when it accepts."""
+    gamma_set = group.element_set()
+    if not delta <= gamma_set:
+        return ElementNotInGroup
+    if set(psi) != delta:
+        return NotAHomomorphism
+    if not set(psi.values()) <= gamma_set:
+        return ElementNotInGroup
+    for a in delta:
+        for b in delta:
+            ab = mult(a, b)
+            if ab not in delta or psi[ab] != mult(psi[a], psi[b]):
+                return NotAHomomorphism
+    return None
+
+
+def verdict(group, delta, psi):
+    try:
+        AbstractZipDatum(group, delta, psi)
+    except (ElementNotInGroup, NotAHomomorphism) as exc:
+        return type(exc)
+    return None
+
+
+def perturbations(a):
+    """The datum itself, then psi with the images of each two neighbours of
+    sorted(Delta) swapped, psi(e) moved off e, and Delta without each of its
+    non-identity elements."""
+    e, ordered = a.group.identity, sorted(a.delta)
+    yield "as given", a.delta, a.psi
+    for x, y in zip(ordered, ordered[1:]):
+        yield f"swap {x} {y}", a.delta, {**a.psi, x: a.psi[y], y: a.psi[x]}
+    moved = next(g for g in a.group.elements() if g != e)
+    yield "psi(e) moved", a.delta, {**a.psi, e: moved}
+    for d in ordered:
+        if d != e:
+            yield f"drop {d}", a.delta - {d}, {k: v for k, v in a.psi.items() if k != d}
+
+
+def test_generator_check_agrees_with_the_product_table():
+    refused = accepted = 0
+    for name, a in abstract_catalog():
+        for what, delta, psi in perturbations(a):
+            expected = product_table_verdict(a.group, delta, psi)
+            assert verdict(a.group, delta, psi) is expected, (name, what)
+            accepted += expected is None
+            refused += expected is not None
+    # some perturbations are accepted, so agreement is not all refusals
+    assert accepted > len(abstract_catalog()) and refused > 0
+
+
+def test_empty_delta_is_refused():
+    group = FiniteGroup(3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
+    # the product table of the empty set has no entry to fail on
+    assert product_table_verdict(group, frozenset(), {}) is None
+    with pytest.raises(NotAHomomorphism, match="psi fails on the multiplication table"):
+        AbstractZipDatum(group, [], {})
+    # no generators still give the trivial subgroup
+    a = AbstractZipDatum.from_generators(group, [], [])
+    assert a.delta == frozenset({group.identity}) and len(a.equivalence_classes()) == 6
+
+
+def test_explicit_psi_is_checked_in_few_products(monkeypatch):
+    s6 = FiniteGroup(6, [parse_cycles("(1 2)", 6), parse_cycles("(1 2 3 4 5 6)", 6)])
+    delta = s6.element_set()
+    x = parse_cycles("(1 3 5)(2 6)", 6)
+    psi = {d: mult(mult(x, d), inverse(x)) for d in delta}
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mult(a, b)
+
+    monkeypatch.setattr(abstract, "mult", counted)
+    a = AbstractZipDatum(s6, delta, psi)
+    # the product table takes 2 |Delta|^2 = 1 036 800 products
+    assert a.psi_injective and len(calls) < 30_000
 
 
 def test_twisted_conjugation_of_stable_subgroups():
