@@ -21,7 +21,8 @@ from .cosets import (
     min_right_coset_reps,
     refined_length_count,
 )
-from .zipdata import ClosurePoset, Piece, ZipDatum
+from .pieces import ClosurePoset, Piece, Pieces
+from .zipdata import ZipDatum
 
 # The abstract, non-connected and isogeny layers are imported on first
 # access (PEP 562), so a process that never uses them does not load them.
@@ -61,6 +62,7 @@ __all__ = [
     "HowlettDecomposition",
     "IsogenyDatum",
     "Piece",
+    "Pieces",
     "ZipDatum",
     "build_group",
     "frobenius_report",

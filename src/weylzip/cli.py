@@ -71,35 +71,27 @@ def _add_datum_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _pieces_lines(z: ZipDatum, central_rank: int, fmt: str) -> list[str]:
-    rows = z.pieces(central_rank=central_rank)
+    """The lines of `pieces` (and `isogeny`), formatted from the columns of
+    :meth:`ZipDatum.pieces`; a jsonl line is the text of ``json.dumps`` of
+    its object, and a word, digits, commas or "e", is quoted as it is."""
+    pieces = z.pieces(central_rank=central_rank)
+    rows = zip(pieces.words("rep"), pieces.length.tolist(), pieces.dimension.tolist(),
+               pieces.inf_stab_dim.tolist(), pieces.stable_code.tolist())
     if fmt == "jsonl":
+        K = [json.dumps(sorted(s)) for s in pieces.stable_subsets]
         return [
-            json.dumps(
-                {
-                    "word": word_str(p.rep),
-                    "length": p.length,
-                    "dim": p.dimension,
-                    "inf_stab_dim": p.inf_stab_dim,
-                    "K": sorted(p.stable_subset),
-                    "sigma": word_str(p.dual_rep),
-                }
-            )
-            for p in rows
+            f'{{"word": "{w}", "length": {n}, "dim": {d}, "inf_stab_dim": {i}, '
+            f'"K": {K[c]}, "sigma": "{v}"}}'
+            for (w, n, d, i, c), v in zip(rows, pieces.words("dual_rep"))
         ]
+    K = [subset_str(s) for s in pieces.stable_subsets]
     header = f"{'word':>12}  {'l':>3} {'dim':>5} {'infstab':>7}  K"
-    lines = [header]
-    for p in rows:
-        lines.append(
-            f"{word_str(p.rep):>12}  {p.length:>3} {p.dimension:>5} "
-            f"{p.inf_stab_dim:>7}  {subset_str(p.stable_subset)}"
-        )
-    return lines
+    return [header] + [f"{w:>12}  {n:>3} {d:>5} {i:>7}  {K[c]}" for w, n, d, i, c in rows]
 
 
 def cmd_pieces(args) -> int:
     z, central_rank = _zip_datum_from_args(args)
-    for line in _pieces_lines(z, central_rank, args.format):
-        print(line)
+    print("\n".join(_pieces_lines(z, central_rank, args.format)))
     return 0
 
 
@@ -192,8 +184,7 @@ def cmd_isogeny(args) -> int:
 
         sys.stdout.write(frobenius_report(iso, central_rank).render_text())
         return 0
-    for line in _pieces_lines(z, central_rank, args.format):
-        print(line)
+    print("\n".join(_pieces_lines(z, central_rank, args.format)))
     return 0
 
 

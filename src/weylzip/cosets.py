@@ -26,12 +26,11 @@ stripping lives on only as :func:`weylzip.oracles.howlett_oracle`.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coxeter import CoxeterGroup, Element
+from .coxeter import CoxeterGroup, Element, word_tuples
 from .errors import NotDoubleCosetRep, NotMinimalRep, SubsetMismatch
 
 
@@ -53,34 +52,30 @@ def in_min_right(w: Element, J) -> bool:
     return not any(w.has_right_descent(j) for j in J)
 
 
-def rep_rows(
-    group: CoxeterGroup, I, J, universe=None
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def rep_rows(group: CoxeterGroup, I, J, universe=None) -> tuple[np.ndarray, np.ndarray]:
     """The int16 rows and canonical words of the elements of W_U with no
-    left descent in I and no right descent in J, in ShortLex order.
+    left descent in I and no right descent in J, in ShortLex order; the
+    words are one int16 row each, letters in order and padded with 0.
 
     With J, or with neither, the walk of W_U^J in its order, masked by the
-    left descents in I, with the words the walk spells.  With I alone, the
-    inverses of the walk of W_U^I (its inverse rows, whose own inverses are
-    the walk's rows), sorted by the canonical words that :func:`strip_rows`
-    reads off the walk's rows.  The walk is refused when its rows, |W_U| /
-    |W_J| (|W_I|), exceed the enumeration bound; SubsetMismatch when I or J
-    is not contained in U."""
+    left descents in I, with the words the walk spells
+    (:meth:`ShortLex.letters_at`).  With I alone, the inverses of the walk
+    of W_U^I (its inverse rows, whose own inverses are the walk's rows),
+    sorted by the canonical words that :func:`strip_rows` reads off the
+    walk's rows.  The walk is refused when its rows, |W_U| / |W_J|
+    (|W_I|), exceed the enumeration bound; SubsetMismatch when I or J is
+    not contained in U."""
     U, I = _universe(group, universe), sorted(set(I))
     if not U.issuperset(I) or not U.issuperset(J):
         raise SubsetMismatch(f"I = {I} and J = {sorted(set(J))} must lie in U = {sorted(U)}")
     if I and not J:
         e = group.coset_walk(U, I)
         letters, _ = strip_rows(group, e.perms, group.simple_indices)
-        lengths = (letters > 0).sum(axis=1)
-        order = np.lexsort([*letters.T[::-1], lengths])
-        # the words, unpacked in one C-level pass, without their zero padding
-        width = letters.shape[1]
-        padded = struct.iter_unpack(f"{width}h", letters[order]) if width else [()] * len(order)
-        return e.inverses[order], [word[:n] for word, n in zip(padded, lengths[order].tolist())]
+        order = np.lexsort([*letters.T[::-1], (letters > 0).sum(axis=1)])
+        return e.inverses[order], letters[order]
     e = group.coset_walk(U, J)
     keep = np.flatnonzero(~e.left[:, [i - 1 for i in I]].any(axis=1))
-    return e.perms[keep], e.words_at(keep)
+    return e.perms[keep], e.letters_at(keep)
 
 
 def strip_rows(group: CoxeterGroup, rows, S) -> tuple[np.ndarray, np.ndarray]:
@@ -95,29 +90,40 @@ def strip_rows(group: CoxeterGroup, rows, S) -> tuple[np.ndarray, np.ndarray]:
     Row w = x v, with v in W_S and x without right descent in S, loses the
     l(v) letters of v: the roots of Phi_S^+ that w sends negative, counted
     up front.  The rows are stripped longest first, so at each step those
-    still stripping are a prefix of the stack."""
+    still stripping are a prefix of the stack.  Only the images of the
+    positive roots are carried: w(-alpha) = -w(alpha), and w s_t sends a
+    positive alpha other than alpha_t to w(s_t alpha), s_t alpha positive,
+    and alpha_t to -w(alpha_t)."""
     m = group.num_positive
     S = np.array(sorted(S), dtype=np.intp)
-    rows = np.array(rows, dtype=np.int16)
+    rows = np.asarray(rows, dtype=np.int16)
     counts = (rows[:, sorted(group.phi_plus(S.tolist()))] >= m).sum(axis=1)
     order = np.argsort(-counts, kind="stable")
-    rows, counts = rows[order], counts[order]
+    half, counts = rows[order, :m], counts[order]
+    # the positive columns of the row of s_t, alpha_t read where it stands
+    cols = {t: np.where(np.arange(m) == t - 1, t - 1, group.reflection_rows[t - 1][:m])
+            for t in S.tolist()}
+    negative = np.roll(np.arange(2 * m, dtype=np.int16), m)  # root r -> index of -r
     letters = np.zeros((len(rows), counts[0] if len(rows) else 0), dtype=np.int16)
     for j in range(letters.shape[1]):
-        active = rows[: np.count_nonzero(counts > j)]
+        active = half[: np.count_nonzero(counts > j)]
         s = S[(active[:, S - 1] >= m).argmax(axis=1)]  # alpha_s sits at index s - 1
         letters[: len(active), j] = s
-        for t in S:  # row p becomes row p * s_p: one column gather per letter
+        for t in S.tolist():  # row p becomes row p * s_p: one column gather per letter
             hit = np.flatnonzero(s == t)
             if len(hit):
-                active[hit] = active[hit].take(group.reflection_rows[t - 1], axis=1)
-    out, rest = np.empty_like(letters), np.empty_like(rows)
-    out[order], rest[order] = letters, rows
+                moved = active[hit].take(cols[t], axis=1)
+                moved[:, t - 1] = negative[moved[:, t - 1]]
+                active[hit] = moved
+    out, rest = np.empty_like(letters), np.empty((len(rows), 2 * m), dtype=np.int16)
+    out[order] = letters
+    rest[order] = np.concatenate([half, negative[half]], axis=1)
     return out, rest
 
 
 def _reps(group: CoxeterGroup, I, J, universe) -> tuple[Element, ...]:
-    return group.elements_of_rows(*rep_rows(group, I, J, universe))
+    rows, letters = rep_rows(group, I, J, universe)
+    return group.elements_of_rows(rows, word_tuples(letters))
 
 
 def min_left_coset_reps(group: CoxeterGroup, I, universe=None) -> tuple[Element, ...]:

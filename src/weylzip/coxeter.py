@@ -49,6 +49,7 @@ r + num_positive (mod 2 * num_positive).
 
 from __future__ import annotations
 
+import struct
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -372,22 +373,29 @@ class ShortLex:
         values.flags.writeable = False
         return values
 
+    def letters_at(self, positions) -> np.ndarray:
+        """The canonical words of the elements at the given positions as the
+        walk spells them, word(w_k) = (first[k],) + word(w_parent[k]): one
+        int16 row per position, padded with 0, one gather per letter."""
+        at = np.asarray(positions, dtype=np.intp)
+        top = int(np.searchsorted(self.layers, at.max(), side="right")) - 1 if len(at) else 0
+        letters = np.empty((len(at), top), dtype=np.int16)
+        for j in range(top):
+            letters[:, j] = self.first[at]
+            at = self.parent[at]
+        return letters
+
     def words_at(self, positions) -> list[tuple[int, ...]]:
-        """The canonical words of the elements at the given positions, as the
-        walk spells them: word(w_k) = (first[k],) + word(w_parent[k])."""
-        positions = np.asarray(positions, dtype=np.intp)
-        # the positions and their ancestors on the walk; parents come first
-        need = np.zeros(len(self.first), dtype=bool)
-        todo = positions
-        while len(todo):
-            need[todo] = True
-            todo = self.parent[todo]
-            todo = todo[~need[todo]]
-        ks = np.flatnonzero(need[1:]) + 1
-        words: dict[int, tuple[int, ...]] = {0: ()}
-        for k, s, p in zip(ks.tolist(), self.first[ks].tolist(), self.parent[ks].tolist()):
-            words[k] = (s,) + words[p]
-        return [words[k] for k in positions.tolist()]
+        return word_tuples(self.letters_at(positions))
+
+
+def word_tuples(letters: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a padded int16 letter array as word tuples."""
+    lengths = np.count_nonzero(letters, axis=1).tolist()
+    if not letters.shape[1]:
+        return [()] * len(lengths)
+    padded = struct.iter_unpack(f"{letters.shape[1]}h", np.ascontiguousarray(letters, np.int16))
+    return [word[:n] for word, n in zip(padded, lengths)]
 
 
 class GroupTables:

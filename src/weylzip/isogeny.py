@@ -25,7 +25,8 @@ from .errors import (
     PsiNotCoxeter,
     WrongMode,
 )
-from .zipdata import Piece, ZipDatum
+from .pieces import ClosurePoset, Pieces
+from .zipdata import ZipDatum
 
 
 @dataclass(frozen=True)
@@ -152,32 +153,43 @@ def _isogeny_twist(group: CoxeterGroup, phi_bar: CoxeterAutomorphism,
 @dataclass(frozen=True)
 class FrobeniusReport:
     """Pieces annotated as single orbits (orbitally-finite reading), plus
-    the closure cover edges."""
+    the closure cover edges: the nodes and edges of `poset`."""
 
     datum: ZipDatum
     central_rank: int
-    rows: tuple[Piece, ...]
-    cover_edges: tuple[tuple[int, int], ...]
+    poset: ClosurePoset
     orbitally_finite: bool = True
 
-    def render_text(self) -> str:
-        from .serialize import subset_str, word_str
+    @property
+    def rows(self) -> Pieces:
+        return self.poset.nodes
 
+    @property
+    def cover_edges(self) -> tuple[tuple[int, int], ...]:
+        return self.poset.cover_edges
+
+    def render_text(self) -> str:
+        """The report's text, formatted from the columns of the pieces and
+        the edge arrays of the poset."""
+        from .serialize import subset_str
+
+        rows, poset = self.rows, self.poset
+        words = rows.words("rep")
+        K = [subset_str(s) for s in rows.stable_subsets]
         lines = [
-            f"orbit representatives ({len(self.rows)} pieces, "
+            f"orbit representatives ({len(rows)} pieces, "
             f"dim G = {self.datum.dim_group(self.central_rank)})"
         ]
-        for p in self.rows:
-            lines.append(
-                f"  {word_str(p.rep):>12}  l={p.length:<3} dim={p.dimension:<4} "
-                f"infstab={p.inf_stab_dim:<3} K={subset_str(p.stable_subset)}"
-            )
+        lines += [
+            f"  {w:>12}  l={n:<3} dim={d:<4} infstab={i:<3} K={K[c]}"
+            for w, n, d, i, c in zip(words, rows.length.tolist(), rows.dimension.tolist(),
+                                     rows.inf_stab_dim.tolist(), rows.stable_code.tolist())
+        ]
         lines.append("closure cover edges:")
-        for a, b in self.cover_edges:
-            lines.append(
-                f"  {word_str(self.rows[a].rep)} -> {word_str(self.rows[b].rep)}"
-            )
-        return "\n".join(lines) + "\n"
+        lines += [f"  {words[a]} -> {words[b]}"
+                  for a, b in zip(poset.lower.tolist(), poset.upper.tolist())]
+        lines.append("")
+        return "\n".join(lines)
 
 
 def frobenius_report(datum: ZipDatum | IsogenyDatum, central_rank: int = 0) -> FrobeniusReport:
@@ -186,9 +198,4 @@ def frobenius_report(datum: ZipDatum | IsogenyDatum, central_rank: int = 0) -> F
     double as orbit representatives and the poset as orbit closures."""
     z = datum.zip if isinstance(datum, IsogenyDatum) else datum
     poset = z.hasse_poset(side="iw", central_rank=central_rank)
-    return FrobeniusReport(
-        datum=z,
-        central_rank=central_rank,
-        rows=poset.nodes,
-        cover_edges=poset.cover_edges,
-    )
+    return FrobeniusReport(datum=z, central_rank=central_rank, poset=poset)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element, build_group
 from .errors import MalformedInput
 from .zipdata import ZipDatum
@@ -26,6 +28,23 @@ if TYPE_CHECKING:
 def word_str(w: Element) -> str:
     word = w.canonical_word()
     return "e" if not word else ",".join(map(str, word))
+
+
+def word_texts(letters: np.ndarray) -> list[str]:
+    """:func:`word_str` of each row of a padded int16 letter array (the
+    letters of a canonical word in order, then 0).  Every letter becomes
+    its index right-aligned to the width of the largest, and a comma, by
+    one gather into one ASCII text; row p is a slice of that text, with
+    the alignment's spaces removed."""
+    k, width = letters.shape
+    top = int(letters.max()) if letters.size else 0
+    digits = len(str(top))
+    tokens = np.array([list(f"{s:>{digits}},".encode()) for s in range(top + 1)], dtype=np.uint8)
+    text = tokens[letters].tobytes().decode("ascii")
+    starts = (np.arange(k) * (width * (digits + 1))).tolist()
+    ends = (np.count_nonzero(letters, axis=1) * (digits + 1) - 1).tolist()
+    words = [text[at:at + end] if end > 0 else "e" for at, end in zip(starts, ends)]
+    return words if digits == 1 else [w.replace(" ", "") for w in words]
 
 
 def parse_word(group: CoxeterGroup, text: str) -> Element:

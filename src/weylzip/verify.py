@@ -613,8 +613,10 @@ def abstract_catalog() -> tuple[tuple[str, AbstractZipDatum], ...]:
         _abstract(4, a4, ["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 3)(2 4)", "(1 4)(2 3)"],
                   "A4/V4 cycle"),
     ]
-    assert len(data) >= 20
-    assert any(not a.psi_injective for _, a in data)
+    if len(data) < 20:
+        raise RuntimeError(f"the abstract catalog has {len(data)} data, fewer than 20")
+    if all(a.psi_injective for _, a in data):
+        raise RuntimeError("the abstract catalog has no datum with a non-injective psi")
     return tuple(data)
 
 

@@ -7,7 +7,9 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
 * the piece parameter sets (minimal coset representatives on either side,
   from the ShortLex walk of the coset representatives, never all of W_U),
 * every piece with its sigma image, K_w, Howlett parts and dimension
-  counts in one batched pass over the stacked parameter rows,
+  counts in one batched pass over the stacked parameter rows, held as
+  columns (:class:`Pieces`) from which the CLI's text is formatted; a
+  Piece, and its Elements, is built only when it is read,
 * the largest psi*inn(w)-stable subset K_w of each piece,
 * the canonical representative of any group element under the twisted
   equivalence relation (so membership of w in a piece is decidable), by
@@ -35,15 +37,13 @@ datum is realized without rebuilding groups.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import cosets
-from .coxeter import CoxeterGroup, Element, GroupTables
+from .coxeter import CoxeterGroup, Element, GroupTables, word_tuples
 from .errors import (
     GroupMismatch,
     NotDoubleCosetRep,
@@ -53,6 +53,7 @@ from .errors import (
     PsiNotCoxeter,
     SubsetMismatch,
 )
+from .pieces import ClosurePoset, Pieces, _positions
 
 if TYPE_CHECKING:
     from .abstract import AbstractZipDatum
@@ -79,7 +80,8 @@ class ZipDatum:
     """A validated Coxeter-type zip datum, immutable after construction.
 
     `psi` maps 1-based simple indices of I to those of J.  Public methods
-    are pure; the only caches, internal, are the parameter rows and orbit
+    are pure; the only caches, internal, are the parameter rows and words,
+    the parameter Elements (built by :meth:`param_set` alone) and the orbit
     positions of each side, and canonical_rep, sigma and sigma_inverse
     store nothing.
 
@@ -108,7 +110,8 @@ class ZipDatum:
         self._psi_table = group.psi_table(self.psi)
         #: I and J ascending, as the Howlett stripping reads them
         self._I_sorted, self._J_sorted = tuple(sorted(self.I)), tuple(sorted(self.J))
-        self._params: dict[str, tuple[np.ndarray, tuple[Element, ...]]] = {}
+        self._params: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._param_elements: dict[str, tuple[Element, ...]] = {}
         self._orbits: dict[str, np.ndarray] = {}
 
     def _validate(self) -> None:
@@ -200,19 +203,27 @@ class ZipDatum:
 
     def param_set(self, side: str = "iw") -> tuple[Element, ...]:
         """The piece parameter set: minimal left reps of W_I (side "iw") or
-        minimal right reps of W_J (side "wj"), ShortLex ordered."""
-        return self._param_rows(side)[1]
-
-    def _param_rows(self, side: str) -> tuple[np.ndarray, tuple[Element, ...]]:
-        """The int16 rows of the parameters of a side and their Elements,
-        cached per side."""
-        _check_side(side)
-        got = self._params.get(side)
+        minimal right reps of W_J (side "wj"), ShortLex ordered, built from
+        :meth:`_param_rows` on first call and cached."""
+        got = self._param_elements.get(side)
         if got is None:
-            I, J = (self.I, ()) if side == "iw" else ((), self.J)
-            rows, letters = cosets.rep_rows(self.group, I, J, self.universe)
-            got = rows, self.group.elements_of_rows(rows, letters)
-            self._params[side] = got
+            rows, letters = self._param_rows(side)
+            got = self._param_elements[side] = self.group.elements_of_rows(
+                rows, word_tuples(letters))
+        return got
+
+    def _param_rows(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only int16 rows of the parameters of a side and their
+        canonical words, padded with 0 (:func:`cosets.rep_rows`), cached per
+        side; with I and J empty both sides are one walk, built once."""
+        _check_side(side)
+        key = (self.I, ()) if side == "iw" else ((), self.J)
+        got = self._params.get(key)
+        if got is None:
+            got = cosets.rep_rows(self.group, *key, self.universe)
+            for array in got:
+                array.flags.writeable = False
+            self._params[key] = got
         return got
 
     def _check_poset_size(self, side: str) -> None:
@@ -251,12 +262,13 @@ class ZipDatum:
         stable subset is the union of its cycles, found by a decreasing
         fixpoint (:meth:`_stable_subsets`)."""
         self._require_param(w, "iw")
-        return self._stable_subsets(w.row[None])[0]
+        code, subsets = self._stable_subsets(w.row[None])
+        return subsets[code[0]]
 
-    def _stable_subsets(self, rows: np.ndarray) -> list[frozenset[int]]:
-        """K_w for each row w of a stack: the decreasing fixpoint K -> {s in
-        K : f(s) in K} of the partial maps f of all rows at once, from the
-        domain of f within the universe."""
+    def _stable_subsets(self, rows: np.ndarray) -> tuple[np.ndarray, tuple[frozenset[int], ...]]:
+        """K_w for each row w of a stack, as codes into the distinct subsets:
+        the decreasing fixpoint K -> {s in K : f(s) in K} of the partial maps
+        f of all rows at once, from the domain of f within the universe."""
         S = self.group.simple_indices
         f = self.group.partial_map(rows, self._psi_table)
         outside = [s - 1 for s in S if s not in self.universe]
@@ -268,10 +280,12 @@ class ZipDatum:
             if np.array_equal(K2, K):
                 break
             K = K2
-        # one frozenset per distinct subset, keyed by its bit mask
-        codes = (K @ (1 << np.arange(len(S)))).tolist()
-        subsets = {c: frozenset(s for s in S if c >> (s - 1) & 1) for c in set(codes)}
-        return [subsets[c] for c in codes]
+        # one frozenset per distinct row of K, its bits packed into bytes
+        packed = np.packbits(K, axis=1, bitorder="little")
+        distinct, code = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                   return_inverse=True)
+        masks = [int.from_bytes(key, "little") for key in distinct.tolist()]
+        return code, tuple(frozenset(s for s in S if c >> (s - 1) & 1) for c in masks)
 
     # -- canonical representatives --
 
@@ -405,29 +419,30 @@ class ZipDatum:
     def closure_set(self, w: Element, side: str = "iw") -> tuple[Element, ...]:
         """All parameter-set elements preceding w, ShortLex ordered."""
         self._require_param(w, side)
-        hits = self._relation_matrix(side, [w])[:, 0]
-        return tuple(wp for wp, hit in zip(self.param_set(side), hits) if hit)
+        hits = np.flatnonzero(self._relation_matrix(side, [w.canonical_word()])[:, 0])
+        rows, letters = self._param_rows(side)
+        return self.group.elements_of_rows(rows[hits], word_tuples(letters[hits]))
 
-    def _relation_matrix(self, side: str, targets=None) -> np.ndarray:
-        """R[a, b] = (params[a] precedes targets[b]), column-major: the rows
-        of :meth:`_down_sets`, unpacked."""
-        down = self._down_sets(side, targets)
-        return np.unpackbits(down, axis=1, count=len(self.param_set(side))).view(bool).T
+    def _relation_matrix(self, side: str, words=None) -> np.ndarray:
+        """R[a, b] = (params[a] precedes the target of canonical word
+        words[b]), column-major: the rows of :meth:`_down_sets`, unpacked."""
+        down = self._down_sets(side, words)
+        return np.unpackbits(down, axis=1, count=len(self._param_rows(side)[0])).view(bool).T
 
-    def _down_sets(self, side: str, targets=None) -> np.ndarray:
+    def _down_sets(self, side: str, words=None) -> np.ndarray:
         """Row b packs (as ``np.packbits``) the a with params[a] preceding
-        targets[b], parameters of the same side (default: all, refused above
-        POSET_BOUND).  Works on ShortLex positions in the tables of W_U,
-        orbits included (:meth:`_orbit_positions`): bit a reads "some
-        y params[a] psi(y)^{-1} lies in the Bruhat down-set of targets[b]"
-        from one boolean row over W_U per target, |targets| * |W_U| work."""
-        if targets is None:
+        the parameter of the same side with canonical word words[b]
+        (default: every parameter's, refused above POSET_BOUND).  Works on
+        ShortLex positions in the tables of W_U, orbits included
+        (:meth:`_orbit_positions`): bit a reads "some y params[a] psi(y)^{-1}
+        lies in the Bruhat down-set of target b" from one boolean row over
+        W_U per target, |targets| * |W_U| work; no Element is built."""
+        if words is None:
             self._check_poset_size(side)
         orbit = self._orbit_positions(side)
-        params = self.param_set(side)
-        targets = params if targets is None else targets
-        packed = np.empty((len(targets), (len(params) + 7) // 8), dtype=np.uint8)
-        words = [w.canonical_word() for w in targets]
+        if words is None:
+            words = word_tuples(self._param_rows(side)[1])
+        packed = np.empty((len(words), (orbit.shape[1] + 7) // 8), dtype=np.uint8)
         for b, down in _down_rows(self.group.tables(self.universe), words, side == "iw"):
             packed[b] = np.packbits(down[orbit].any(axis=0))
         return packed
@@ -502,7 +517,7 @@ class ZipDatum:
         pair = pair[np.flatnonzero(np.diff(pair, prepend=-1))]
         return pair // k, pair % k
 
-    def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> "ClosurePoset":
+    def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> ClosurePoset:
         """The full closure poset on the chosen parameter set, with cover
         edges (transitive reduction) and per-node piece data.
 
@@ -510,16 +525,18 @@ class ZipDatum:
         each orbit is one element and the order is Bruhat order, graded by
         length, whose lower covers of w are the one-letter deletions of a
         reduced word of w of length l(w) - 1 (Bjorner-Brenti, GTM 231,
-        section 2.2): D1 is the cover set, and no relation is built.  Otherwise :func:`_cover_edges`
-        certifies D1 against the packed relation (:meth:`_down_sets`,
-        refused above POSET_BOUND before anything is built)."""
+        section 2.2): D1 is the cover set, and no relation is built.
+        Otherwise :func:`_cover_edges` certifies D1 against the packed
+        relation (:meth:`_down_sets`, refused above POSET_BOUND before
+        anything is built).  The nodes are :meth:`pieces` and the covers two
+        index arrays, so no Piece and no Element is built."""
         _check_side(side)
         down = self._down_sets(side) if self.I else None
         a, b = self._length_one_pairs(side)
         nodes = self.pieces(side=side, central_rank=central_rank)
-        covers = tuple(zip(a.tolist(), b.tolist())) if down is None else _cover_edges(
-            down, a, b, np.array([p.length for p in nodes]), f"{self!r} ({side})")
-        return ClosurePoset(datum=self, side=side, nodes=nodes, cover_edges=covers)
+        if down is not None:
+            a, b = _cover_edges(down, a, b, nodes.length, f"{self!r} ({side})")
+        return ClosurePoset(self, side, nodes, a, b)
 
     # -- numeric reports --
 
@@ -559,51 +576,40 @@ class ZipDatum:
                                f"dim V = {dim_v}")
         return dim_v - length
 
-    def pieces(self, side: str = "iw", central_rank: int = 0) -> tuple["Piece", ...]:
-        """One Piece per parameter, ordered ShortLex by the chosen side's
-        label.  In orbitally-finite data each piece is a single orbit and
-        this doubles as the orbit-representative list.
+    def pieces(self, side: str = "iw", central_rank: int = 0) -> Pieces:
+        """One piece per parameter, ordered ShortLex by the chosen side's
+        label, as columns (:class:`Pieces`).  In orbitally-finite data each
+        piece is a single orbit and this doubles as the orbit-representative
+        list.
 
         One batched pass over the stacked rows X of the "iw" parameters:
         sigma of all rows by :meth:`_sigma_rows`, K_w from the partial maps
         of all rows, and the Howlett parts by stripping the right descents
         in J from all rows at once (a parameter has no left descent in I,
-        so its left part is e).  The sigma images and the x parts are looked
-        up by row among the "wj" and the "iw" parameters, and each distinct
-        right part is built once, so Elements are built for the parameters
-        of both sides and the few distinct right parts only."""
+        so its left part is e).  The x parts are looked up by row among the
+        "iw" parameters, the sigma images among the "wj" ones when first
+        read (on the "wj" side at once, as they order it), and the right
+        parts kept as the letters stripped; no Piece and no Element is
+        built until one is read."""
         _check_side(side)
         g = self.group
-        X, reps = self._param_rows("iw")
-        dual = self._sigma_rows("iw", X)
-        right_letters, x = cosets.strip_rows(g, X, self.J)
-        # sigma is a bijection onto the "wj" parameters, and x is an "iw" one
-        wj_rows, wj = self._param_rows("wj")
-        dual_at = _positions(wj_rows, dual)
-        x_parts = [reps[p] for p in _positions(X, x).tolist()]
-        # the right part is t_k ... t_1 for the letters t_1, ..., t_k stripped
-        # from w, one Element per distinct sequence (they lie in W_J)
-        right_keys = list(map(tuple, right_letters.tolist()))
-        rights = {key: g.from_word([t for t in reversed(key) if t]) for key in set(right_keys)}
-        dim_p, deficit = self.dim_parabolic(central_rank), self.dim_levi_deficit()
-        out = [
-            Piece(
-                rep=w,
-                dual_rep=wj[d],
-                stable_subset=K,
-                length=w.length,
-                x_part=xw,
-                right_part=rights[rk],
-                dimension=dim_p + w.length,
-                inf_stab_dim=deficit - xw.length,
-            )
-            for w, d, K, xw, rk in zip(
-                reps, dual_at.tolist(), self._stable_subsets(X), x_parts, right_keys
-            )
-        ]
-        if side == "wj":
-            out = [out[p] for p in np.argsort(dual_at).tolist()]
-        return tuple(out)
+        X, letters = self._param_rows("iw")
+        right, x = cosets.strip_rows(g, X, self.J)
+        x_at = _positions(X, x, g.rank)
+        code, subsets = self._stable_subsets(X)
+        length = np.count_nonzero(letters, axis=1)
+        pieces = Pieces(
+            self, subsets,
+            rep_at=np.arange(len(X)),
+            sigma=self._sigma_rows("iw", X)[:, :g.rank].copy(),
+            x_at=x_at,
+            right=right,
+            stable_code=code,
+            length=length,
+            dimension=self.dim_parabolic(central_rank) + length,
+            inf_stab_dim=self.dim_levi_deficit() - length[x_at],
+        )
+        return pieces if side == "iw" else pieces._take(np.argsort(pieces._dual_at))
 
     # -- bridge to the abstract-group machinery --
 
@@ -630,21 +636,11 @@ def _not_param(side: str) -> NotMinimalRep:
     return NotMinimalRep(f"element is not a {kind} representative in the universe")
 
 
-def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The position in the stack `table` of each row of `rows`, all of which
-    it holds: rows compared as raw bytes, by one sort and one binary
-    search."""
-    whole_row = np.dtype((np.void, table.itemsize * table.shape[1]))
-    keys = np.ascontiguousarray(table).view(whole_row).ravel()
-    wanted = np.ascontiguousarray(rows, dtype=table.dtype).view(whole_row).ravel()
-    order = np.argsort(keys)
-    return order[np.searchsorted(keys[order], wanted)]
-
-
 def _cover_edges(down: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarray,
-                 where: str) -> tuple[tuple[int, int], ...]:
+                 where: str) -> tuple[np.ndarray, np.ndarray]:
     """The cover edges, row-major, of the order whose row y of `down` packs
-    the x <= y (as :meth:`ZipDatum._down_sets`).
+    the x <= y (as :meth:`ZipDatum._down_sets`), as the arrays of their
+    lower and upper ends.
 
     (a, b) are pairs of the order one length apart, row-major, and `length`
     holds the nondecreasing node lengths.  The order strictly raises length,
@@ -674,7 +670,7 @@ def _cover_edges(down: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndar
             break
         below, base = cols, lo
     else:
-        return tuple(zip(a.tolist(), b.tolist()))
+        return a, b
     if k > PRODUCT_BOUND:
         raise PosetTooLarge(
             f"the length-one pairs of {where} do not close to its order, and "
@@ -684,14 +680,15 @@ def _cover_edges(down: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndar
     return _product_covers(np.unpackbits(down, axis=1, count=k).view(bool).T)
 
 
-def _product_covers(rel: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The cover edges of rel, row-major, from the nodes strictly between
-    each pair, counted by a float32 (BLAS) product: every partial sum is an
-    integer at most k < 2**24, so the counts are exact and cannot wrap."""
+def _product_covers(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cover edges of rel, row-major, as the arrays of their lower and
+    upper ends, from the nodes strictly between each pair, counted by a
+    float32 (BLAS) product: every partial sum is an integer at most
+    k < 2**24, so the counts are exact and cannot wrap."""
     strict = rel & ~np.eye(len(rel), dtype=bool)
     between = strict.astype(np.float32)
     covers = strict & ((between @ between) == 0)
-    return tuple(zip(*(x.tolist() for x in np.nonzero(covers))))
+    return np.nonzero(covers)
 
 
 def _down_rows(t: GroupTables, words, right: bool):
@@ -720,90 +717,3 @@ def _down_rows(t: GroupTables, words, right: bool):
             yield b, row
         for s in children.get(path, ()):
             stack.append((path + (s,), row | row[mul[s - 1]]))
-
-
-@dataclass(frozen=True)
-class Piece:
-    """One stratum: its parameter w (and dual label sigma(w)), the largest
-    psi*inn(w)-stable subset, Howlett parts, and dimension counts."""
-
-    rep: Element
-    dual_rep: Element
-    stable_subset: frozenset[int]
-    length: int
-    x_part: Element
-    right_part: Element
-    dimension: int
-    inf_stab_dim: int
-
-
-@dataclass(frozen=True)
-class ClosurePoset:
-    """The closure order on a parameter set.
-
-    `cover_edges` is the transitive reduction, each edge pointing from the
-    smaller to the larger piece.  Node order matches `nodes`.
-    """
-
-    datum: ZipDatum
-    side: str
-    nodes: tuple[Piece, ...]
-    cover_edges: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def leq(self) -> np.ndarray:
-        """``leq[a, b]``: node a lies in the closure of node b.  Built on
-        first read, with no lock, and refused above POSET_BOUND nodes."""
-        return self.datum._relation_matrix(self.side)
-
-    def label(self, k: int) -> Element:
-        p = self.nodes[k]
-        return p.rep if self.side == "iw" else p.dual_rep
-
-    def to_dot(self) -> str:
-        from .serialize import word_str
-
-        lines = ["digraph closure {"]
-        for k, piece in enumerate(self.nodes):
-            w = self.label(k)
-            lines.append(
-                f'  n{k} [label="{word_str(w)}\\nl={piece.length} dim={piece.dimension}"];'
-            )
-        for a, b in self.cover_edges:
-            lines.append(f"  n{a} -> n{b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True)``, written for its fixed schema: with an indent,
-        json.dumps runs the pure-Python encoder, and here only the strings
-        go through an encoder, the C one."""
-        from .serialize import word_str
-
-        edges = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in self.cover_edges)
-        nodes = ",\n".join(
-            f'    {{\n      "dim": {p.dimension},\n      "length": {p.length},\n'
-            f'      "word": {json.dumps(word_str(self.label(k)))}\n    }}'
-            for k, p in enumerate(self.nodes)
-        )
-        return (
-            '{\n  "cover_edges": ' + (f"[\n{edges}\n  ]" if edges else "[]")
-            + f',\n  "nodes": [\n{nodes}\n  ],\n  "side": {json.dumps(self.side)}\n}}'
-        )
-
-    def to_json_dict(self) -> dict:
-        from .serialize import word_str
-
-        return {
-            "side": self.side,
-            "nodes": [
-                {
-                    "word": word_str(self.label(k)),
-                    "length": p.length,
-                    "dim": p.dimension,
-                }
-                for k, p in enumerate(self.nodes)
-            ],
-            "cover_edges": [[a, b] for a, b in self.cover_edges],
-        }

@@ -605,3 +605,91 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], argv
         assert outputs[0].count(b"\n") > 10, argv
+
+
+F4_POSET_JSON = ["poset", "--type", "F4", "--I", "1", "--J", "1", "--psi", "1:1", "--format", "json"]
+
+# Counts the Piece and Element constructions of pieces() and of the CLI's
+# json poset and jsonl pieces, in a process of its own, after the group is
+# built: the pieces are columns, so none is built until one is read.
+_COUNT_PIECES = """
+import contextlib, io, json, sys
+from weylzip import Element, Piece, ZipDatum, build_group, cli
+
+g = build_group("F4")
+built = {"Piece": 0, "Element": 0}
+
+
+def counting(cls, name, init):
+    def counted(self, *args, **kwargs):
+        built[name] += 1
+        init(self, *args, **kwargs)
+    cls.__init__ = counted
+
+
+counting(Piece, "Piece", Piece.__init__)
+counting(Element, "Element", Element.__init__)
+counts = []
+pieces = ZipDatum(g, {1}, {1}, {1: 1}).pieces()
+counts.append(dict(built))
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    counts.append(dict(built))
+piece = pieces[5]
+counts.append(dict(built))
+print(json.dumps([len(pieces), counts, piece.length]))
+"""
+
+
+def test_pieces_and_the_cli_build_no_piece_until_one_is_read():
+    argvs = [F4_POSET_JSON, ["pieces", "--type", "F4", "--I", "1", "--J", "1", "--psi", "1:1",
+                             "--format", "jsonl"]]
+    proc = subprocess.run([sys.executable, "-c", _COUNT_PIECES], env=_src_env(),
+                          capture_output=True, text=True, timeout=120, input=json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    k, counts, length = json.loads(proc.stdout)
+    assert k == 576 and length == 2
+    none = {"Piece": 0, "Element": 0}
+    assert counts[:3] == [none] * 3
+    # reading one piece builds that Piece and its few Elements only
+    assert counts[3]["Piece"] == 1 and 0 < counts[3]["Element"] <= 10
+
+
+_TRACED_CLI = """
+import contextlib, json, os, sys, tracemalloc
+from weylzip import cli
+
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    tracemalloc.start()
+    code = cli.main(json.load(sys.stdin))
+    _, peak = tracemalloc.get_traced_memory()
+print(json.dumps([code, peak]))
+"""
+
+
+def test_poset_json_traced_peak_on_f4():
+    """The F4 I={1} json poset (k = 576, 2 692 covers) in a fresh process,
+    the group and its tables built inside the trace: formatted from the
+    columns of its pieces and edges, it peaks at about 0.98 MB traced (1.52 MB
+    with a Piece per node, edge tuples and the text concatenated)."""
+    proc = subprocess.run([sys.executable, "-c", _TRACED_CLI], env=_src_env(),
+                          capture_output=True, text=True, timeout=120,
+                          input=json.dumps(F4_POSET_JSON))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, peak = json.loads(proc.stdout)
+    assert code == 0
+    assert peak <= 1_200_000
+
+
+def test_src_has_no_assert_statement():
+    """Every self-check of the library raises, so ``python -O`` keeps it."""
+    import ast
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "weylzip").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

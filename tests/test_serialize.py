@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from weylzip import build_group
@@ -13,6 +16,7 @@ from weylzip.serialize import (
     parse_subset,
     parse_word,
     word_str,
+    word_texts,
     zip_datum_from_json,
 )
 
@@ -121,3 +125,19 @@ def test_isogeny_datum_from_json():
          "frobenius": True}
     )
     assert iso.frobenius_mode
+
+
+def test_word_texts_match_word_str_past_rank_9():
+    """The padded-array formatter right-aligns letters to the widest index
+    and drops the padding: A11 has two-digit letters."""
+    g = build_group("A11")
+    rng = random.Random(5)
+    elements = [g.from_word(rng.choice(g.simple_indices) for _ in range(rng.randint(0, 14)))
+                for _ in range(60)]
+    words = [w.canonical_word() for w in elements]
+    letters = np.zeros((len(words), max(map(len, words))), dtype=np.int16)
+    for row, word in zip(letters, words):
+        row[:len(word)] = word
+    assert any(max(w, default=0) >= 10 for w in words) and () in words
+    assert word_texts(letters) == [word_str(w) for w in elements]
+    assert word_texts(letters[:, :0]) == ["e"] * len(words)

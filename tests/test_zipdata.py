@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylzip import ZipDatum, build_group, cartan, zipdata
+from weylzip import Pieces, ZipDatum, build_group, cartan, zipdata
 from weylzip.coxeter import ENUMERATION_BOUND, CoxeterGroup, Element, ShortLex
 from weylzip.errors import (
     NotDoubleCosetRep,
@@ -33,6 +33,7 @@ from weylzip.oracles import (
     shortlex_oracle,
     sigma_oracle,
 )
+from weylzip.serialize import word_str
 from weylzip.verify import subsets, sweep_zip_data
 
 
@@ -316,8 +317,9 @@ def test_poset_on_d6_builds_elements_for_the_parameters_only(monkeypatch):
     pieces = z.pieces()
     poset = z.hasse_poset()
     assert len(pieces) == len(poset.nodes) == 32
-    # the 32 parameters and their 32 sigma images (the "wj" parameters)
-    assert calls == [32, 32]
+    # the pieces and the poset are columns: no Element is built for them
+    assert calls == []
+    assert len(z.param_set()) == 32 and calls == [32]
     assert not g._parabolic_cache
 
 
@@ -492,7 +494,7 @@ def test_orbit_rows_match_the_psi_pairs(label, I, psi):
     z = ZipDatum(build_group(label), I, set(psi.values()), psi)
     pairs = _psi_pairs(z)
     for side in ("iw", "wj"):
-        X, params = z._param_rows(side)
+        X, params = z._param_rows(side)[0], z.param_set(side)
         picks = sorted({0, 1, len(params) // 2, len(params) - 1})
         orbit = z._orbit_rows(X[picks])
         assert orbit.shape == (len(pairs), len(picks), 2 * z.group.num_positive)
@@ -825,7 +827,7 @@ def test_orbit_gather_matches_element_products(z):
         for y in shortlex_oracle(g, z.I)
     ]
     for side in ("iw", "wj"):
-        X, params = z._param_rows(side)
+        X, params = z._param_rows(side)[0], z.param_set(side)
         products = [[(y * p * py).perm for p in params] for y, py in twists]
         assert z._orbit_positions(side).tolist() == [
             [position[perm] for perm in row] for row in products]
@@ -944,6 +946,11 @@ def _packed(rel):
     return np.packbits(rel.T, axis=1)
 
 
+def _pairs(lower, upper):
+    """The cover edges that _cover_edges returns as two arrays, as pairs."""
+    return tuple(zip(lower.tolist(), upper.tolist()))
+
+
 def test_uncertified_order_takes_the_product_covers():
     # 0 < 1 < 2 and 0 < 3, with l = 0, 1, 2, 2: the cover 0 < 3 skips a
     # length, so the length-one pairs (0, 1) and (1, 2) do not close to rel
@@ -951,11 +958,11 @@ def test_uncertified_order_takes_the_product_covers():
     for a, b in [(0, 1), (1, 2), (0, 2), (0, 3)]:
         rel[a, b] = True
     a, b, length = np.array([0, 1]), np.array([1, 2]), np.array([0, 1, 2, 2])
-    edges = zipdata._cover_edges(_packed(rel), a, b, length, "a hand-built order")
+    edges = _pairs(*zipdata._cover_edges(_packed(rel), a, b, length, "a hand-built order"))
     assert edges == cover_edges_oracle(rel) == ((0, 1), (0, 3), (1, 2))
     # the same pairs certify the graded order without 0 < 3
     rel[0, 3] = False
-    assert zipdata._cover_edges(_packed(rel), a, b, length, "") == ((0, 1), (1, 2))
+    assert _pairs(*zipdata._cover_edges(_packed(rel), a, b, length, "")) == ((0, 1), (1, 2))
 
 
 def test_uncertified_order_above_the_product_bound_is_refused(monkeypatch):
@@ -1162,3 +1169,51 @@ def test_batched_pieces_equal_the_per_element_api(z, side):
         for v in (w, p.dual_rep, p.x_part):
             fresh = Element(g, v.perm)
             assert (v.canonical_word(), v.length) == (fresh.canonical_word(), fresh.length)
+
+
+@pytest.mark.parametrize("side", ["iw", "wj"])
+def test_pieces_answer_as_the_tuple_did(side):
+    """A Pieces is a sequence of Piece: len, indexing from either end,
+    slices (themselves Pieces), iteration, membership, equality and hash
+    agree with the tuple of its Pieces, each built when read."""
+    z = ZipDatum(build_group("F4"), {1, 2}, {3, 4}, {1: 4, 2: 3})
+    pieces = z.pieces(side)
+    every = tuple(pieces[k] for k in range(len(pieces)))
+    assert len(pieces) == len(every) == 192
+    assert tuple(pieces) == every and list(reversed(pieces)) == list(every[::-1])
+    assert pieces[-1] == every[-1] and pieces[-192] == every[0]
+    assert pieces[np.int64(7)] == every[7]
+    for key in [slice(3, 9), slice(None, None, -5), slice(190, 2, -7), slice(50, 10),
+                slice(-4, None)]:
+        part = pieces[key]
+        assert isinstance(part, Pieces) and tuple(part) == every[key]
+        assert part == z.pieces(side)[key] and hash(part) == hash(z.pieces(side)[key])
+    for k in (192, -193):
+        with pytest.raises(IndexError):
+            pieces[k]
+    assert every[40] in pieces and pieces.index(every[40]) == 40
+    # equal to the pieces of the same datum built again, and of an equal one
+    again = ZipDatum(z.group, z.I, z.J, z.psi).pieces(side)
+    assert pieces == again and hash(pieces) == hash(again) and {pieces, again} == {pieces}
+    assert pieces != z.pieces(side, central_rank=1)
+    assert pieces != z.pieces("wj" if side == "iw" else "iw")
+    assert pieces != every  # a Pieces is no tuple, as a tuple is no list
+    assert pieces[:0] == z.pieces(side)[5:5] and len(pieces[:0]) == 0
+    assert pieces.words("rep") == [word_str(p.rep) for p in every]
+    assert pieces.words("dual_rep") == [word_str(p.dual_rep) for p in every]
+    assert [pieces.stable_subsets[c] for c in pieces.stable_code] == [
+        p.stable_subset for p in every]
+    assert pieces.length.tolist() == [p.length for p in every]
+    assert not pieces.length.flags.writeable
+
+
+def test_stable_subsets_past_rank_64():
+    """K_w is packed by bytes, so no bit wraps at rank 64: on A70 with
+    I = J = {65, ..., 70} and psi = id, the identity's K is I itself (a
+    sum of int64 powers of two read it as the empty set)."""
+    g = build_group("A70")
+    I = set(range(65, 71))
+    z = ZipDatum(g, I, I, {i: i for i in I})
+    assert z.stable_subset(g.identity) == frozenset(I)
+    w = g.from_word([64, 65])  # w s_t w^-1 is simple, s_t, for t > 66 only
+    assert z.stable_subset(w) == frozenset(range(67, 71)) == kw_bruteforce(z, w)
