@@ -9,9 +9,7 @@ abstract zip data on finite permutation groups, the non-connected
 extension, and zip data built from isogeny-style input.
 """
 
-from importlib import import_module
-
-from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element, build_group
+from .coxeter import CoxeterGroup, Element, build_group
 from .cosets import (
     HowlettDecomposition,
     howlett_decompose,
@@ -21,13 +19,17 @@ from .cosets import (
     min_right_coset_reps,
     refined_length_count,
 )
-from .pieces import ClosurePoset, Piece, Pieces
+from .lazy import lazy_names
+from .pieces import Piece, Pieces
 from .zipdata import ZipDatum
 
-# The abstract, non-connected and isogeny layers are imported on first
-# access (PEP 562), so a process that never uses them does not load them.
+# The closure order, the automorphisms and the abstract, non-connected and
+# isogeny layers are imported on first access (PEP 562), so a process that
+# never uses them does not load them.
 _LAZY = {
     "AbstractZipDatum": "abstract",
+    "ClosurePoset": "poset",
+    "CoxeterAutomorphism": "automorphisms",
     "FiniteGroup": "abstract",
     "ExtendedElement": "extended",
     "ExtendedZipDatum": "extended",
@@ -37,14 +39,7 @@ _LAZY = {
     "zip_datum_from_isogeny": "isogeny",
 }
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_names(globals(), _LAZY)
 
 
 __version__ = "0.1.0"

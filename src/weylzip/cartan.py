@@ -1,27 +1,29 @@
-"""Cartan data for the finite Weyl types and Coxeter-matrix classification.
+"""Cartan data for the finite Weyl types.
 
 Supported irreducible types: A_n (n>=1), B_n/C_n (n>=2), D_n (n>=3),
 E6, E7, E8, F4, G2, plus arbitrary products.  Simple reflections are
 numbered in Bourbaki order within each irreducible factor; factors of a
 product are numbered consecutively.
 
-One backtracking search, :func:`isomorphisms`, yields the vertex
-bijections between two Coxeter matrices in lexicographic order: the first
-one places each component of an explicit matrix in Bourbaki order
-(:func:`classify_coxeter_matrix`), and all of them from a matrix onto
-itself are the diagram automorphisms of the group.
+The search over explicit Coxeter matrices (:func:`validate_coxeter_matrix`,
+:func:`isomorphisms`, :func:`classify_coxeter_matrix`), which a group
+built from a type label never runs, lives in :mod:`weylzip.automorphisms`,
+imported on first use; its names still resolve here (PEP 562).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import combinations
 
-from .errors import MalformedMatrix, NonFiniteType
+from .errors import NonFiniteType
+from .lazy import lazy_names
 
-# Coxeter matrix entries of finite Weyl (crystallographic) type.
-WEYL_ENTRIES = frozenset({2, 3, 4, 6})
+#: Names whose code lives in a module imported on first use.
+_LAZY = dict.fromkeys(
+    ("WEYL_ENTRIES", "classify_coxeter_matrix", "isomorphisms", "validate_coxeter_matrix"),
+    "automorphisms")
+__getattr__ = lazy_names(globals(), _LAZY)
 
 _LABEL_RE = re.compile(r"^([A-G])([0-9]+)$")
 
@@ -173,127 +175,3 @@ def matrices_for_label(label: str):
     cart = block_diag([cartan_matrix(l, n) for l, n in factors], 0)
     cox = block_diag([coxeter_matrix(l, n) for l, n in factors], 2)
     return factors, cart, cox
-
-
-# -- classification of explicit Coxeter matrices ------------------------------
-
-def validate_coxeter_matrix(M) -> tuple[tuple[int, ...], ...]:
-    try:
-        rows = tuple(tuple(int(x) for x in row) for row in M)
-    except (TypeError, ValueError) as exc:
-        raise MalformedMatrix("Coxeter matrix must be a square array of integers") from exc
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise MalformedMatrix("Coxeter matrix must be square and non-empty")
-    for i in range(n):
-        if rows[i][i] != 1:
-            raise MalformedMatrix("diagonal entries must equal 1")
-        for j in range(n):
-            if i != j:
-                if rows[i][j] != rows[j][i]:
-                    raise MalformedMatrix("Coxeter matrix must be symmetric")
-                if rows[i][j] < 2:
-                    raise MalformedMatrix("off-diagonal entries must be >= 2")
-    return rows
-
-
-def _components(M) -> list[list[int]]:
-    n = len(M)
-    seen, comps = set(), []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in range(n):
-                if u not in seen and M[v][u] >= 3:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
-def isomorphisms(M, target, verts=None):
-    """Every bijection verts -> range(len(target)) (default verts: all of M)
-    with M[verts[p]][verts[q]] = target[t[p]][t[q]] for all p, q, yielded as
-    the tuple t in lexicographic order; M and target are Coxeter matrices
-    (symmetric, with 1 on the diagonal).
-
-    A backtracking search: a partial assignment grows by the unused targets
-    in ascending order and is dropped at its first mismatch with the entries
-    already assigned, so no extension of it is visited."""
-    verts = range(len(M)) if verts is None else verts
-    k = len(verts)
-    assign: list[int] = []
-
-    def extend():
-        pos = len(assign)
-        if pos == k:
-            yield tuple(assign)
-            return
-        row = M[verts[pos]]
-        for t in range(k):
-            if t not in assign and all(
-                row[verts[p]] == target[tp][t] for p, tp in enumerate(assign)
-            ):
-                assign.append(t)
-                yield from extend()
-                assign.pop()
-
-    return extend()
-
-
-def _candidate_types(k: int) -> list[tuple[str, int]]:
-    cands: list[tuple[str, int]] = [("A", k)]
-    if k >= 2:
-        cands.append(("B", k))
-    if k >= 3:
-        cands.append(("D", k))
-    if k in (6, 7, 8):
-        cands.append(("E", k))
-    if k == 4:
-        cands.append(("F", 4))
-    if k == 2:
-        cands.append(("G", 2))
-    return cands
-
-
-def classify_coxeter_matrix(M):
-    """Classify a validated Coxeter matrix as a product of finite Weyl types.
-
-    Returns (factors, cartan, label) where `factors` lists (letter, rank)
-    per component, in order of its least vertex, and `cartan` is expressed
-    in the input numbering, read through the first vertex order of the
-    component that matches the Bourbaki Coxeter matrix.  A Coxeter matrix
-    does not distinguish B_n from C_n; such components are reported as
-    B_n.
-    """
-    rows = validate_coxeter_matrix(M)
-    n = len(rows)
-    for i, j in combinations(range(n), 2):
-        if rows[i][j] not in WEYL_ENTRIES:
-            raise NonFiniteType(
-                f"entry m({i + 1},{j + 1}) = {rows[i][j]} is not of finite Weyl type"
-            )
-    factors = []
-    cart = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for comp in _components(rows):
-        # the first candidate type with a matching vertex order, and that order
-        hit = next(
-            ((letter, rank, iso) for letter, rank in _candidate_types(len(comp))
-             for iso in isomorphisms(rows, coxeter_matrix(letter, rank), comp)),
-            None,
-        )
-        if hit is None:
-            raise NonFiniteType("matrix component is not of finite Weyl type")
-        letter, rank, iso = hit
-        C = cartan_matrix(letter, rank)
-        for p, q in combinations(range(len(comp)), 2):
-            cart[comp[p]][comp[q]] = C[iso[p]][iso[q]]
-            cart[comp[q]][comp[p]] = C[iso[q]][iso[p]]
-        factors.append((letter, rank))
-    label = "x".join(f"{l}{r}" for l, r in factors)
-    return tuple(factors), cart, label

@@ -13,8 +13,9 @@ request beyond a size bound (enumeration, poset).
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
-import json
+import os
 import sys
 from typing import NoReturn
 
@@ -36,6 +37,8 @@ from .zipdata import ZipDatum
 def _read_datum_doc(path: str) -> dict:
     """The JSON document at `path` ('-' for stdin); MalformedInput naming
     the path when it cannot be read as UTF-8 text."""
+    from .documents import load_json
+
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -45,12 +48,14 @@ def _read_datum_doc(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise MalformedInput(f"cannot read the datum document {path!r}: {reason}") from None
-    return serialize.load_json(text)
+    return load_json(text)
 
 
 def _zip_datum_from_args(args) -> tuple[ZipDatum, int]:
     if args.datum:
-        return serialize.zip_datum_from_json(_read_datum_doc(args.datum))
+        from .documents import zip_datum_from_json
+
+        return zip_datum_from_json(_read_datum_doc(args.datum))
     if not args.type:
         raise MalformedInput("either --datum or --type is required")
     group = build_group(args.type)
@@ -73,12 +78,13 @@ def _add_datum_options(sub: argparse.ArgumentParser) -> None:
 def _pieces_lines(z: ZipDatum, central_rank: int, fmt: str) -> list[str]:
     """The lines of `pieces` (and `isogeny`), formatted from the columns of
     :meth:`ZipDatum.pieces`; a jsonl line is the text of ``json.dumps`` of
-    its object, and a word, digits, commas or "e", is quoted as it is."""
+    its object: a word, digits, commas or "e", is quoted as it is, and K,
+    a sorted list of ints, is printed as Python prints it."""
     pieces = z.pieces(central_rank=central_rank)
     rows = zip(pieces.words("rep"), pieces.length.tolist(), pieces.dimension.tolist(),
                pieces.inf_stab_dim.tolist(), pieces.stable_code.tolist())
     if fmt == "jsonl":
-        K = [json.dumps(sorted(s)) for s in pieces.stable_subsets]
+        K = [str(sorted(s)) for s in pieces.stable_subsets]
         return [
             f'{{"word": "{w}", "length": {n}, "dim": {d}, "inf_stab_dim": {i}, '
             f'"K": {K[c]}, "sigma": "{v}"}}'
@@ -133,7 +139,9 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_abstract(args) -> int:
-    a = serialize.abstract_datum_from_json(_read_datum_doc(args.datum))
+    from .documents import abstract_datum_from_json
+
+    a = abstract_datum_from_json(_read_datum_doc(args.datum))
     classes = a.equivalence_classes()
     print(
         f"order {a.group.order}  delta {len(a.delta)}  "
@@ -149,7 +157,11 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_nonconnected(args) -> int:
-    ext = serialize.extended_datum_from_json(_read_datum_doc(args.datum))
+    import json
+
+    from . import documents
+
+    ext = documents.extended_datum_from_json(_read_datum_doc(args.datum))
     orbits = ext.pieces(args.side)
     print(f"omega {len(ext.omega)}  omega_I {len(ext.omega_I)}  pieces {len(orbits)}")
     for orb in orbits:
@@ -162,7 +174,7 @@ def cmd_nonconnected(args) -> int:
                 images = json.loads(f"[{omega_text}]")
             except json.JSONDecodeError as exc:
                 raise MalformedInput(f"cannot parse omega part {omega_text!r}") from exc
-            omega = serialize.parse_automorphism(group, images)
+            omega = documents.parse_automorphism(group, images)
         else:
             omega = group.identity_automorphism()
         what = ext.extended(parse_word(group, word), omega)
@@ -172,7 +184,9 @@ def cmd_nonconnected(args) -> int:
 
 
 def cmd_isogeny(args) -> int:
-    iso, central_rank = serialize.isogeny_datum_from_json(_read_datum_doc(args.datum))
+    from .documents import isogeny_datum_from_json
+
+    iso, central_rank = isogeny_datum_from_json(_read_datum_doc(args.datum))
     z = iso.zip
     print(
         f"built I={subset_str(z.I)} J={subset_str(z.J)} "
@@ -321,19 +335,38 @@ def main(argv=None) -> int:
         return 2
 
 
+def _watched() -> bool:
+    """Whether a trace or profile function (a debugger, cProfile, coverage)
+    watches the process, whose report must run at interpreter exit."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
+    return (sys.gettrace() is not None or sys.getprofile() is not None or (
+        monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))))
+
+
 def run() -> NoReturn:
     """The process entry of ``weylzip``, ``python -m weylzip`` and ``python
-    -m weylzip.cli``: :func:`main` between two ``gc.freeze()`` calls, then
-    ``sys.exit`` with its code.  The first freeze, once this module's
-    imports are done, keeps the full collections of the work from walking
-    the objects numpy and weylzip built at import; the second keeps the
-    collections of interpreter shutdown from walking the work's, whose
-    reference cycles (a group, its tables and its Elements) only a
-    collection would free before the process ends.  :func:`main` itself
-    leaves the collector as it was, for callers in the same process."""
+    -m weylzip.cli``: ``gc.freeze()``, :func:`main`, then the exit with its
+    code.  The freeze, once this module's imports are done, keeps the full
+    collections of the work from walking the objects numpy and weylzip
+    built at import.  The exit runs the atexit callbacks, flushes stdout
+    and stderr and leaves by ``os._exit``, skipping the interpreter's
+    teardown of every module and object, which nothing the process wrote
+    needs.  It leaves by ``sys.exit`` instead, and so by that teardown,
+    when a flush raises (the interpreter then reports the failed flush as
+    it always does) or a trace or profile function is set.  :func:`main`
+    itself leaves the collector as it was, for callers in the same
+    process."""
     gc.freeze()
     code = main()
-    gc.freeze()
+    if not _watched():
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:  # whatever it is, the teardown's flush reports it again
+            pass
+        else:
+            os._exit(code)
     sys.exit(code)
 
 

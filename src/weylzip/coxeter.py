@@ -27,20 +27,25 @@ right descent in J, gives the minimal coset representatives W_S^J without
 enumerating W_S (:meth:`CoxeterGroup.coset_walk`).  Elements are built
 only for the rows a caller asks for, as read-only views of them
 (:meth:`CoxeterGroup.elements_of_rows`).  The same walk gives the
-integer multiplication tables of W_S (:class:`GroupTables`), built on
-first use from the walk alone, one length layer at a time: left
-multiplication by braid chains in the rank-2 parabolic subgroups, right
-multiplication by recursion on the walk, and no row of W_S.  They store
-positions at the width |W_S| needs (:func:`position_dtype`).  Every
-enumeration and walk is refused before it starts when the number of rows
-it builds (|W_S|, or |W_S| / |W_J| for the walk of W_S^J) exceeds
-``ENUMERATION_BOUND``.  The root system and the reflection table are
-built from int arrays (:meth:`CoxeterGroup._build_roots`).  Root subsets
-Phi_S, Phi_S^+ and the positive roots outside Phi_S are read off the
-support of the roots by one reduction and cached per subset.  Bruhat order is one lifting loop on root permutations
-(:meth:`CoxeterGroup.bruhat_below`), which enumerates nothing.  The
-diagram automorphisms are the isomorphisms of the Coxeter matrix onto
-itself, found by the one search of :func:`cartan.isomorphisms`.
+integer multiplication tables of W_S (:meth:`CoxeterGroup.tables`),
+built on first use by :mod:`weylzip.tables`.  Every enumeration and walk
+is refused before it starts when the number of rows it builds (|W_S|, or
+|W_S| / |W_J| for the walk of W_S^J) exceeds ``ENUMERATION_BOUND``, and
+|W_S| is read off the heights of the roots of Phi_S^+, with no
+classification of S (:meth:`CoxeterGroup.parabolic_order`).  The root
+system and the reflection table are built from int arrays
+(:meth:`CoxeterGroup._build_roots`).  Root subsets Phi_S, Phi_S^+ and
+the positive roots outside Phi_S are read off the support of the roots
+by one reduction and cached per subset.  Bruhat order is one lifting
+loop on root permutations (:meth:`CoxeterGroup.bruhat_below`), which
+enumerates nothing.
+
+Code that only some processes run lives in modules imported where it is
+first used, and its names still resolve here (PEP 562):
+:class:`GroupTables` and :func:`position_dtype` in :mod:`weylzip.tables`,
+:class:`CoxeterAutomorphism` (with the diagram automorphisms and the
+classification of explicit Coxeter matrices) in
+:mod:`weylzip.automorphisms`.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
@@ -49,20 +54,28 @@ r + num_positive (mod 2 * num_positive).
 
 from __future__ import annotations
 
+import math
 import struct
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import cartan
-from .errors import (
-    GroupMismatch,
-    IndexOutOfRange,
-    InvalidAutomorphism,
-    TooLargeToEnumerate,
-    TooManyRoots,
-)
+from .errors import GroupMismatch, IndexOutOfRange, TooLargeToEnumerate, TooManyRoots
+from .lazy import lazy_names
+
+if TYPE_CHECKING:
+    from .automorphisms import CoxeterAutomorphism
+    from .tables import GroupTables
+
+#: Names whose code lives in a module imported on first use.
+_LAZY = {
+    "CoxeterAutomorphism": "automorphisms",
+    "GroupTables": "tables",
+    "position_dtype": "tables",
+}
+__getattr__ = lazy_names(globals(), _LAZY)
 
 #: Largest group order for which full element enumeration is allowed.
 ENUMERATION_BOUND = 100_000
@@ -205,115 +218,6 @@ class Element:
         return f"Element({self.group.label}: {word_str(self)})"
 
 
-class CoxeterAutomorphism:
-    """Automorphism of (W, S) given by a Coxeter-matrix preserving
-    permutation of the simple reflections."""
-
-    __slots__ = ("group", "images")
-
-    def __init__(self, group: "CoxeterGroup", images: Sequence[int]):
-        images = tuple(int(i) for i in images)
-        n = group.rank
-        if sorted(images) != list(range(1, n + 1)):
-            raise InvalidAutomorphism(f"{images} is not a permutation of 1..{n}")
-        if group.coxeter_mismatch(dict(enumerate(images, 1)), group.simple_indices) is not None:
-            raise InvalidAutomorphism(f"{images} does not preserve the Coxeter matrix")
-        self.group = group
-        self.images = images
-
-    @classmethod
-    def _trusted(cls, group: "CoxeterGroup", images: tuple[int, ...]) -> "CoxeterAutomorphism":
-        """An automorphism known to be valid (a product or inverse of valid
-        ones, or one already checked), built without re-validation."""
-        out = cls.__new__(cls)
-        out.group = group
-        out.images = images
-        return out
-
-    def apply_index(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def apply_subset(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[i - 1] for i in subset)
-
-    def _root_permutation(self) -> tuple[np.ndarray, np.ndarray]:
-        """The permutation sigma of the root list by which this automorphism
-        acts, as an int16 row, and its inverse, as an intp row, cached on the
-        group by the images:
-        sigma(alpha_i) = alpha_pi(i) and sigma(s_j beta) = s_pi(j) sigma(beta),
-        so sigma s_j sigma^-1 = s_pi(j).  It is built from the action on
-        reflections, not from the Cartan matrix, which the flips of B2, G2
-        and F4 do not preserve: they swap long and short roots."""
-        g = self.group
-        got = g._automorphism_roots.get(self.images)
-        if got is None:
-            m, refl = g.num_positive, g.reflections.tolist()
-            sigma = [0] * (2 * m)
-            for r in range(m):
-                if r < g.rank:  # the simple roots
-                    sigma[r] = self.images[r] - 1
-                    continue
-                # Positive roots are listed by height, so some s_j sends the
-                # non-simple root r to a positive root of smaller index.
-                j = next(j for j in range(g.rank) if refl[j][r] < r)
-                sigma[r] = refl[self.images[j] - 1][sigma[refl[j][r]]]
-            for r in range(m):
-                sigma[r + m] = g.negate_root(sigma[r])
-            row = np.array(sigma, dtype=np.intp)
-            got = (row.astype(np.int16), g.inverse_row(row))
-            for array in got:
-                array.flags.writeable = False
-            g._automorphism_roots[self.images] = got
-        return got
-
-    def apply_element(self, w: Element) -> Element:
-        """The image of w, whose root permutation is sigma w sigma^-1: one
-        gather, ``sigma[row[inv]]``."""
-        if w.group is not self.group:
-            raise GroupMismatch("element of a different group")
-        sigma, inv = self._root_permutation()
-        out = Element(self.group, sigma[w.row[inv]])
-        out._length = w._length
-        return out
-
-    def __call__(self, arg):
-        if isinstance(arg, Element):
-            return self.apply_element(arg)
-        if isinstance(arg, (set, frozenset)):
-            return self.apply_subset(arg)
-        return self.apply_index(arg)
-
-    def __mul__(self, other: "CoxeterAutomorphism") -> "CoxeterAutomorphism":
-        if self.group is not other.group:
-            raise GroupMismatch("automorphisms of different groups")
-        return CoxeterAutomorphism._trusted(
-            self.group, tuple(self.images[j - 1] for j in other.images)
-        )
-
-    def inverse(self) -> "CoxeterAutomorphism":
-        n = self.group.rank
-        inv = [0] * n
-        for i, j in enumerate(self.images):
-            inv[j - 1] = i + 1
-        return CoxeterAutomorphism._trusted(self.group, tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.group.rank))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoxeterAutomorphism)
-            and self.group is other.group
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"CoxeterAutomorphism{self.images}"
-
-
 class ShortLex:
     """The walk of a standard parabolic subgroup W_S (or of W_S^J, the
     elements with no right descent in J) in ShortLex order, as arrays
@@ -396,84 +300,6 @@ def word_tuples(letters: np.ndarray) -> list[tuple[int, ...]]:
         return [()] * len(lengths)
     padded = struct.iter_unpack(f"{letters.shape[1]}h", np.ascontiguousarray(letters, np.int16))
     return [word[:n] for word, n in zip(padded, lengths)]
-
-
-class GroupTables:
-    """Integer tables of a standard parabolic subgroup W_S, indexed by the
-    ShortLex positions of its walk (the identity is 0).
-
-    ``lmul[s - 1, k]`` and ``rmul[s - 1, k]`` are the positions of
-    ``s * w_k`` and ``w_k * s`` (rows of simple indices outside S hold -1),
-    and ``length[k]`` is ``l(w_k)``, read off the walk's length layers.
-    Both tables are stored at the width the positions need
-    (:func:`position_dtype`): int16 up to |W_S| = 2^15, else int32.
-
-    They are read off the walk, with no root permutation and no
-    search: ``lmul`` by :func:`_left_table`, from the walk's pairs and
-    braid chains, and then ``w_k s = first[k] (w_parent s)`` gives
-    ``rmul``, one gather through ``lmul`` per length layer, parents before
-    children.
-    """
-
-    def __init__(self, group: "CoxeterGroup", subset: frozenset[int], e: ShortLex):
-        self.subset = subset
-        self.length = np.repeat(np.arange(len(e.layers) - 1, dtype=np.int16), np.diff(e.layers))
-        self.lmul = lmul = _left_table(group, subset, e)
-        self.rmul = np.full_like(lmul, -1)
-        gens = np.array(sorted(subset), dtype=np.intp) - 1
-        self.rmul[gens, 0] = lmul[gens, 0]
-        for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
-            below = self.rmul[gens[:, None], e.parent[lo:hi]]
-            self.rmul[gens, lo:hi] = lmul[e.first[lo:hi] - 1, below]
-
-
-def position_dtype(n: int) -> np.dtype:
-    """The dtype of the tables of a group of order n: the narrowest signed
-    integer, at least int16, that holds the positions 0..n-1 and the -1 of
-    rows outside S."""
-    return np.promote_types(np.min_scalar_type(-n), np.int16)
-
-
-def _left_table(group: "CoxeterGroup", subset: frozenset[int], e: ShortLex) -> np.ndarray:
-    """The table ``lmul`` of W_S from its walk `e`, one length layer at a
-    time.
-
-    ``lmul[s - 1]`` is an involution pairing w with s w, and each pair
-    fills both of its ends.  The walk already pairs w with its parent when
-    s = f = ``first[w]``.  Any other left descent s of w is a second left
-    descent next to f, so w = w_0(s, f) v, reduced, with w_0(s, f) the
-    longest element of the rank-2 parabolic W_{s,f}, of order 2m for
-    m = m(s, f), and v without left descent in {s, f} (Bjorner-Brenti,
-    GTM 231, 2.4).  Then parent(w) = f w = (s f s ...) v and s w =
-    (f s f ...) v, each with m - 1 letters: s w is the braid chain that
-    strips s, f, s, ... from the parent down to v and multiplies back up
-    by the next alternating letters, 2(m - 1) left multiplications in all,
-    since (f s)^(m - 1) f w = s w.  Every element of the chain is shorter
-    than w, so each step is a gather ``lmul[s - 1, x]`` on lower layers,
-    already filled.  A layer's pairs (w, s) are taken from its slice of
-    the descent masks, one group per value of m, so nothing outlives the
-    layer but the table."""
-    n = len(e.first)
-    lmul = np.full((group.rank, n), -1, dtype=position_dtype(n))
-    # m(s, f) by first letter f and column s; m(f, f) = 1 drops the walk's pair
-    cox = np.array(group._coxeter, dtype=np.int8)
-    ms = {cox[s - 1, t - 1] for s in subset for t in subset if s != t}
-    for lo, hi in zip(e.layers[1:-1].tolist(), e.layers[2:].tolist()):
-        f, parent = e.first[lo:hi] - 1, e.parent[lo:hi]
-        k = np.arange(lo, hi)
-        lmul[f, k] = parent
-        lmul[f, parent] = k
-        m_of = cox[f]
-        descents = e.left[lo:hi]
-        for m in ms:
-            at, s = np.nonzero(descents & (m_of == m))
-            w, f_w, x = at + lo, f[at], parent[at]
-            for _ in range(m - 1):
-                x = lmul[s, x]
-                x = lmul[f_w, x]
-            lmul[s, w] = x
-            lmul[s, x] = w
-    return lmul
 
 
 class CoxeterGroup:
@@ -611,9 +437,7 @@ class CoxeterGroup:
         self._simples = {
             i + 1: Element(self, self.reflections[i]) for i in range(self.rank)
         }
-        self._identity_automorphism = CoxeterAutomorphism._trusted(
-            self, self.simple_indices
-        )
+        self._identity_automorphism: CoxeterAutomorphism | None = None
 
     # -- basic queries --
 
@@ -751,13 +575,16 @@ class CoxeterGroup:
     # -- enumeration --
 
     def parabolic_order(self, subset: Iterable[int]) -> int:
-        """|W_S|, read off the Coxeter type of S (cached per subset)."""
+        """|W_S| = the product over the roots beta of Phi_S^+ of
+        (ht(beta) + 1) / ht(beta), the Poincare polynomial of W_S at t = 1
+        (I. G. Macdonald, "The Poincare series of a Coxeter group", Math.
+        Ann. 199 (1972)), with the heights read off the root coordinates:
+        no classification of S (cached per subset)."""
         key = frozenset(subset)
         got = self._orders.get(key)
         if got is None:
-            idx = sorted(key)
-            sub = [[self.coxeter_m(i, j) for j in idx] for i in idx]
-            got = cartan.weyl_order(cartan.classify_coxeter_matrix(sub)[0]) if idx else 1
+            heights = [sum(self.roots[r]) for r in self.phi_plus(key)]
+            got = math.prod(h + 1 for h in heights) // math.prod(heights)
             self._orders[key] = got
         return got
 
@@ -916,10 +743,13 @@ class CoxeterGroup:
 
     def tables(self, subset: Iterable[int] | None = None) -> GroupTables:
         """Integer multiplication tables of W_S (default: the whole group),
-        built from its walk alone, which reads no row, and cached."""
+        built from its walk alone, which reads no row, and cached
+        (:mod:`weylzip.tables`, imported before the walk)."""
         key = frozenset(self.simple_indices if subset is None else subset)
         got = self._tables.get(key)
         if got is None:
+            from .tables import GroupTables
+
             got = GroupTables(self, key, self.enumeration(key))
             self._tables[key] = got
         return got
@@ -959,14 +789,18 @@ class CoxeterGroup:
 
     def coxeter_automorphisms(self) -> tuple[CoxeterAutomorphism, ...]:
         """All Coxeter-matrix preserving permutations of the simple set, in
-        lexicographic order of their images: the isomorphisms of the Coxeter
-        matrix onto itself (:func:`cartan.isomorphisms`)."""
-        return tuple(
-            CoxeterAutomorphism._trusted(self, tuple(t + 1 for t in iso))
-            for iso in cartan.isomorphisms(self._coxeter, self._coxeter)
-        )
+        lexicographic order of their images
+        (:func:`automorphisms.coxeter_automorphisms`)."""
+        from . import automorphisms
+
+        return automorphisms.coxeter_automorphisms(self)
 
     def identity_automorphism(self) -> CoxeterAutomorphism:
+        """The identity automorphism, built on first use and cached."""
+        if self._identity_automorphism is None:
+            from .automorphisms import CoxeterAutomorphism
+
+            self._identity_automorphism = CoxeterAutomorphism._trusted(self, self.simple_indices)
         return self._identity_automorphism
 
     def __repr__(self) -> str:
@@ -979,7 +813,9 @@ def _build_cached(key) -> CoxeterGroup:
         factors, cart, cox = cartan.matrices_for_label(key)
         label = key
     else:
-        factors, cart, label = cartan.classify_coxeter_matrix(key)
+        from .automorphisms import classify_coxeter_matrix
+
+        factors, cart, label = classify_coxeter_matrix(key)
         cox = [list(row) for row in key]
     return CoxeterGroup(factors, cart, cox, label)
 
@@ -992,4 +828,6 @@ def build_group(spec) -> CoxeterGroup:
     """
     if isinstance(spec, str):
         return _build_cached(spec)
-    return _build_cached(cartan.validate_coxeter_matrix(spec))
+    from .automorphisms import validate_coxeter_matrix
+
+    return _build_cached(validate_coxeter_matrix(spec))

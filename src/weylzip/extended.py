@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 from . import cosets
 from .abstract import closure, extend_homomorphism
-from .coxeter import CoxeterAutomorphism, Element
+from .automorphisms import CoxeterAutomorphism
+from .coxeter import Element
 from .errors import NotAHomomorphism, NotInParamSet, SubsetMismatch
 from .zipdata import ZipDatum, _check_side
 

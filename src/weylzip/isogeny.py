@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import cosets
-from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element
+from .automorphisms import CoxeterAutomorphism
+from .coxeter import CoxeterGroup, Element
 from .errors import (
     MatrixViolation,
     NonSimpleConjugate,
@@ -25,8 +27,11 @@ from .errors import (
     PsiNotCoxeter,
     WrongMode,
 )
-from .pieces import ClosurePoset, Pieces
+from .pieces import Pieces
 from .zipdata import ZipDatum
+
+if TYPE_CHECKING:
+    from .poset import ClosurePoset
 
 
 @dataclass(frozen=True)

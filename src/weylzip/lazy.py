@@ -1,0 +1,22 @@
+"""Module attributes resolved on first access (PEP 562): a module whose
+code moved to a sibling imported only where it is first used keeps each
+moved name through its ``__getattr__``."""
+
+from importlib import import_module
+
+
+def lazy_names(module_globals: dict, homes: dict[str, str]):
+    """The ``__getattr__`` of the module with globals `module_globals`:
+    each name of `homes` is read from the sibling module named there,
+    imported on first access, and stored in those globals; any other name
+    is an AttributeError."""
+    module = module_globals["__name__"]
+
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = module_globals[name] = getattr(import_module(f"{__package__}.{home}"), name)
+        return value
+
+    return __getattr__

@@ -36,7 +36,8 @@ import numpy as np
 
 from .abstract import AbstractZipDatum, Perm, closure, identity_perm, inverse, mult
 from .cosets import HowlettDecomposition
-from .coxeter import CoxeterAutomorphism, CoxeterGroup, Element
+from .automorphisms import CoxeterAutomorphism
+from .coxeter import CoxeterGroup, Element
 from .errors import LatticeTooLarge, NonUniqueMinimum
 from .zipdata import ZipDatum
 

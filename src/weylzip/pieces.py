@@ -1,26 +1,31 @@
-"""The results of :meth:`ZipDatum.pieces` and :meth:`ZipDatum.hasse_poset`:
-pieces held as columns (:class:`Pieces`), each :class:`Piece` built only
-when it is read, and the closure poset on them (:class:`ClosurePoset`),
-whose cover edges are two index arrays.  Their text is formatted from the
-columns.
+"""The result of :meth:`ZipDatum.pieces`: pieces held as columns
+(:class:`Pieces`), each :class:`Piece` built only when it is read, their
+text formatted from the columns.
+
+The closure poset on them, :class:`ClosurePoset`, lives in
+:mod:`weylzip.poset`, which the ``pieces`` subcommand never loads;
+``pieces.ClosurePoset`` still resolves (PEP 562).
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .coxeter import CoxeterGroup, Element, word_tuples
+from .lazy import lazy_names
 
 if TYPE_CHECKING:
     from .zipdata import ZipDatum
+
+#: Names whose code lives in weylzip.poset, imported on first use.
+_LAZY = {"ClosurePoset": "poset"}
+__getattr__ = lazy_names(globals(), _LAZY)
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,13 @@ class Pieces(Sequence):
                 "dimension": self.dimension, "inf_stab_dim": self.inf_stab_dim}
 
     def _take(self, key) -> Pieces:
-        """The Pieces at a slice or an index array of these."""
+        """The Pieces at a slice or an index array of these, with the
+        positions of their sigma images when these have found theirs."""
         columns = {name: column[key] for name, column in self._columns().items()}
-        return Pieces(self._datum, self.stable_subsets, **columns)
+        taken = Pieces(self._datum, self.stable_subsets, **columns)
+        if "_dual_at" in vars(self):
+            taken._dual_at = self._dual_at[key]
+        return taken
 
     @property
     def _wj(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,97 +180,3 @@ def _element(group: CoxeterGroup, params: tuple[np.ndarray, np.ndarray], p) -> E
     """The Element of parameter p of a side's rows and padded words."""
     rows, letters = params
     return group.elements_of_rows(rows[p:p + 1], word_tuples(letters[p:p + 1]))[0]
-
-
-class ClosurePoset:
-    """The closure order on a parameter set.
-
-    The cover edges are the transitive reduction, edge e pointing from node
-    ``lower[e]`` to node ``upper[e]``, the smaller to the larger piece,
-    row-major; ``cover_edges``, the same edges as a tuple of pairs, is
-    built on first read.  Node order matches `nodes`.  Two posets are equal
-    when their datum, side, nodes and edges are.
-    """
-
-    def __init__(self, datum: ZipDatum, side: str, nodes: Pieces, lower: np.ndarray,
-                 upper: np.ndarray):
-        self.datum, self.side, self.nodes = datum, side, nodes
-        self.lower, self.upper = lower, upper
-        for array in (lower, upper):
-            array.flags.writeable = False
-
-    @cached_property
-    def cover_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.lower.tolist(), self.upper.tolist()))
-
-    @cached_property
-    def leq(self) -> np.ndarray:
-        """``leq[a, b]``: node a lies in the closure of node b.  Built on
-        first read, with no lock, and refused above POSET_BOUND nodes."""
-        return self.datum._relation_matrix(self.side)
-
-    def _key(self) -> tuple:
-        return (self.datum, self.side, self.nodes, self.lower.tobytes(), self.upper.tobytes())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClosurePoset):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"ClosurePoset({self.datum!r}, side={self.side!r}, {len(self.nodes)} nodes, "
-                f"{len(self.lower)} cover edges)")
-
-    def label(self, k: int) -> Element:
-        p = self.nodes[k]
-        return p.rep if self.side == "iw" else p.dual_rep
-
-    def _node_columns(self) -> list[list]:
-        """The label words, lengths and dimensions of the nodes."""
-        nodes = self.nodes
-        return [nodes.words("rep" if self.side == "iw" else "dual_rep"),
-                nodes.length.tolist(), nodes.dimension.tolist()]
-
-    def to_dot(self) -> str:
-        words, length, dim = self._node_columns()
-        return "digraph closure {\n%s%s}\n" % (
-            _formatted('  n%d [label="%s\\nl=%d dim=%d"];\n', "",
-                       [range(len(words)), words, length, dim]),
-            _formatted("  n%d -> n%d;\n", "", [self.lower.tolist(), self.upper.tolist()]))
-
-    def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True)``, written for its fixed schema from the columns,
-        each array in one pass of ``%`` formatting (:func:`_formatted`):
-        with an indent, json.dumps runs the pure-Python encoder.  A word is
-        digits, commas or "e", which JSON quotes as they are."""
-        return '{\n  "cover_edges": %s,\n  "nodes": %s,\n  "side": %s\n}' % (
-            _json_array("    [\n      %d,\n      %d\n    ]",
-                        [self.lower.tolist(), self.upper.tolist()]),
-            _json_array('    {\n      "dim": %d,\n      "length": %d,\n      "word": "%s"\n    }',
-                        self._node_columns()[::-1]),
-            json.dumps(self.side))
-
-    def to_json_dict(self) -> dict:
-        words, length, dim = self._node_columns()
-        return {
-            "side": self.side,
-            "nodes": [{"word": w, "length": n, "dim": d} for w, n, d in zip(words, length, dim)],
-            "cover_edges": [[a, b] for a, b in zip(self.lower.tolist(), self.upper.tolist())],
-        }
-
-
-def _formatted(item: str, sep: str, columns: list) -> str:
-    """`item` % (entry i of each column) for each i, joined by `sep`: one
-    template repeated and formatted in one pass, with no string per item."""
-    n = len(columns[0])
-    return sep.join([item] * n) % tuple(chain.from_iterable(zip(*columns)))
-
-
-def _json_array(item: str, columns: list) -> str:
-    """The text at indent level 1 of a JSON array whose items, indented
-    already, are formatted by :func:`_formatted`; "[]" when it is empty."""
-    return "[\n%s\n  ]" % _formatted(item, ",\n", columns) if len(columns[0]) else "[]"

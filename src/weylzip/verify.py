@@ -22,7 +22,8 @@ from .errors import WeylZipError
 from .extended import ExtendedZipDatum
 from .isogeny import zip_datum_from_isogeny
 from .serialize import parse_cycles, word_str
-from .zipdata import ZipDatum, _down_rows
+from .order import _down_rows
+from .zipdata import ZipDatum
 
 QUICK_TYPES = ("A1", "A1xA1", "A2", "B2", "G2")
 FULL_EXTRA_TYPES = ("A3", "B3", "C3")

@@ -20,11 +20,13 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   for sigma_inverse); one row for sigma, all parameters at once for the
   pieces, and W_I is never enumerated for it,
 * the closure order from whole twisted orbits against Bruhat order, each
-  orbit one replay of the walk of W_I: point queries by the lifting loop
-  on the orbit's root permutations; closure sets and the packed relation
-  by down-set rows in the tables of W_U; the poset's cover edges from the
-  related pairs one length apart, through the Bruhat lower covers of each
-  parameter, certified by their transitive closure unless I is empty,
+  orbit one replay of the walk of W_I: point queries here, by the lifting
+  loop on the orbit's root permutations; closure sets, the packed relation
+  and the poset's covers in :mod:`weylzip.order`, by down-set rows in the
+  tables of W_U, and the poset itself (:class:`ClosurePoset`) in
+  :mod:`weylzip.poset`, each imported when the first method that reaches
+  it starts (PEP 562 keeps ``zipdata._cover_edges``, ``_product_covers``
+  and ``_down_rows`` resolving),
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Single-element kernels widen the int16 row of their Element to intp once
@@ -43,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import cosets
-from .coxeter import CoxeterGroup, Element, GroupTables, word_tuples
+from .coxeter import CoxeterGroup, Element, word_tuples
 from .errors import (
     GroupMismatch,
     NotDoubleCosetRep,
@@ -53,10 +55,16 @@ from .errors import (
     PsiNotCoxeter,
     SubsetMismatch,
 )
-from .pieces import ClosurePoset, Pieces, _positions
+from .lazy import lazy_names
+from .pieces import Pieces, _positions
 
 if TYPE_CHECKING:
     from .abstract import AbstractZipDatum
+    from .poset import ClosurePoset
+
+#: Names whose code lives in weylzip.order, imported on first use.
+_LAZY = dict.fromkeys(("_cover_edges", "_down_rows", "_product_covers"), "order")
+__getattr__ = lazy_names(globals(), _LAZY)
 
 SIDES = ("iw", "wj")
 
@@ -416,127 +424,40 @@ class ZipDatum:
         orbit = self._orbit_rows(wp.row)
         return bool(self.group.bruhat_below(orbit[:, 0], w.canonical_word()).any())
 
+    # The closure order lives in weylzip.order, imported when one of these
+    # starts, before any walk or table is built.
+
     def closure_set(self, w: Element, side: str = "iw") -> tuple[Element, ...]:
         """All parameter-set elements preceding w, ShortLex ordered."""
-        self._require_param(w, side)
-        hits = np.flatnonzero(self._relation_matrix(side, [w.canonical_word()])[:, 0])
-        rows, letters = self._param_rows(side)
-        return self.group.elements_of_rows(rows[hits], word_tuples(letters[hits]))
-
-    def _relation_matrix(self, side: str, words=None) -> np.ndarray:
-        """R[a, b] = (params[a] precedes the target of canonical word
-        words[b]), column-major: the rows of :meth:`_down_sets`, unpacked."""
-        down = self._down_sets(side, words)
-        return np.unpackbits(down, axis=1, count=len(self._param_rows(side)[0])).view(bool).T
-
-    def _down_sets(self, side: str, words=None) -> np.ndarray:
-        """Row b packs (as ``np.packbits``) the a with params[a] preceding
-        the parameter of the same side with canonical word words[b]
-        (default: every parameter's, refused above POSET_BOUND).  Works on
-        ShortLex positions in the tables of W_U, orbits included
-        (:meth:`_orbit_positions`): bit a reads "some y params[a] psi(y)^{-1}
-        lies in the Bruhat down-set of target b" from one boolean row over
-        W_U per target, |targets| * |W_U| work; no Element is built."""
-        if words is None:
-            self._check_poset_size(side)
-        orbit = self._orbit_positions(side)
-        if words is None:
-            words = word_tuples(self._param_rows(side)[1])
-        packed = np.empty((len(words), (orbit.shape[1] + 7) // 8), dtype=np.uint8)
-        for b, down in _down_rows(self.group.tables(self.universe), words, side == "iw"):
-            packed[b] = np.packbits(down[orbit].any(axis=0))
-        return packed
-
-    def _orbit_positions(self, side: str) -> np.ndarray:
-        """ShortLex positions in W_U of y p psi(y)^{-1}, one row per y in W_I
-        and one column per parameter p of the side, cached per side.  The
-        parameters are the positions in W_U with no left descent in I
-        ("iw") or no right descent in J ("wj"), and the walk of W_I reaches
-        y as s y', so y p psi(y)^{-1} = s (y' p psi(y')^{-1}) psi(s): two
-        table gathers per step of :meth:`ShortLex.replay`, and no root
-        permutation.  Kept as intp, so no gather that reads them casts."""
-        got = self._orbits.get(side)
-        if got is None:
-            g, U = self.group, self.universe
-            t, e = g.tables(U), g.enumeration(U)
-            D, marks = (self._I_sorted, e.left) if side == "iw" else (self._J_sorted, e.right)
-            descents = marks[:, [d - 1 for d in D]]
-            params = np.flatnonzero(~descents.any(axis=1))
-            psi = self._psi_table
-            got = g.enumeration(self.I).replay(
-                params,
-                lambda s, x: t.rmul[psi[s] - 1].take(t.lmul[s - 1].take(x)))
-            self._orbits[side] = got
-        return got
-
-    def _owners(self, side: str) -> np.ndarray:
-        """The owner of each W_U position, the parameter whose orbit
-        (:meth:`_orbit_positions`) holds it, or -1.  The orbits are disjoint,
-        or two parameters would share a sigma: RuntimeError if two meet."""
-        orbit = self._orbit_positions(side)
-        owner = np.full(len(self.group.enumeration(self.universe).parent), -1, dtype=np.int32)
-        owner[orbit] = np.arange(orbit.shape[1], dtype=np.int32)
-        if not (owner[orbit] == np.arange(orbit.shape[1])).all():
-            raise RuntimeError(f"two twisted orbits of {self!r} ({side}) meet")
-        return owner
-
-    def _length_one_pairs(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """D1, row-major: the pairs (a, b) of parameter indices with
-        l(a) = l(b) - 1 whose orbit of a meets a lower cover of w_b.
-
-        These are exactly the related pairs one length apart: an orbit
-        element of a has length at least l(a) and lies in no other orbit, so
-        below w_b it is a lower cover of w_b.  Deleting one letter of the
-        canonical word of w_b spells every lower cover (Bjorner-Brenti,
-        GTM 231, ch. 2): with w_b = s_0 ... s_{L-1}, deleting s_j leaves
-        s_0 ... s_{j-1} times a suffix on the ShortLex walk, one ``lmul``
-        gather per letter for all (b, j) at once, owned by :meth:`_owners`."""
-        g = self.group
-        t, e = g.tables(self.universe), g.enumeration(self.universe)
-        params = self._orbit_positions(side)[0]
-        k = len(params)
-        owner = self._owners(side)
-        length = t.length[params]
-        top = int(length[-1])
-        # suffix[:, j] is w_b with its first j letters removed, and letter j of
-        # w_b is first[suffix[:, j]]; past the word's end both are read at the
-        # identity, whose first[0] - 1 = -1 marks no letter
-        suffix = np.empty((k, top + 1), dtype=np.int32)
-        suffix[:, 0] = params
-        for j in range(top):
-            suffix[:, j + 1] = e.parent[suffix[:, j]]
-        letter = e.first[suffix[:, :top]] - 1
-        # deleted[:, j] is w_b with letter j deleted (w_b itself past the end)
-        deleted = suffix[:, 1:].copy()
-        for m in range(1, top):
-            s, x = letter[:, :top - m], deleted[:, m:]
-            deleted[:, m:] = np.where(s >= 0, t.lmul[s, x], x)
-        a = owner[deleted]
-        hit = (a >= 0) & (length[a] == length[:, None] - 1)
-        pair = np.sort(a[hit].astype(np.int64) * k + np.nonzero(hit)[0])
-        pair = pair[np.flatnonzero(np.diff(pair, prepend=-1))]
-        return pair // k, pair % k
+        from . import order
+        return order.closure_set(self, w, side)
 
     def hasse_poset(self, side: str = "iw", central_rank: int = 0) -> ClosurePoset:
         """The full closure poset on the chosen parameter set, with cover
-        edges (transitive reduction) and per-node piece data.
+        edges (transitive reduction) and per-node piece data
+        (:func:`order.hasse_poset`)."""
+        from . import order
+        return order.hasse_poset(self, side, central_rank)
 
-        The covers are the pairs D1 of :meth:`_length_one_pairs`.  For I = {}
-        each orbit is one element and the order is Bruhat order, graded by
-        length, whose lower covers of w are the one-letter deletions of a
-        reduced word of w of length l(w) - 1 (Bjorner-Brenti, GTM 231,
-        section 2.2): D1 is the cover set, and no relation is built.
-        Otherwise :func:`_cover_edges` certifies D1 against the packed
-        relation (:meth:`_down_sets`, refused above POSET_BOUND before
-        anything is built).  The nodes are :meth:`pieces` and the covers two
-        index arrays, so no Piece and no Element is built."""
-        _check_side(side)
-        down = self._down_sets(side) if self.I else None
-        a, b = self._length_one_pairs(side)
-        nodes = self.pieces(side=side, central_rank=central_rank)
-        if down is not None:
-            a, b = _cover_edges(down, a, b, nodes.length, f"{self!r} ({side})")
-        return ClosurePoset(self, side, nodes, a, b)
+    def _relation_matrix(self, side: str, words=None) -> np.ndarray:
+        from . import order
+        return order.relation_matrix(self, side, words)
+
+    def _down_sets(self, side: str, words=None) -> np.ndarray:
+        from . import order
+        return order.down_sets(self, side, words)
+
+    def _orbit_positions(self, side: str) -> np.ndarray:
+        from . import order
+        return order.orbit_positions(self, side)
+
+    def _owners(self, side: str) -> np.ndarray:
+        from . import order
+        return order.owners(self, side)
+
+    def _length_one_pairs(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        from . import order
+        return order.length_one_pairs(self, side)
 
     # -- numeric reports --
 
@@ -588,9 +509,10 @@ class ZipDatum:
         in J from all rows at once (a parameter has no left descent in I,
         so its left part is e).  The x parts are looked up by row among the
         "iw" parameters, the sigma images among the "wj" ones when first
-        read (on the "wj" side at once, as they order it), and the right
-        parts kept as the letters stripped; no Piece and no Element is
-        built until one is read."""
+        read (on the "wj" side at once, as they order it, and only once: the
+        ordered Pieces keep those positions), and the right parts kept as the
+        letters stripped; no Piece and no Element is built until one is
+        read."""
         _check_side(side)
         g = self.group
         X, letters = self._param_rows("iw")
@@ -634,86 +556,3 @@ class ZipDatum:
 def _not_param(side: str) -> NotMinimalRep:
     kind = "minimal left-coset" if side == "iw" else "minimal right-coset"
     return NotMinimalRep(f"element is not a {kind} representative in the universe")
-
-
-def _cover_edges(down: np.ndarray, a: np.ndarray, b: np.ndarray, length: np.ndarray,
-                 where: str) -> tuple[np.ndarray, np.ndarray]:
-    """The cover edges, row-major, of the order whose row y of `down` packs
-    the x <= y (as :meth:`ZipDatum._down_sets`), as the arrays of their
-    lower and upper ends.
-
-    (a, b) are pairs of the order one length apart, row-major, and `length`
-    holds the nondecreasing node lengths.  The order strictly raises length,
-    so each pair is a cover; if the reflexive transitive closure of the
-    pairs is the order, they are all of the covers.  The closure is checked
-    one length layer at a time from the bottom against `down`, packed alike
-    and OR-ed as uint64 words: the down-set of a node is itself and those
-    of the lower ends of its pairs, in the layer just below.  If the check
-    fails, the covers come from :func:`_product_covers` on the unpacked
-    order, refused (PosetTooLarge) above PRODUCT_BOUND nodes."""
-    k = len(length)
-    bounds = np.searchsorted(length, np.arange(int(length[-1]) + 2))
-    by_upper = np.argsort(b, kind="stable")
-    lower, upper = a[by_upper], b[by_upper]
-    below, base = None, 0
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        nodes = np.arange(lo, hi)
-        cols = np.zeros((hi - lo, (k + 63) // 64), dtype=np.uint64)
-        packed = cols.view(np.uint8)
-        packed[nodes - lo, nodes >> 3] = 0x80 >> (nodes & 7)
-        i, j = np.searchsorted(upper, (lo, hi)).tolist()
-        if i < j:
-            starts = np.flatnonzero(np.diff(upper[i:j], prepend=-1))
-            cols[upper[i:j][starts] - lo] |= np.bitwise_or.reduceat(
-                below[lower[i:j] - base], starts)
-        if not np.array_equal(packed[:, :down.shape[1]], down[lo:hi]):
-            break
-        below, base = cols, lo
-    else:
-        return a, b
-    if k > PRODUCT_BOUND:
-        raise PosetTooLarge(
-            f"the length-one pairs of {where} do not close to its order, and "
-            f"its k = {k} parameters are above the product bound {PRODUCT_BOUND} "
-            "(zipdata.PRODUCT_BOUND)"
-        )
-    return _product_covers(np.unpackbits(down, axis=1, count=k).view(bool).T)
-
-
-def _product_covers(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cover edges of rel, row-major, as the arrays of their lower and
-    upper ends, from the nodes strictly between each pair, counted by a
-    float32 (BLAS) product: every partial sum is an integer at most
-    k < 2**24, so the counts are exact and cannot wrap."""
-    strict = rel & ~np.eye(len(rel), dtype=bool)
-    between = strict.astype(np.float32)
-    covers = strict & ((between @ between) == 0)
-    return np.nonzero(covers)
-
-
-def _down_rows(t: GroupTables, words, right: bool):
-    """Yield (b, row) with row[x] = (x <= the element of canonical word
-    words[b]) over the ShortLex positions of the tables.
-
-    A reduced word grows one letter at a time: D(v s) = D(v) | D(v) s with
-    ``right`` (prefixes, the iw parameters' closed direction), else
-    D(s v) = D(v) | s D(v) (suffixes, closed for wj).  Words sharing a
-    prefix (suffix) share its rows in a depth-first walk of their trie,
-    which holds at most rank rows per letter of the longest word."""
-    mul = t.rmul if right else t.lmul
-    children: dict[tuple[int, ...], set[int]] = {}
-    ends: dict[tuple[int, ...], list[int]] = {}
-    for b, word in enumerate(words):
-        path = tuple(word) if right else tuple(reversed(word))
-        ends.setdefault(path, []).append(b)
-        for j in range(len(path)):
-            children.setdefault(path[:j], set()).add(path[j])
-    root = np.zeros(mul.shape[1], dtype=bool)
-    root[0] = True
-    stack = [((), root)]
-    while stack:
-        path, row = stack.pop()
-        for b in ends.get(path, ()):
-            yield b, row
-        for s in children.get(path, ()):
-            stack.append((path + (s,), row | row[mul[s - 1]]))

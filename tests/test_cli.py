@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -235,7 +236,29 @@ def test_deterministic_output():
 
 # Modules that pieces, poset, closure, classify and sigma never execute.
 NOT_LOADED = ("weylzip.verify", "weylzip.oracles", "weylzip.abstract",
-              "weylzip.extended", "weylzip.isogeny", "numpy.ma")
+              "weylzip.extended", "weylzip.isogeny", "numpy.ma", "json")
+
+# The weylzip modules of each label-built core subcommand: the core, plus
+# the closure order for closure and poset; none loads the document or the
+# automorphism module.
+CORE = {"weylzip", "weylzip.cartan", "weylzip.cosets", "weylzip.coxeter", "weylzip.errors",
+        "weylzip.lazy", "weylzip.pieces", "weylzip.serialize", "weylzip.zipdata"}
+MODULES = {
+    "pieces": CORE,
+    "classify": CORE,
+    "sigma": CORE,
+    "closure": CORE | {"weylzip.order", "weylzip.tables"},
+    "poset": CORE | {"weylzip.order", "weylzip.poset", "weylzip.tables"},
+}
+
+# Runs the command line as `python -m weylzip.cli` does and prints, from an
+# atexit callback, every module the process imported, however it imported
+# them, as the last line of stderr.
+_MODULES_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print(" ".join(sorted(sys.modules)), file=sys.stderr))
+runpy.run_module("weylzip.cli", run_name="__main__", alter_sys=True)
+"""
 
 
 @pytest.mark.parametrize(
@@ -249,24 +272,15 @@ NOT_LOADED = ("weylzip.verify", "weylzip.oracles", "weylzip.abstract",
     ],
 )
 def test_core_subcommands_load_only_the_core(argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    # -X importtime lists every module the process imports, one per line of
-    # stderr, ending in "| <module name>".
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "weylzip.cli", *argv,
+        [sys.executable, "-c", _MODULES_AT_EXIT, *argv,
          "--type", "A3", "--I", "1,2", "--psi", "1:1,2:2"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
-    loaded = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert "weylzip.zipdata" in loaded
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert {name for name in loaded if name.startswith("weylzip")} == MODULES[argv[0]]
     assert not loaded & set(NOT_LOADED)
 
 
@@ -280,6 +294,27 @@ def test_every_public_name_resolves():
     assert set(weylzip.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         weylzip.no_such_name
+    # every module whose code moved partly to a module imported on first use
+    # keeps the moved names (PEP 562)
+    lazy = set()
+    for info in pkgutil.iter_modules(weylzip.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"weylzip.{info.name}")
+        if "__getattr__" not in vars(module):
+            continue
+        lazy.add(info.name)
+        for name, home in module._LAZY.items():
+            assert getattr(module, name) is getattr(importlib.import_module(f"weylzip.{home}"), name)
+        with pytest.raises(AttributeError):
+            module.no_such_name
+    assert lazy == {"cartan", "coxeter", "pieces", "serialize", "zipdata"}
+    # the serialize names perfbench calls
+    from weylzip import serialize
+
+    for name in ("isogeny_datum_from_json", "extended_datum_from_json", "extended_str",
+                 "subset_str", "word_str"):
+        assert callable(getattr(serialize, name)), name
 
 
 PARSER_GOLDEN = json.loads(
@@ -546,6 +581,90 @@ def test_python_m_weylzip_runs_the_cli():
         for r in runs[1:]:
             assert r.stdout == runs[0].stdout and r.stderr == runs[0].stderr
     assert runs[0].stderr.startswith(b"error: cannot parse word")
+
+
+# The same process with a trace function set, which leaves by sys.exit and
+# the interpreter's teardown.
+_RUN = "from weylzip.cli import run; run()"
+_TRACED_RUN = "import sys; sys.settrace(lambda *args: None); " + _RUN
+
+
+def _run_into_closed_pipe(code, argv, unbuffered, read_first):
+    """(exit status, stderr) of `python -c code argv` whose stdout pipe is
+    closed after its first byte is read, or before the process starts."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    if not read_first:
+        os.close(read)
+    try:
+        proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env, stdout=write,
+                                stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    if read_first:
+        try:
+            assert len(os.read(read, 1)) == 1
+        finally:
+            os.close(read)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,read_first", [
+    # 5 040 lines, more than a pipe holds: the process writes into the
+    # closed pipe inside main() and dies of the BrokenPipeError
+    (["pieces", "--type", "A6"], True),
+    # two short lines: buffered, they reach the closed pipe at the flush of
+    # the exit, which raises there
+    (["classify", "--type", "A3", "--I", "1", "--psi", "1:1", "--w", "3,2,1"], False),
+])
+def test_a_closed_stdout_ends_the_process_as_sys_exit_does(argv, read_first, unbuffered):
+    got = _run_into_closed_pipe(_RUN, argv, unbuffered, read_first)
+    assert got == _run_into_closed_pipe(_TRACED_RUN, argv, unbuffered, read_first)
+    code, err = got
+    if read_first or unbuffered:
+        assert code == 1 and err.rstrip().endswith("BrokenPipeError: [Errno 32] Broken pipe")
+    else:
+        assert code == 120 and err.startswith("Exception ignored in: <_io.TextIOWrapper")
+
+
+def test_cprofile_still_prints_its_stats():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "weylzip.cli", "classify", "--type", "A3",
+         "--I", "1", "--psi", "1:1", "--w", "3,2,1"],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[:2] == ["piece 3,2,1", "sigma 1,3,2"]
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+_QUERY_IMPORTS = """
+import json, sys
+from weylzip import ZipDatum, build_group
+
+g = build_group("E8")
+z = ZipDatum(g, {1, 3, 4, 5}, {3, 4, 5, 6}, {1: 3, 3: 4, 4: 5, 5: 6})
+w = g.from_word([8, 7, 6, 5, 4, 3, 2, 1, 3, 4, 5, 6])
+before = set(sys.modules)
+rep = z.canonical_rep(w)
+after_rep = set(sys.modules)
+z.sigma(rep)
+print(json.dumps([sorted(after_rep - before), sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_classify_queries_import_nothing():
+    """canonical_rep, then sigma, on an E8 datum already built, as the
+    timed loop of the classify-stream benchmark runs them, add nothing to
+    sys.modules: no lazily imported module is compiled inside the loop."""
+    proc = subprocess.run([sys.executable, "-c", _QUERY_IMPORTS], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_main_leaves_the_collector_unfrozen():

@@ -698,6 +698,18 @@ def test_parabolic_order_from_coxeter_type():
     assert len(e7.parabolic_elements((1, 3, 4, 5, 6))) == 720  # A5
 
 
+@pytest.mark.parametrize("label", ["G2", "B4", "C4", "F4", "D5", "E6", "A2xG2xB3"])
+def test_parabolic_order_is_the_product_over_root_heights(label):
+    """|W_S| from the heights of Phi_S^+ is the order of the Coxeter type
+    that the classification of the submatrix of S finds, for every S."""
+    g = build_group(label)
+    for k in range(g.rank + 1):
+        for S in combinations(g.simple_indices, k):
+            sub = [[g.coxeter_m(i, j) for j in S] for i in S]
+            expect = cartan.weyl_order(cartan.classify_coxeter_matrix(sub)[0]) if S else 1
+            assert g.parabolic_order(S) == expect, S
+
+
 def test_root_systems_beyond_the_int16_rows_are_refused(capsys):
     # A181 has 32 942 roots: its root indices would wrap in int16 rows
     assert coxeter.ROOT_BOUND == np.iinfo(np.int16).max + 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylzip import Pieces, ZipDatum, build_group, cartan, zipdata
+from weylzip import Pieces, ZipDatum, build_group, cartan, order, zipdata
 from weylzip.coxeter import ENUMERATION_BOUND, CoxeterGroup, Element, ShortLex
 from weylzip.errors import (
     NotDoubleCosetRep,
@@ -876,15 +876,17 @@ def test_closure_path_reads_table_positions_only(monkeypatch, label, I, J, psi):
 
 
 def test_zipdata_reads_no_walk_layers():
-    """Every value that zipdata carries along a ShortLex walk goes through
-    ShortLex.replay, so the module never reads a walk's length layers."""
-    path = Path(zipdata.__file__)
-    reads = [
-        node.lineno
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "layers"
-    ]
-    assert not reads, f"zipdata.py reads .layers at lines {reads}"
+    """Every value that zipdata, and the closure order it calls, carries
+    along a ShortLex walk goes through ShortLex.replay, so neither module
+    ever reads a walk's length layers."""
+    for module in (zipdata, order):
+        path = Path(module.__file__)
+        reads = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "layers"
+        ]
+        assert not reads, f"{path.name} reads .layers at lines {reads}"
 
 
 def test_poset_memory_on_d6():
@@ -1031,7 +1033,7 @@ def test_length_one_pairs_certify_every_census_poset(monkeypatch):
     def refuse(rel):
         raise AssertionError("the length-one pairs did not certify the covers")
 
-    monkeypatch.setattr(zipdata, "_product_covers", refuse)
+    monkeypatch.setattr(order, "_product_covers", refuse)
     count = 0
     for z in _census_data():
         for side in ("iw", "wj"):
@@ -1205,6 +1207,29 @@ def test_pieces_answer_as_the_tuple_did(side):
         p.stable_subset for p in every]
     assert pieces.length.tolist() == [p.length for p in every]
     assert not pieces.length.flags.writeable
+
+
+def test_wj_pieces_look_their_sigma_images_up_once(monkeypatch):
+    """pieces("wj") finds the position of each sigma image among the "wj"
+    parameters once, to order the pieces, and the ordered Pieces (and their
+    slices) keep those positions: reading the words of the dual labels
+    searches no more."""
+    from weylzip import pieces as pieces_module
+
+    positions, calls = pieces_module._positions, []
+
+    def counting(*args):
+        calls.append(args)
+        return positions(*args)
+
+    monkeypatch.setattr(pieces_module, "_positions", counting)
+    z = ZipDatum(build_group("F4"), {1, 2}, {3, 4}, {1: 4, 2: 3})
+    wj = z.pieces("wj")
+    words = wj.words("dual_rep")
+    assert len(calls) == 1
+    assert words == [word_str(w) for w in z.param_set("wj")]
+    assert wj[5:9].words("dual_rep") == words[5:9] and wj[-1].dual_rep == z.param_set("wj")[-1]
+    assert len(calls) == 1
 
 
 def test_stable_subsets_past_rank_64():
