@@ -8,8 +8,7 @@ and all of them from a matrix onto itself are the diagram automorphisms
 
 A group built from a type label never needs this module: it is imported
 by :func:`build_group` on a matrix and by the automorphism methods of
-:class:`CoxeterGroup`, and its names also resolve from
-:mod:`weylzip.coxeter` and :mod:`weylzip.cartan` (PEP 562).
+:class:`CoxeterGroup`.
 """
 
 from __future__ import annotations

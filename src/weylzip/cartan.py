@@ -5,10 +5,10 @@ E6, E7, E8, F4, G2, plus arbitrary products.  Simple reflections are
 numbered in Bourbaki order within each irreducible factor; factors of a
 product are numbered consecutively.
 
-The search over explicit Coxeter matrices (:func:`validate_coxeter_matrix`,
-:func:`isomorphisms`, :func:`classify_coxeter_matrix`), which a group
-built from a type label never runs, lives in :mod:`weylzip.automorphisms`,
-imported on first use; its names still resolve here (PEP 562).
+The search over explicit Coxeter matrices, which a group built from a
+type label never runs, lives in :mod:`weylzip.automorphisms`, imported on
+first use: ``automorphisms.validate_coxeter_matrix``, ``isomorphisms``,
+``classify_coxeter_matrix`` and ``WEYL_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import math
 import re
 
 from .errors import NonFiniteType
-from .lazy import lazy_names
-
-#: Names whose code lives in a module imported on first use.
-_LAZY = dict.fromkeys(
-    ("WEYL_ENTRIES", "classify_coxeter_matrix", "isomorphisms", "validate_coxeter_matrix"),
-    "automorphisms")
-__getattr__ = lazy_names(globals(), _LAZY)
 
 _LABEL_RE = re.compile(r"^([A-G])([0-9]+)$")
 

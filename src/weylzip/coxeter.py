@@ -41,11 +41,10 @@ loop on root permutations (:meth:`CoxeterGroup.bruhat_below`), which
 enumerates nothing.
 
 Code that only some processes run lives in modules imported where it is
-first used, and its names still resolve here (PEP 562):
-:class:`GroupTables` and :func:`position_dtype` in :mod:`weylzip.tables`,
-:class:`CoxeterAutomorphism` (with the diagram automorphisms and the
-classification of explicit Coxeter matrices) in
-:mod:`weylzip.automorphisms`.
+first used: :class:`tables.GroupTables` and :func:`tables.position_dtype`
+in :mod:`weylzip.tables`, :class:`automorphisms.CoxeterAutomorphism`
+(with the diagram automorphisms and the classification of explicit
+Coxeter matrices) in :mod:`weylzip.automorphisms`.
 
 Roots are integer coordinate vectors in the simple-root basis, listed
 positives first; the negative of the root at index r sits at index
@@ -63,19 +62,10 @@ import numpy as np
 
 from . import cartan
 from .errors import GroupMismatch, IndexOutOfRange, TooLargeToEnumerate, TooManyRoots
-from .lazy import lazy_names
 
 if TYPE_CHECKING:
     from .automorphisms import CoxeterAutomorphism
     from .tables import GroupTables
-
-#: Names whose code lives in a module imported on first use.
-_LAZY = {
-    "CoxeterAutomorphism": "automorphisms",
-    "GroupTables": "tables",
-    "position_dtype": "tables",
-}
-__getattr__ = lazy_names(globals(), _LAZY)
 
 #: Largest group order for which full element enumeration is allowed.
 ENUMERATION_BOUND = 100_000

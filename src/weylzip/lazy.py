@@ -1,6 +1,7 @@
-"""Module attributes resolved on first access (PEP 562): a module whose
-code moved to a sibling imported only where it is first used keeps each
-moved name through its ``__getattr__``."""
+"""Module attributes resolved on first access (PEP 562): the package's
+public names whose code only some processes run, and the document readers
+of :mod:`weylzip.serialize`, each imported from its home module when it is
+first read."""
 
 from importlib import import_module
 

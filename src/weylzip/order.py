@@ -5,11 +5,11 @@ whose covers are the pairs one length apart (:func:`length_one_pairs`),
 certified by their transitive closure unless I is empty
 (:func:`_cover_edges`); the poset class lives in :mod:`weylzip.poset`.
 
-The :class:`ZipDatum` methods of the same names call these functions, so
-this module is imported when the first of them starts, before any walk or
-table is built; point queries (:meth:`ZipDatum.precedes`) stay in
-:mod:`weylzip.zipdata`, and ``zipdata.POSET_BOUND`` and
-``zipdata.PRODUCT_BOUND`` are read there at each call.
+:meth:`ZipDatum.closure_set` and :meth:`ZipDatum.hasse_poset` import this
+module when they start, before any walk or table is built; point queries
+(:meth:`ZipDatum.precedes`) stay in :mod:`weylzip.zipdata`, and
+``zipdata.POSET_BOUND`` and ``zipdata.PRODUCT_BOUND`` are read there at
+each call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 def closure_set(z: ZipDatum, w: Element, side: str) -> tuple[Element, ...]:
     """All parameter-set elements preceding w, ShortLex ordered."""
     z._require_param(w, side)
-    hits = np.flatnonzero(z._relation_matrix(side, [w.canonical_word()])[:, 0])
+    hits = np.flatnonzero(relation_matrix(z, side, [w.canonical_word()])[:, 0])
     rows, letters = z._param_rows(side)
     return z.group.elements_of_rows(rows[hits], word_tuples(letters[hits]))
 
@@ -39,7 +39,7 @@ def closure_set(z: ZipDatum, w: Element, side: str) -> tuple[Element, ...]:
 def relation_matrix(z: ZipDatum, side: str, words=None) -> np.ndarray:
     """R[a, b] = (params[a] precedes the target of canonical word
     words[b]), column-major: the rows of :func:`down_sets`, unpacked."""
-    down = z._down_sets(side, words)
+    down = down_sets(z, side, words)
     return np.unpackbits(down, axis=1, count=len(z._param_rows(side)[0])).view(bool).T
 
 
@@ -53,7 +53,7 @@ def down_sets(z: ZipDatum, side: str, words=None) -> np.ndarray:
     W_U per target, |targets| * |W_U| work; no Element is built."""
     if words is None:
         z._check_poset_size(side)
-    orbit = z._orbit_positions(side)
+    orbit = orbit_positions(z, side)
     if words is None:
         words = word_tuples(z._param_rows(side)[1])
     packed = np.empty((len(words), (orbit.shape[1] + 7) // 8), dtype=np.uint8)
@@ -89,7 +89,7 @@ def owners(z: ZipDatum, side: str) -> np.ndarray:
     """The owner of each W_U position, the parameter whose orbit
     (:func:`orbit_positions`) holds it, or -1.  The orbits are disjoint,
     or two parameters would share a sigma: RuntimeError if two meet."""
-    orbit = z._orbit_positions(side)
+    orbit = orbit_positions(z, side)
     owner = np.full(len(z.group.enumeration(z.universe).parent), -1, dtype=np.int32)
     owner[orbit] = np.arange(orbit.shape[1], dtype=np.int32)
     if not (owner[orbit] == np.arange(orbit.shape[1])).all():
@@ -110,9 +110,9 @@ def length_one_pairs(z: ZipDatum, side: str) -> tuple[np.ndarray, np.ndarray]:
     gather per letter for all (b, j) at once, owned by :func:`owners`."""
     g = z.group
     t, e = g.tables(z.universe), g.enumeration(z.universe)
-    params = z._orbit_positions(side)[0]
+    params = orbit_positions(z, side)[0]
     k = len(params)
-    owner = z._owners(side)
+    owner = owners(z, side)
     length = t.length[params]
     top = int(length[-1])
     # suffix[:, j] is w_b with its first j letters removed, and letter j of
@@ -151,8 +151,8 @@ def hasse_poset(z: ZipDatum, side: str, central_rank: int) -> ClosurePoset:
     from .poset import ClosurePoset
 
     zipdata._check_side(side)
-    down = z._down_sets(side) if z.I else None
-    a, b = z._length_one_pairs(side)
+    down = down_sets(z, side) if z.I else None
+    a, b = length_one_pairs(z, side)
     nodes = z.pieces(side=side, central_rank=central_rank)
     if down is not None:
         a, b = _cover_edges(down, a, b, nodes.length, f"{z!r} ({side})")

@@ -2,9 +2,8 @@
 (:class:`Pieces`), each :class:`Piece` built only when it is read, their
 text formatted from the columns.
 
-The closure poset on them, :class:`ClosurePoset`, lives in
-:mod:`weylzip.poset`, which the ``pieces`` subcommand never loads;
-``pieces.ClosurePoset`` still resolves (PEP 562).
+The closure poset on them, :class:`poset.ClosurePoset`, lives in
+:mod:`weylzip.poset`, which the ``pieces`` subcommand never loads.
 """
 
 from __future__ import annotations
@@ -18,14 +17,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coxeter import CoxeterGroup, Element, word_tuples
-from .lazy import lazy_names
 
 if TYPE_CHECKING:
     from .zipdata import ZipDatum
-
-#: Names whose code lives in weylzip.poset, imported on first use.
-_LAZY = {"ClosurePoset": "poset"}
-__getattr__ = lazy_names(globals(), _LAZY)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import order
+
 if TYPE_CHECKING:
     from .coxeter import Element
     from .pieces import Pieces
@@ -44,7 +46,7 @@ class ClosurePoset:
     def leq(self) -> np.ndarray:
         """``leq[a, b]``: node a lies in the closure of node b.  Built on
         first read, with no lock, and refused above POSET_BOUND nodes."""
-        return self.datum._relation_matrix(self.side)
+        return order.relation_matrix(self.datum, self.side)
 
     def _key(self) -> tuple:
         return (self.datum, self.side, self.nodes, self.lower.tobytes(), self.upper.tobytes())

@@ -7,7 +7,7 @@ is "e".  Cartan types are strings like "A2", "B3" or "A1xA1".
 The JSON datum documents of the command line and the Coxeter
 automorphisms they name are read by :mod:`weylzip.documents`, which only
 ``--datum``, ``abstract``, ``nonconnected`` and ``isogeny`` load; its
-readers still resolve here (PEP 562).
+readers also resolve here (PEP 562).
 """
 
 from __future__ import annotations

@@ -15,14 +15,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from . import oracles
+from . import oracles, order
 from .abstract import AbstractZipDatum, FiniteGroup, Perm, inverse, mult
 from .coxeter import CoxeterGroup, build_group
 from .errors import WeylZipError
 from .extended import ExtendedZipDatum
 from .isogeny import zip_datum_from_isogeny
 from .serialize import parse_cycles, word_str
-from .order import _down_rows
 from .zipdata import ZipDatum
 
 QUICK_TYPES = ("A1", "A1xA1", "A2", "B2", "G2")
@@ -286,8 +285,8 @@ def check_sigma_duality(z: ZipDatum) -> list[str]:
         return bad  # reported above: sigma is not onto the dual set
     # the "wj" relation read at the sigma images of the "iw" parameters
     at = [position[im.perm] for im in images]
-    moved = z._relation_matrix("wj")[np.ix_(at, at)]
-    for a, b in np.argwhere(z._relation_matrix("iw") != moved).tolist():
+    moved = order.relation_matrix(z, "wj")[np.ix_(at, at)]
+    for a, b in np.argwhere(order.relation_matrix(z, "iw") != moved).tolist():
         bad.append(
             f"{z!r}: sigma is not an order isomorphism at "
             f"({word_str(params[a])}, {word_str(params[b])})"
@@ -298,7 +297,7 @@ def check_sigma_duality(z: ZipDatum) -> list[str]:
 def check_closure_order(z: ZipDatum, side: str = "iw") -> list[str]:
     bad = []
     params = z.param_set(side)
-    rel = z._relation_matrix(side)
+    rel = order.relation_matrix(z, side)
     k = len(params)
     if not rel.diagonal().all():
         bad.append(f"{z!r}: closure order is not reflexive on side {side}")
@@ -330,13 +329,12 @@ def check_closure_order(z: ZipDatum, side: str = "iw") -> list[str]:
 
 def check_length_one_closure(z: ZipDatum, side: str) -> list[str]:
     """The census property behind the poset's cover edges: the pairs D1 of
-    :meth:`ZipDatum._length_one_pairs` close, reflexively and
-    transitively, to the relation matrix.  The closure is taken by boolean
-    squaring, not by the layer walk of :func:`zipdata._cover_edges`.  A
-    datum that fails takes the product covers in hasse_poset, and is
-    named."""
-    rel = z._relation_matrix(side)
-    a, b = z._length_one_pairs(side)
+    :func:`order.length_one_pairs` close, reflexively and transitively, to
+    the relation matrix.  The closure is taken by boolean squaring, not by
+    the layer walk of :func:`order._cover_edges`.  A datum that fails takes
+    the product covers in hasse_poset, and is named."""
+    rel = order.relation_matrix(z, side)
+    a, b = order.length_one_pairs(z, side)
     closure = np.eye(len(rel), dtype=bool)
     closure[a, b] = True
     while True:
@@ -353,18 +351,18 @@ def check_length_one_closure(z: ZipDatum, side: str) -> list[str]:
 def check_owner_lemma(z: ZipDatum, side: str) -> list[str]:
     """A lemma toward the gradedness of the closure order: for every orbit
     member c with l(c) equal to the length of its owner a (the owner array
-    of :meth:`ZipDatum._owners`), the owners of the Bruhat down-set of c
-    are the owners of the down-set of w_a.  The down-sets are rows over
-    W_U from the canonical words the walk spells.  A datum that fails is
-    named, with its first counterexample."""
+    of :func:`order.owners`), the owners of the Bruhat down-set of c are
+    the owners of the down-set of w_a.  The down-sets are rows over W_U
+    from the canonical words the walk spells.  A datum that fails is named,
+    with its first counterexample."""
     g = z.group
     t, e = g.tables(z.universe), g.enumeration(z.universe)
-    orbit, owner = z._orbit_positions(side), z._owners(side)
+    orbit, owner = order.orbit_positions(z, side), order.owners(z, side)
     params = orbit[0].tolist()
     minimal = np.unique(orbit[t.length[orbit] == t.length[orbit[0]]]).tolist()
     words = e.words_at(minimal)
     owners = {}  # minimal member -> the owners of its down-set, as bytes
-    for i, down in _down_rows(t, words, True):
+    for i, down in order._down_rows(t, words, True):
         found = np.unique(owner[down])
         owners[minimal[i]] = found[found >= 0].tobytes()
     bad = [i for i, c in enumerate(minimal) if owners[c] != owners[params[owner[c]]]]

@@ -25,8 +25,7 @@ isomorphism W_I -> W_J of Coxeter groups.  The module computes:
   and the poset's covers in :mod:`weylzip.order`, by down-set rows in the
   tables of W_U, and the poset itself (:class:`ClosurePoset`) in
   :mod:`weylzip.poset`, each imported when the first method that reaches
-  it starts (PEP 562 keeps ``zipdata._cover_edges``, ``_product_covers``
-  and ``_down_rows`` resolving),
+  it starts,
 * dimension and infinitesimal-stabilizer counts from root data.
 
 Single-element kernels widen the int16 row of their Element to intp once
@@ -55,16 +54,11 @@ from .errors import (
     PsiNotCoxeter,
     SubsetMismatch,
 )
-from .lazy import lazy_names
 from .pieces import Pieces, _positions
 
 if TYPE_CHECKING:
     from .abstract import AbstractZipDatum
     from .poset import ClosurePoset
-
-#: Names whose code lives in weylzip.order, imported on first use.
-_LAZY = dict.fromkeys(("_cover_edges", "_down_rows", "_product_covers"), "order")
-__getattr__ = lazy_names(globals(), _LAZY)
 
 SIDES = ("iw", "wj")
 
@@ -95,8 +89,8 @@ class ZipDatum:
 
     Whole W_I-twisted orbits y w psi(y)^{-1} are replayed along the walk
     of W_I (:meth:`ShortLex.replay`): root permutations for precedes
-    (:meth:`_orbit_rows`), and ShortLex positions in the tables of W_U,
-    cached per side, for closure sets and posets (:meth:`_orbit_positions`).
+    (:meth:`_orbit_rows`), and ShortLex positions in the tables of W_U for
+    closure sets and posets, cached per side (:func:`order.orbit_positions`).
     sigma, sigma_inverse and pieces reach their member of the orbit by one
     kernel, :meth:`_sigma_rows`, a walk of twisted conjugations by simple
     reflections that keeps the length and stops in W^J (in ^I W, on
@@ -438,26 +432,6 @@ class ZipDatum:
         (:func:`order.hasse_poset`)."""
         from . import order
         return order.hasse_poset(self, side, central_rank)
-
-    def _relation_matrix(self, side: str, words=None) -> np.ndarray:
-        from . import order
-        return order.relation_matrix(self, side, words)
-
-    def _down_sets(self, side: str, words=None) -> np.ndarray:
-        from . import order
-        return order.down_sets(self, side, words)
-
-    def _orbit_positions(self, side: str) -> np.ndarray:
-        from . import order
-        return order.orbit_positions(self, side)
-
-    def _owners(self, side: str) -> np.ndarray:
-        from . import order
-        return order.owners(self, side)
-
-    def _length_one_pairs(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        from . import order
-        return order.length_one_pairs(self, side)
 
     # -- numeric reports --
 

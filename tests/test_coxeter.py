@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzip import ZipDatum, build_group, cartan, coxeter
+from weylzip import ZipDatum, automorphisms, build_group, cartan, coxeter, tables
 from weylzip.cli import main
-from weylzip.coxeter import CoxeterAutomorphism, CoxeterGroup, Element
+from weylzip.automorphisms import CoxeterAutomorphism
+from weylzip.coxeter import CoxeterGroup, Element
 from weylzip.errors import (
     GroupMismatch,
     IndexOutOfRange,
@@ -189,11 +190,11 @@ def test_classification_equals_the_permutation_filter(label):
         shuffle = rng.sample(range(len(cox)), len(cox))
         M = [[cox[a][b] for b in shuffle] for a in shuffle]
         expect, orders = _classify_by_permutations(M)
-        assert cartan.classify_coxeter_matrix(M) == expect
+        assert automorphisms.classify_coxeter_matrix(M) == expect
         # the search yields the filter's vertex orders, least first
         for comp, letter, hits in orders:
             target = cartan.coxeter_matrix(letter, len(comp))
-            assert list(cartan.isomorphisms(M, target, comp)) == hits
+            assert list(automorphisms.isomorphisms(M, target, comp)) == hits
 
 
 def test_words_and_identity(a2):
@@ -597,11 +598,11 @@ def test_table_dtype_is_int16_iff_the_positions_fit(label, S):
 
 def test_position_dtype_holds_every_position_and_minus_one():
     for n in [1, 2, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 31, 2 ** 31 + 1]:
-        info = np.iinfo(coxeter.position_dtype(n))
+        info = np.iinfo(tables.position_dtype(n))
         assert info.min <= -1 and info.max >= n - 1
-    assert coxeter.position_dtype(2 ** 15) == np.int16
-    assert coxeter.position_dtype(2 ** 15 + 1) == np.int32
-    assert coxeter.position_dtype(2 ** 31) == np.int32
+    assert tables.position_dtype(2 ** 15) == np.int16
+    assert tables.position_dtype(2 ** 15 + 1) == np.int32
+    assert tables.position_dtype(2 ** 31) == np.int32
 
 
 def test_table_memory_on_e6():
@@ -706,7 +707,7 @@ def test_parabolic_order_is_the_product_over_root_heights(label):
     for k in range(g.rank + 1):
         for S in combinations(g.simple_indices, k):
             sub = [[g.coxeter_m(i, j) for j in S] for i in S]
-            expect = cartan.weyl_order(cartan.classify_coxeter_matrix(sub)[0]) if S else 1
+            expect = cartan.weyl_order(automorphisms.classify_coxeter_matrix(sub)[0]) if S else 1
             assert g.parabolic_order(S) == expect, S
 
 

@@ -779,7 +779,7 @@ def test_relation_matrix_matches_oracle(label, I, J, psi, side):
     z = ZipDatum(build_group(label), I, J, psi)
     params, rel = relation_oracle(z, side)
     assert [w.perm for w in z.param_set(side)] == [w.perm for w in params]
-    assert np.array_equal(z._relation_matrix(side), rel)
+    assert np.array_equal(order.relation_matrix(z, side), rel)
     assert np.array_equal(z.hasse_poset(side).leq, rel)
     for b, w in enumerate(params):
         expect = [p.perm for p, hit in zip(params, rel[:, b]) if hit]
@@ -794,7 +794,7 @@ def test_relation_matrix_in_a_smaller_universe(a3):
         for side in ("iw", "wj"):
             params = sub.param_set(side)
             expect = [[sub.precedes(a, b, side) for b in params] for a in params]
-            rel = sub._relation_matrix(side)
+            rel = order.relation_matrix(sub, side)
             assert rel.tolist() == expect
             for b, w in enumerate(params):
                 hits = [p for p, hit in zip(params, rel[:, b]) if hit]
@@ -829,7 +829,7 @@ def test_orbit_gather_matches_element_products(z):
     for side in ("iw", "wj"):
         X, params = z._param_rows(side)[0], z.param_set(side)
         products = [[(y * p * py).perm for p in params] for y, py in twists]
-        assert z._orbit_positions(side).tolist() == [
+        assert order.orbit_positions(z, side).tolist() == [
             [position[perm] for perm in row] for row in products]
         assert [[tuple(r) for r in row] for row in z._orbit_rows(X).tolist()] == products
 
@@ -889,6 +889,27 @@ def test_zipdata_reads_no_walk_layers():
         assert not reads, f"{path.name} reads .layers at lines {reads}"
 
 
+def test_zipdata_forwards_nothing_to_the_closure_order():
+    """The closure order's functions live in weylzip.order alone: ZipDatum
+    has no private method that forwards to one of them, and order calls
+    them as its own module globals, so patching weylzip.order reaches every
+    call."""
+    forwarders = {"_relation_matrix", "_down_sets", "_orbit_positions", "_owners",
+                  "_length_one_pairs"}
+    tree = ast.parse(Path(zipdata.__file__).read_text())
+    (datum,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "ZipDatum"]
+    defined = {node.name for node in datum.body if isinstance(node, ast.FunctionDef)}
+    assert {"closure_set", "hasse_poset"} <= defined
+    assert not defined & forwarders
+    calls = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(ast.parse(Path(order.__file__).read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in forwarders
+    ]
+    assert not calls, f"order.py reads {calls}"
+
+
 def test_poset_memory_on_d6():
     """The tables of W_U hold no rows: the traced peak of a D6 poset on a
     fresh group, tables included, stays within 3 MB of its entry (7.7 MB
@@ -926,9 +947,9 @@ def test_poset_traced_peak_on_d6():
 def test_meeting_orbits_raise(monkeypatch):
     g = CoxeterGroup(*cartan.matrices_for_label("A3"), "A3")
     z = ZipDatum(g, {1}, {1}, {1: 1})
-    orbit = z._orbit_positions("iw").copy()
+    orbit = order.orbit_positions(z, "iw").copy()
     orbit[:, 1] = orbit[:, 0]
-    monkeypatch.setattr(z, "_orbit_positions", lambda side: orbit)
+    monkeypatch.setattr(order, "orbit_positions", lambda z, side: orbit)
     with pytest.raises(RuntimeError, match=r"two twisted orbits of .* \(iw\) meet"):
         z.hasse_poset()
 
@@ -943,13 +964,13 @@ def test_cover_edges_match_oracle(label, I):
 
 
 def _packed(rel):
-    """The down-sets of rel (rel[x, y] = x <= y) packed as _cover_edges reads
-    them: row y holds column y of rel."""
+    """The down-sets of rel (rel[x, y] = x <= y) packed as order._cover_edges
+    reads them: row y holds column y of rel."""
     return np.packbits(rel.T, axis=1)
 
 
 def _pairs(lower, upper):
-    """The cover edges that _cover_edges returns as two arrays, as pairs."""
+    """The cover edges that order._cover_edges returns as two arrays, as pairs."""
     return tuple(zip(lower.tolist(), upper.tolist()))
 
 
@@ -960,11 +981,11 @@ def test_uncertified_order_takes_the_product_covers():
     for a, b in [(0, 1), (1, 2), (0, 2), (0, 3)]:
         rel[a, b] = True
     a, b, length = np.array([0, 1]), np.array([1, 2]), np.array([0, 1, 2, 2])
-    edges = _pairs(*zipdata._cover_edges(_packed(rel), a, b, length, "a hand-built order"))
+    edges = _pairs(*order._cover_edges(_packed(rel), a, b, length, "a hand-built order"))
     assert edges == cover_edges_oracle(rel) == ((0, 1), (0, 3), (1, 2))
     # the same pairs certify the graded order without 0 < 3
     rel[0, 3] = False
-    assert _pairs(*zipdata._cover_edges(_packed(rel), a, b, length, "")) == ((0, 1), (1, 2))
+    assert _pairs(*order._cover_edges(_packed(rel), a, b, length, "")) == ((0, 1), (1, 2))
 
 
 def test_uncertified_order_above_the_product_bound_is_refused(monkeypatch):
@@ -972,8 +993,8 @@ def test_uncertified_order_above_the_product_bound_is_refused(monkeypatch):
     rel[0, 3] = True
     monkeypatch.setattr(zipdata, "PRODUCT_BOUND", 3)
     with pytest.raises(PosetTooLarge, match="a hand-built order .*k = 4 .*bound 3"):
-        zipdata._cover_edges(_packed(rel), np.array([], dtype=int), np.array([], dtype=int),
-                             np.array([0, 1, 2, 2]), "a hand-built order")
+        order._cover_edges(_packed(rel), np.array([], dtype=int), np.array([], dtype=int),
+                           np.array([0, 1, 2, 2]), "a hand-built order")
 
 
 @pytest.mark.parametrize("label", ["A4", "B3", "D4", "F4", "G2", "A1xA2"])
@@ -985,7 +1006,7 @@ def test_bruhat_posets_take_the_length_one_pairs_as_covers(monkeypatch, label):
     oracle = {}
     for side in ("iw", "wj"):
         with monkeypatch.context() as m:
-            m.setattr(ZipDatum, "_down_sets", None)
+            m.setattr(order, "down_sets", None)
             poset = z.hasse_poset(side)
         key = poset.leq.tobytes()
         if key not in oracle:
@@ -1009,19 +1030,19 @@ def test_d6_poset_builds_no_dense_relation(monkeypatch):
     """hasse_poset, to_json and to_dot on D6 I={1,2} (k = 3 840) never
     build the k x k relation, and leq is built only when it is read."""
     z = _identity_datum("D6", {1, 2})
-    relation = ZipDatum._relation_matrix
+    relation = order.relation_matrix
 
     def refuse(*args, **kwargs):
         raise AssertionError("the dense relation was built")
 
-    monkeypatch.setattr(ZipDatum, "_relation_matrix", refuse)
+    monkeypatch.setattr(order, "relation_matrix", refuse)
     poset = z.hasse_poset()
     assert len(poset.nodes) == 3_840
     assert poset.to_json().count("\n") > 3_840 and poset.to_dot().startswith("digraph")
     assert "leq" not in vars(poset)
     with pytest.raises(AssertionError, match="dense relation"):
         poset.leq
-    monkeypatch.setattr(ZipDatum, "_relation_matrix", relation)
+    monkeypatch.setattr(order, "relation_matrix", relation)
     assert poset.leq.shape == (3_840, 3_840) and poset.leq.diagonal().all()
     assert "leq" in vars(poset)
 
@@ -1048,16 +1069,16 @@ def test_verify_owner_lemma_names_a_datum_where_it_fails(monkeypatch):
 
     z = ZipDatum(build_group("B3"), {1}, {1}, {1: 1})
     assert check_owner_lemma(z, "iw") == check_owner_lemma(z, "wj") == []
-    owners = ZipDatum._owners
+    owners = order.owners
 
-    def swapped(self, side):
+    def swapped(z, side):
         # the orbits of parameters 1 and 2 trade owners
-        owner = owners(self, side).copy()
+        owner = owners(z, side).copy()
         one, two = owner == 1, owner == 2
         owner[one], owner[two] = 2, 1
         return owner
 
-    monkeypatch.setattr(ZipDatum, "_owners", swapped)
+    monkeypatch.setattr(order, "owners", swapped)
     bad = check_owner_lemma(z, "iw")
     assert len(bad) == 1 and bad[0].startswith(f"{z!r}: on side iw, ")
 
@@ -1067,8 +1088,8 @@ def test_verify_census_names_a_datum_whose_pairs_do_not_close(monkeypatch):
 
     z = ZipDatum(build_group("B3"), {1}, {1}, {1: 1})
     assert check_length_one_closure(z, "iw") == check_length_one_closure(z, "wj") == []
-    a, b = z._length_one_pairs("iw")
-    monkeypatch.setattr(ZipDatum, "_length_one_pairs", lambda self, side: (a[1:], b[1:]))
+    a, b = order.length_one_pairs(z, "iw")
+    monkeypatch.setattr(order, "length_one_pairs", lambda z, side: (a[1:], b[1:]))
     assert check_length_one_closure(z, "iw") == [
         f"{z!r}: the length-one pairs do not close to the closure order on side iw, "
         "so hasse_poset takes the product covers"
